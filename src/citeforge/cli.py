@@ -40,6 +40,7 @@ from .dataset import (
     dataset_stats,
     export,
     load_jsonl,
+    sha256_file,
     split_dataset,
 )
 from .evaluate import EvalPolicy, evaluate_dataset, format_report, write_report
@@ -75,14 +76,8 @@ DOMAIN_ERRORS = (
 )
 
 ENV_PREFIX = "CITEFORGE_"
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
+TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class Run:
@@ -125,11 +120,11 @@ class Run:
                 json.dumps(self.settings, sort_keys=True, default=str).encode()
             ).hexdigest(),
             "input_digests": [
-                {"path": str(p), "sha256": _sha256(p)}
+                {"path": str(p), "sha256": sha256_file(p)}
                 for p in self._files(self.inputs)
             ],
             "output_digests": [
-                {"path": str(p), "sha256": _sha256(p)}
+                {"path": str(p), "sha256": sha256_file(p)}
                 for p in self._files(self.outputs)
             ],
             "started": self.started,
@@ -141,33 +136,68 @@ class Run:
 
 
 class Settings:
-    """Flag resolution: command line, then environment, then config file."""
+    """Flag resolution: command line, then environment, then config file.
+
+    Values from the environment and the config file are typed the way
+    argparse types the flag: store-const flags take a yes/no word, list
+    flags (append or nargs="+") wrap a single value in a list, and typed
+    flags go through their `type`.  A value that does not fit is a
+    ValueError naming where it came from.
+    """
 
     # argparse dests that differ from their flag spelling
     ALIASES = {"in_path": "in"}
 
     def __init__(self, args: argparse.Namespace):
-        self.cli = vars(args)
+        self.cli = dict(vars(args))
+        self.actions = self.cli.pop("actions", {})
         config_path = self._lookup("config")
         self.config = {}
         if config_path:
             self.config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            if not isinstance(self.config, dict):
+                raise ValueError(f"config file {config_path} must hold a JSON object")
+
+    def _typed(self, name: str, value, source: str):
+        action = self.actions.get(name)
+        if action is None:
+            return value
+        if action.nargs == 0:
+            word = str(value).strip().lower()
+            if word not in TRUE_WORDS + FALSE_WORDS:
+                raise ValueError(
+                    f"{source}: expected one of {'/'.join(TRUE_WORDS)} or "
+                    f"{'/'.join(FALSE_WORDS)}, got {value!r}"
+                )
+            return word in TRUE_WORDS
+        convert = action.type or (lambda x: x)
+        try:
+            if action.nargs == "+" or isinstance(action, argparse._AppendAction):
+                return [convert(v) for v in (value if isinstance(value, list) else [value])]
+            return convert(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{source}: invalid {action.type.__name__} value {value!r}"
+            ) from None
 
     def _lookup(self, name: str):
         value = self.cli.get(name)
         if value is not None:
             return value
-        env_name = self.ALIASES.get(name, name).upper().replace("-", "_")
-        return os.environ.get(ENV_PREFIX + env_name)
+        env_name = ENV_PREFIX + self.ALIASES.get(name, name).upper().replace("-", "_")
+        value = os.environ.get(env_name)
+        if value is not None:
+            return self._typed(name, value, f"environment variable {env_name}")
+        return None
 
-    def get(self, name: str, default=None, cast=None):
+    def get(self, name: str, default=None):
         value = self._lookup(name)
-        if value is None:
-            alias = self.ALIASES.get(name, name)
-            value = self.config.get(name, self.config.get(alias, default))
-        if value is not None and cast is not None and not isinstance(value, cast):
-            value = cast(value)
-        return value
+        if value is not None:
+            return value
+        for key in (name, self.ALIASES.get(name, name)):
+            if self.config.get(key) is not None:
+                return self._typed(name, self.config[key], f"config key {key!r}")
+        return default
 
     def require(self, name: str):
         value = self.get(name)
@@ -253,8 +283,6 @@ def cmd_clean(settings: Settings, run: Run) -> int:
 
 def cmd_stats(settings: Settings, run: Run) -> int:
     paths = settings.require("in_path")
-    if isinstance(paths, str):
-        paths = [paths]
     if str(paths[0]).endswith(".jsonl"):
         records = list(load_jsonl(run.read(paths[0])))
         text = dataset_stats(records)
@@ -331,9 +359,9 @@ def cmd_build(settings: Settings, run: Run) -> int:
     records = build_dataset(
         entries,
         styles,
-        chunk_size=settings.get("chunk", 1000, int),
+        chunk_size=settings.get("chunk", 1000),
         stats=stats,
-        jobs=settings.get("jobs", 1, int),
+        jobs=settings.get("jobs", 1),
     )
     out = run.wrote(settings.require("out"))
     checksum = export(records, settings.get("format", "jsonl"), out)
@@ -354,7 +382,7 @@ def cmd_build(settings: Settings, run: Run) -> int:
 
 def cmd_split(settings: Settings, run: Run) -> int:
     records = load_jsonl(run.read(settings.require("in_path")))
-    manifest = split_dataset(list(records), settings.get("seed", 42, int))
+    manifest = split_dataset(list(records), settings.get("seed", 42))
     out = run.wrote(settings.require("out"))
     Path(out).write_text(
         json.dumps(manifest.to_json_dict(), indent=2) + "\n", encoding="utf-8"
@@ -378,7 +406,7 @@ def cmd_train(settings: Settings, run: Run) -> int:
     corpus = [
         align_training(cit["annoRef"]) for record in records for cit in record.citations
     ]
-    model = train_hmm(corpus, alpha=settings.get("alpha", 0.1, float))
+    model = train_hmm(corpus, alpha=settings.get("alpha", 0.1))
     out = run.wrote(settings.require("out"))
     model.save(out)
     print(
@@ -401,6 +429,18 @@ def _is_dataset_file(path: Path) -> bool:
     return False
 
 
+def _tag_row(model: HmmModel, reference: str, **keys) -> str:
+    """One tagged.jsonl line: `keys` first, then the decode of `reference`."""
+    fields, log_prob = tag_reference(model, reference)
+    row = {
+        **keys,
+        "reference": reference,
+        "fields": [{"label": f.label, "value": f.value} for f in fields],
+        "log_prob": log_prob,
+    }
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
 def cmd_tag(settings: Settings, run: Run) -> int:
     model = HmmModel.load(run.read(settings.require("model")))
     in_path = Path(run.read(settings.require("in_path")))
@@ -417,41 +457,15 @@ def cmd_tag(settings: Settings, run: Run) -> int:
                 if keep is not None and record.id not in keep:
                     continue
                 for cit in record.citations:
-                    fields, log_prob = tag_reference(model, cit["bibRef"])
                     fh.write(
-                        json.dumps(
-                            {
-                                "id": record.id,
-                                "style": cit["style"],
-                                "reference": cit["bibRef"],
-                                "fields": [
-                                    {"label": f.label, "value": f.value} for f in fields
-                                ],
-                                "log_prob": log_prob,
-                            },
-                            ensure_ascii=False,
-                        )
-                        + "\n"
+                        _tag_row(model, cit["bibRef"], id=record.id, style=cit["style"])
                     )
                     count += 1
         else:
             for line in in_path.read_text(encoding="utf-8").splitlines():
                 if not line.strip():
                     continue
-                fields, log_prob = tag_reference(model, line.strip())
-                fh.write(
-                    json.dumps(
-                        {
-                            "reference": line.strip(),
-                            "fields": [
-                                {"label": f.label, "value": f.value} for f in fields
-                            ],
-                            "log_prob": log_prob,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                fh.write(_tag_row(model, line.strip()))
                 count += 1
     print(f"tagged {count} references")
     return 0
@@ -465,8 +479,8 @@ def cmd_evaluate(settings: Settings, run: Run) -> int:
     if split_path:
         eval_ids = set(_read_split(run, split_path).eval_ids)
     policy = EvalPolicy(
-        tau=settings.get("tau", 0.15, float),
-        count_near_as_correct=bool(settings.get("near_as_correct", False)),
+        tau=settings.get("tau", 0.15),
+        count_near_as_correct=settings.get("near_as_correct", False),
     )
     tagged = (
         json.loads(line)
@@ -483,23 +497,21 @@ def cmd_evaluate(settings: Settings, run: Run) -> int:
 
 def cmd_harvest(settings: Settings, run: Run) -> int:
     agents = settings.get("user_agent") or ["citeforge/" + __version__]
-    if isinstance(agents, str):
-        agents = [agents]
     config = HarvestConfig(
         url_template=settings.require("url_template"),
-        id_start=settings.get("id_start", 1, int),
-        id_end=int(settings.require("id_end")),
-        td_millis=settings.get("td", 1000, int),
-        rid_millis=settings.get("rid", 500, int),
+        id_start=settings.get("id_start", 1),
+        id_end=settings.require("id_end"),
+        td_millis=settings.get("td", 1000),
+        rid_millis=settings.get("rid", 500),
         user_agents=tuple(agents),
-        max_retries=settings.get("max_retries", 2, int),
+        max_retries=settings.get("max_retries", 2),
         output_path=settings.require("out"),
         checkpoint_path=settings.get("checkpoint")
         or str(settings.require("out")) + ".checkpoint.json",
-        allow_external=bool(settings.get("allow_external", False)),
+        allow_external=settings.get("allow_external", False),
     )
     seed = settings.get("seed")
-    rng = random.Random(int(seed)) if seed is not None else None
+    rng = random.Random(seed) if seed is not None else None
     if settings.get("resume", False):
         stats = run_resume(config, rng)
     else:
@@ -537,7 +549,7 @@ def cmd_serve_fixture(settings: Settings, run: Run) -> int:
     for rule in settings.get("multi") or []:
         fid, count = (int(x) for x in rule.split(":"))
         script.entries[fid] = count
-    server = FixtureServer(script, port=settings.get("port", 8344, int))
+    server = FixtureServer(script, port=settings.get("port", 8344))
     server.start()
     print(f"fixture server on {server.base_url} (Ctrl+C to stop)")
     try:
@@ -558,10 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func, *flags):
         p = sub.add_parser(name)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file mirroring flags")
         for flag in flags:
             flag(p)
+        # Settings types environment and config values after these actions.
+        p.set_defaults(func=func, actions={a.dest: a for a in p._actions})
         return p
 
     def f_in(p, multiple=False):

@@ -188,7 +188,8 @@ def split_dataset(records: Iterable[DatasetRecord | str], seed: int) -> SplitMan
     return SplitManifest(seed, tuple(shuffled[:n_train]), tuple(shuffled[n_train:]))
 
 
-def _sha256_file(path: Path) -> str:
+def sha256_file(path: Path) -> str:
+    """Hex sha256 of a file's bytes, read in 64 KiB blocks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -223,7 +224,7 @@ def export(
                     )
     else:
         raise ValueError(f"unknown format {format!r}")
-    return _sha256_file(path)
+    return sha256_file(path)
 
 
 def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:

@@ -46,25 +46,46 @@ _MULTIDASH = re.compile(r"-{2,}")
 _EDGE_PUNCT = re.compile(r"^[^\w]+|[^\w]+$", re.UNICODE)
 
 
+class _ControlTable(dict):
+    """`str.translate` table: backslash deleted, every Unicode "C*"
+    (control, format, private, unassigned) code point turned into a
+    space, anything else kept.  Filled one code point at a time as text
+    is seen, so it never holds more than the distinct characters read."""
+
+    def __missing__(self, code: int) -> str | None:
+        c = chr(code)
+        out = None if c == "\\" else " " if unicodedata.category(c)[0] == "C" else c
+        self[code] = out
+        return out
+
+
+_CONTROL = _ControlTable()
+
+
+def _normalize_pass(value: str) -> str:
+    value = value.lower()
+    value = _DASHES.sub("-", value)
+    value = _MULTIDASH.sub("-", value)
+    value = value.translate(_CONTROL)
+    value = " ".join(value.split())
+    value = value.replace(" & ", " and ")
+    value = _EDGE_PUNCT.sub("", value)
+    return value.strip()
+
+
 def normalize(value: str) -> str:
     """Canonical comparison form of a field value.
 
     Lowercases, maps the dash family to "-", drops control and escape
     characters, rewrites " & " to " and ", collapses whitespace and strips
-    edge punctuation.  Idempotent.
+    edge punctuation.  Idempotent: one pass leaves " & " behind when
+    ampersands overlap ("a & & b") and "--" when a dropped backslash joins
+    two dashes; only then is the pass repeated, until neither is left.
     """
-    value = value.lower()
-    value = _DASHES.sub("-", value)
-    value = _MULTIDASH.sub("-", value)
-    value = "".join(
-        " " if unicodedata.category(c).startswith("C") else c
-        for c in value
-        if c != "\\"
-    )
-    value = " ".join(value.split())
-    value = value.replace(" & ", " and ")
-    value = _EDGE_PUNCT.sub("", value)
-    return value.strip()
+    value = _normalize_pass(value)
+    while " & " in value or "--" in value:
+        value = _normalize_pass(value)
+    return value
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -4,20 +4,26 @@ decoding of new ones.
 States are field labels; observations are token classes (lowercased
 surfaces seen at least twice in training, everything rarer backing off to
 its orthographic class).  Decoding is log-space Viterbi, O(T*N^2), with
-ties broken toward the lower state index so output is reproducible.
+ties broken toward the lower state index so output is reproducible.  A
+model takes the logs of its initial, transition and emission tables once,
+when it is built, and every decode reads those; the tables are treated as
+fixed after construction.  `HmmModel.load` validates a model file (shapes,
+finite probabilities, rows summing to 1, canonical states, every backoff
+class in the vocabulary) and raises ValueError on a bad one.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .annotation import parse_annotation
-from .labels import field_for_label
+from .labels import LABEL_SET, field_for_label
 from .tokens import (
     CASE_CLASSES,
     LAST_CHAR_CLASSES,
@@ -58,6 +64,10 @@ class HmmModel:
 
     def __post_init__(self):
         self._sym_index = {sym: i for i, sym in enumerate(self.vocab)}
+        with np.errstate(divide="ignore"):
+            self._log_initial = np.log(self.initial)
+            self._log_transition = np.log(self.transition)
+            self._log_emission = np.log(self.emission)
 
     def symbol_index(self, token: Token) -> int:
         """Column of a token's emission symbol; rare and unseen surfaces
@@ -80,13 +90,54 @@ class HmmModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "HmmModel":
+        """Read a model written by `save`; a file that is not a valid model
+        raises ValueError naming the first problem found."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
+        if not isinstance(data, dict) or any(k not in data for k in keys):
+            raise ValueError(f"{path}: model file needs the keys {', '.join(keys)}")
+        states, vocab = data["states"], data["vocab"]
+        if not all(
+            isinstance(x, list) and all(isinstance(w, str) for w in x)
+            for x in (states, vocab)
+        ):
+            raise ValueError(f"{path}: states and vocab must be lists of strings")
+        try:
+            tables = {
+                k: np.array(data[k], dtype=float)
+                for k in ("initial", "transition", "emission")
+            }
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: probability tables are not rectangular numeric arrays"
+            ) from exc
+        n, v = len(states), len(vocab)
+        expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
+        for name, table in tables.items():
+            if table.shape != expected[name]:
+                raise ValueError(
+                    f"{path}: {name} has shape {table.shape}, expected "
+                    f"{expected[name]} for {n} states and {v} symbols"
+                )
+            if not (np.isfinite(table).all() and (table >= 0).all()):
+                raise ValueError(f"{path}: {name} has negative or non-finite values")
+            if not np.allclose(table.sum(axis=-1), 1.0):
+                raise ValueError(f"{path}: {name} rows do not sum to 1")
+        unknown = [s for s in states if s not in LABEL_SET]
+        if unknown:
+            raise ValueError(f"{path}: states are not canonical labels: {unknown}")
+        missing = set(_all_backoff_classes()) - set(vocab)
+        if missing:
+            raise ValueError(
+                f"{path}: vocabulary lacks {len(missing)} backoff classes, "
+                f"e.g. {min(missing)!r}"
+            )
         return cls(
-            states=data["states"],
-            vocab=data["vocab"],
-            initial=np.array(data["initial"]),
-            transition=np.array(data["transition"]),
-            emission=np.array(data["emission"]),
+            states=states,
+            vocab=vocab,
+            initial=tables["initial"],
+            transition=tables["transition"],
+            emission=tables["emission"],
             smoothing_alpha=data["alpha"],
         )
 
@@ -101,9 +152,17 @@ def align_training(anno_ref: str) -> LabelSequence:
     plain, spans = parse_annotation(anno_ref)
     tokens = tokenize(plain)
     labels = []
+    # Tokens and spans are both sorted and non-overlapping, so one sweep
+    # visits each token's overlapping spans in order; a span that ends at
+    # or before a token's start covers no later token either.
+    first = 0
     for tok in tokens:
+        while first < len(spans) and spans[first].end <= tok.start:
+            first += 1
         best, best_cover = "other", 0
-        for span in spans:
+        for span in islice(spans, first, None):
+            if span.start >= tok.end:
+                break
             cover = min(tok.end, span.end) - max(tok.start, span.start)
             if cover > best_cover:
                 best, best_cover = span.label, cover
@@ -185,26 +244,22 @@ def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]
     """
     if not tokens:
         raise EmptyInput("no tokens to decode")
-    with np.errstate(divide="ignore"):
-        log_init = np.log(model.initial)
-        log_trans = np.log(model.transition)
-        log_emis = np.log(model.emission)
-
+    log_trans = model._log_transition
     obs = [model.symbol_index(tok) for tok in tokens]
+    emis = model._log_emission[:, obs].T  # (T, N): row t scores obs[t]
     t_len, n = len(obs), len(model.states)
-    delta = log_init + log_emis[:, obs[0]]
+    delta = model._log_initial + emis[0]
     back = np.zeros((t_len, n), dtype=int)
     for t in range(1, t_len):
         scores = delta[:, None] + log_trans  # (from, to)
-        best_from = np.argmax(scores, axis=0)  # first max = lowest index
-        delta = scores[best_from, np.arange(n)] + log_emis[:, obs[t]]
-        back[t] = best_from
+        back[t] = scores.argmax(axis=0)  # first max = lowest index
+        delta = scores.max(axis=0) + emis[t]
 
-    last = int(np.argmax(delta))
+    last = int(delta.argmax())
     log_prob = float(delta[last])
     path = [last]
-    for t in range(t_len - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
+    for row in back[:0:-1].tolist():  # back pointers of steps T-1 .. 1
+        path.append(row[path[-1]])
     path.reverse()
     labels = [model.states[i] for i in path]
     return LabelSequence(list(tokens), labels), log_prob

