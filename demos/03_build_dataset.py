@@ -16,9 +16,9 @@ entries = random_corpus(rng, 120, source_tag="synthetic")
 styles = load_builtin_styles()
 
 # One record per entry; each record cites every style. Entries stream
-# through in chunks, so memory stays flat however large the corpus is.
+# through one at a time, so memory stays flat however large the corpus is.
 stats = BuildStats()
-records = list(build_dataset(entries, styles, chunk_size=50, stats=stats))
+records = list(build_dataset(entries, styles, stats=stats))
 print(f"built {stats.records} records, {stats.citations} citations "
       f"({stats.skipped_renders} skipped renders)")
 

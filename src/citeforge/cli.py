@@ -356,13 +356,7 @@ def cmd_build(settings: Settings, run: Run) -> int:
     entries, _ = _load_entries(settings, run, settings.require("in_path"))
     styles = _styles(settings, run)
     stats = BuildStats()
-    records = build_dataset(
-        entries,
-        styles,
-        chunk_size=settings.get("chunk", 1000),
-        stats=stats,
-        jobs=settings.get("jobs", 1),
-    )
+    records = build_dataset(entries, styles, stats=stats)
     out = run.wrote(settings.require("out"))
     checksum = export(records, settings.get("format", "jsonl"), out)
     print(
@@ -604,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("annotate", cmd_annotate, f_in, f_out, f_styles,
         lambda p: p.add_argument("--source-tag", dest="source_tag"))
     add("build", cmd_build, f_in, f_out, f_styles,
-        lambda p: p.add_argument("--chunk", type=int),
-        lambda p: p.add_argument("--jobs", type=int),
         lambda p: p.add_argument("--format", choices=("jsonl", "csv")),
         lambda p: p.add_argument("--source-tag", dest="source_tag"))
     add("split", cmd_split, f_in, f_out,

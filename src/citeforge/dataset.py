@@ -1,9 +1,9 @@
 """Assemble entries and styles into dataset records; split and export.
 
 Records follow the schema {id, bib_fields, citations:[{style, bibRef,
-annoRef}]} and are written as JSON Lines or CSV.  Building walks entries in
-chunks (outer loop over entries, inner over styles) so memory stays bounded
-by one chunk regardless of corpus size.
+annoRef}]} and are written as JSON Lines or CSV.  Building streams one
+entry at a time (outer loop over entries, inner over styles), so it holds
+one record at a time whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -115,61 +115,28 @@ def _record_for_entry(
 def build_dataset(
     entries: Iterable[BibEntry],
     styles: list[StyleTemplate],
-    chunk_size: int = 1000,
     stats: BuildStats | None = None,
-    jobs: int = 1,
 ) -> Iterator[DatasetRecord]:
     """Yield one record per entry, each citing every style.
 
     A render failure for one (entry, style) pair is recorded in `stats`
-    and skipped; an entry failing every style yields no record.  Output is
-    identical for any chunk_size >= 1 and any jobs value.
+    and skipped; an entry failing every style yields no record.
     """
     if not styles:
         raise NoStyles("at least one style is required")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if stats is None:
         stats = BuildStats()
-
-    def chunks() -> Iterator[list[BibEntry]]:
-        chunk: list[BibEntry] = []
-        for entry in entries:
-            chunk.append(entry)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=jobs)
-    else:
-        executor = None
-    try:
-        for chunk in chunks():
-            stats.entries += len(chunk)
-            if executor is not None:
-                # map preserves entry order, so exports stay deterministic
-                results = list(
-                    executor.map(lambda e: _record_for_entry(e, styles), chunk)
-                )
-            else:
-                results = [_record_for_entry(e, styles) for e in chunk]
-            for record, skips in results:
-                stats.skipped_renders += len(skips)
-                stats.skip_log.extend(skips)
-                if record is None:
-                    stats.dropped_records += 1
-                else:
-                    stats.records += 1
-                    stats.citations += len(record.citations)
-                    yield record
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for entry in entries:
+        stats.entries += 1
+        record, skips = _record_for_entry(entry, styles)
+        stats.skipped_renders += len(skips)
+        stats.skip_log.extend(skips)
+        if record is None:
+            stats.dropped_records += 1
+        else:
+            stats.records += 1
+            stats.citations += len(record.citations)
+            yield record
 
 
 def split_dataset(records: Iterable[DatasetRecord | str], seed: int) -> SplitManifest:

@@ -3,20 +3,22 @@
 A single serialized request stream walks an iterative-id URL template.
 Between requests the harvester waits a fixed threshold delay plus a random
 increment, rotates user agents per request, appends every successful body
-to the output file and rewrites the checkpoint, so a crash costs at most
-one refetch.  Only local fixture servers are allowed unless explicitly
-overridden.
+to the output file and then replaces the checkpoint, which records the
+output's length in bytes.  A crash costs at most one refetch: `resume`
+truncates the output to that length, dropping a body appended after the
+last checkpoint.  Only local fixture servers are allowed unless explicitly
+overridden.  `urllib.request` is imported inside `_fetch`, so importing
+the package does not load the HTTP and TLS stack.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bibtex import parse_bibtex
@@ -65,18 +67,32 @@ class HarvestConfig:
 class Checkpoint:
     last_id: int
     entries_count: int
+    output_offset: int  # bytes of output written up to and including last_id
     last_error: str | None = None
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.__dict__), encoding="utf-8")
+        """Replace the checkpoint file atomically: a reader sees the old
+        checkpoint or the new one, never a partial write."""
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(self.__dict__), encoding="utf-8")
+        os.replace(tmp, path)
 
     @classmethod
     def read(cls, path: str | Path) -> "Checkpoint":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(int(data["last_id"]), int(data["entries_count"]), data.get("last_error"))
+            checkpoint = cls(
+                int(data["last_id"]),
+                int(data["entries_count"]),
+                int(data["output_offset"]),
+                data.get("last_error"),
+            )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
+        if checkpoint.output_offset < 0:
+            raise CorruptCheckpoint(f"checkpoint {path}: negative output_offset")
+        return checkpoint
 
 
 @dataclass
@@ -94,6 +110,9 @@ class HarvestStats:
 
 
 def _fetch(url: str, user_agent: str, timeout: float) -> tuple[int, str]:
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers={"User-Agent": user_agent})
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:
@@ -108,21 +127,18 @@ def _log_path(config: HarvestConfig) -> Path:
     return Path(str(config.output_path) + ".log")
 
 
-def _run(
-    config: HarvestConfig,
-    first_id: int,
-    base_entries: int,
-    rng: random.Random,
-) -> HarvestStats:
+def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> HarvestStats:
+    """Fetch the ids after `start.last_id`, first checkpointing `start` with
+    the output's current length, so a crash on the first id is resumable."""
     stats = HarvestStats()
-    entries_total = base_entries
+    entries_total = start.entries_count
     out_path = Path(config.output_path)
     log_path = _log_path(config)
     first_request = True
-    with open(out_path, "a", encoding="utf-8") as out, open(
-        log_path, "a", encoding="utf-8"
-    ) as log:
-        for current_id in range(first_id, config.id_end + 1):
+    with open(out_path, "ab") as out, open(log_path, "a", encoding="utf-8") as log:
+        offset = out.tell()
+        replace(start, output_offset=offset).write(config.checkpoint_path)
+        for current_id in range(start.last_id + 1, config.id_end + 1):
             body = None
             error = None
             for attempt in range(config.max_retries + 1):
@@ -139,48 +155,41 @@ def _run(
                     body = payload
                     break
                 error = f"id {current_id}: HTTP {status or 'connection error'}"
+            n_entries, outcome = 0, "skip"
             if body is not None:
                 n_entries = len(parse_bibtex(body)[0])
-                out.write(body)
+                out.write(body.encode("utf-8"))
                 if not body.endswith("\n"):
-                    out.write("\n")
+                    out.write(b"\n")
                 out.flush()
+                offset = out.tell()
                 entries_total += n_entries
                 stats.entries += n_entries
                 stats.fetched_ids += 1
-                Checkpoint(current_id, entries_total).write(config.checkpoint_path)
-                log.write(
-                    json.dumps(
-                        {"ts": time.time(), "id": current_id, "status": "ok",
-                         "entries": n_entries}
-                    )
-                    + "\n"
-                )
-                log.flush()
+                error, outcome = None, "ok"
             else:
                 stats.skips += 1
                 stats.skipped_ids.append(current_id)
-                Checkpoint(current_id, entries_total, error).write(config.checkpoint_path)
-                log.write(
-                    json.dumps(
-                        {"ts": time.time(), "id": current_id, "status": "skip",
-                         "entries": 0}
-                    )
-                    + "\n"
-                )
-                log.flush()
+            Checkpoint(current_id, entries_total, offset, error).write(config.checkpoint_path)
+            event = {"ts": time.time(), "id": current_id, "status": outcome,
+                     "entries": n_entries}
+            log.write(json.dumps(event) + "\n")
+            log.flush()
     return stats
 
 
 def harvest(config: HarvestConfig, rng: random.Random | None = None) -> HarvestStats:
-    """Fetch the whole configured id range from scratch."""
+    """Fetch the whole configured id range from scratch, appending to the
+    output file."""
     config.validate()
-    return _run(config, config.id_start, 0, rng or random.Random())
+    return _run(config, Checkpoint(config.id_start - 1, 0, 0), rng or random.Random())
 
 
 def resume(config: HarvestConfig, rng: random.Random | None = None) -> HarvestStats:
-    """Continue from the checkpoint; output is appended, never truncated.
+    """Continue from the checkpoint.
 
+    Output past the checkpoint's offset (a body appended by a run that died
+    before it checkpointed) is truncated away, so no body is kept twice.
     Raises CorruptCheckpoint rather than guessing and refetching.
     """
     config.validate()
@@ -190,7 +199,16 @@ def resume(config: HarvestConfig, rng: random.Random | None = None) -> HarvestSt
             f"checkpoint id {checkpoint.last_id} outside range "
             f"{config.id_start}..{config.id_end}"
         )
-    return _run(config, checkpoint.last_id + 1, checkpoint.entries_count, rng or random.Random())
+    out_path = Path(config.output_path)
+    size = out_path.stat().st_size if out_path.exists() else 0
+    if size < checkpoint.output_offset:
+        raise CorruptCheckpoint(
+            f"{config.output_path} holds {size} bytes, fewer than the "
+            f"{checkpoint.output_offset} the checkpoint recorded"
+        )
+    if size > checkpoint.output_offset:
+        os.truncate(out_path, checkpoint.output_offset)
+    return _run(config, checkpoint, rng or random.Random())
 
 
 def efficiency_series(log_path: str | Path) -> list[tuple[float, int, float, float]]:

@@ -9,7 +9,9 @@ model takes the logs of its initial, transition and emission tables once,
 when it is built, and every decode reads those; the tables are treated as
 fixed after construction.  `HmmModel.load` validates a model file (shapes,
 finite probabilities, rows summing to 1, canonical states, every backoff
-class in the vocabulary) and raises ValueError on a bad one.
+class in the vocabulary) and raises ValueError on a bad one.  numpy is
+imported inside the functions that use it, so the CLI stages that neither
+train nor decode never pay its import.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from collections import Counter
 from itertools import islice
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .annotation import parse_annotation
 from .labels import LABEL_SET, field_for_label
@@ -31,6 +32,9 @@ from .tokens import (
     Token,
     tokenize,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_SURFACE_FREQ = 2
 
@@ -63,6 +67,8 @@ class HmmModel:
     smoothing_alpha: float
 
     def __post_init__(self):
+        import numpy as np
+
         self._sym_index = {sym: i for i, sym in enumerate(self.vocab)}
         with np.errstate(divide="ignore"):
             self._log_initial = np.log(self.initial)
@@ -92,6 +98,8 @@ class HmmModel:
     def load(cls, path: str | Path) -> "HmmModel":
         """Read a model written by `save`; a file that is not a valid model
         raises ValueError naming the first problem found."""
+        import numpy as np
+
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
         if not isinstance(data, dict) or any(k not in data for k in keys):
@@ -182,6 +190,8 @@ def _all_backoff_classes() -> list[str]:
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     """Rows scaled to sum to 1; rows with no mass at all fall back to
     uniform (only reachable with alpha=0)."""
+    import numpy as np
+
     counts = counts.astype(float)
     totals = counts.sum(axis=-1, keepdims=True)
     uniform = np.full_like(counts, 1.0 / counts.shape[-1])
@@ -197,6 +207,8 @@ def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
     frequency >= 2 plus the full set of backoff classes, so any token maps
     to some column at decode time.
     """
+    import numpy as np
+
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
     if alpha < 0:
@@ -242,6 +254,8 @@ def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]
     Log-space dynamic program over T observations and N states; at every
     argmax, equal scores resolve to the lower state index.
     """
+    import numpy as np
+
     if not tokens:
         raise EmptyInput("no tokens to decode")
     log_trans = model._log_transition

@@ -167,8 +167,10 @@ def _segment_value(entry: BibEntry, seg: Segment, style: StyleTemplate) -> str |
     return value
 
 
-def _render(entry: BibEntry, style: StyleTemplate, annotated: bool) -> str:
-    parts: list[str] = []
+def _filled_segments(entry: BibEntry, style: StyleTemplate) -> list[tuple[Segment, str]]:
+    """Each segment the entry fills, with its formatted value.  A missing
+    value drops an omittable segment and raises MissingVariable otherwise."""
+    filled = []
     for seg in style.segments:
         value = _segment_value(entry, seg, style)
         if value is None:
@@ -177,28 +179,34 @@ def _render(entry: BibEntry, style: StyleTemplate, annotated: bool) -> str:
             raise MissingVariable(
                 f"{style.style_id}: entry {entry.key} has no {seg.variable}"
             )
-        if annotated:
-            if seg.variable == "author":
-                inner = _annotated_name_list(entry.fields["author"], style)
-            else:
-                inner = annotation.escape(value)
-            value = f"<{seg.variable}>{inner}</{seg.variable}>"
-        parts.append(f"{seg.prefix}{value}{seg.suffix}")
-    parts.append(style.final_punct)
-    return "".join(parts)
+        filled.append((seg, value))
+    return filled
+
+
+def _plain(filled: list[tuple[Segment, str]], style: StyleTemplate) -> str:
+    body = "".join(f"{seg.prefix}{value}{seg.suffix}" for seg, value in filled)
+    return body + style.final_punct
 
 
 def render(entry: BibEntry, style: StyleTemplate) -> str:
     """Styled plain reference string for an entry.  Deterministic; raises
     MissingVariable when a non-omittable segment has no value."""
-    return _render(entry, style, annotated=False)
+    return _plain(_filled_segments(entry, style), style)
 
 
 def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
-    """Reference string plus its tagged twin, produced in one pass."""
-    bib_ref = _render(entry, style, annotated=False)
-    anno_ref = _render(entry, style, annotated=True)
-    return RenderedReference(style.style_id, bib_ref, anno_ref)
+    """Reference string plus its tagged twin, from one formatting of each
+    segment value."""
+    filled = _filled_segments(entry, style)
+    tagged = []
+    for seg, value in filled:
+        if seg.variable == "author":
+            inner = _annotated_name_list(entry.fields["author"], style)
+        else:
+            inner = annotation.escape(value)
+        tagged.append(f"{seg.prefix}<{seg.variable}>{inner}</{seg.variable}>{seg.suffix}")
+    tagged.append(style.final_punct)
+    return RenderedReference(style.style_id, _plain(filled, style), "".join(tagged))
 
 
 def style_from_dict(data: dict, origin: str = "<dict>") -> StyleTemplate:

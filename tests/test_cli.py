@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -93,7 +95,7 @@ def test_full_chain_and_manifests(tmp_path, corpus_file, capsys):
     tagged = tmp_path / "tagged.jsonl"
     report = tmp_path / "report.json"
 
-    assert run("build", "--in", corpus_file, "--out", ds, "--chunk", 7) == 0
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
     build_stats = json.loads(capsys.readouterr().out)
     assert build_stats["citations"] == build_stats["records"] * 10
 
@@ -332,3 +334,38 @@ def test_config_must_be_object(tmp_path, capsys):
     config.write_text("[1, 2]")
     assert run("split", "--config", config) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: what each step leaves in sys.modules.
+IMPORT_PROBE = """
+import json, sys
+HEAVY = ("numpy", "urllib.request", "http.client", "ssl")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
+import citeforge.cli as cli
+seen = {"import": loaded()}
+corpus, ds, model = sys.argv[1:]
+seen["build_exit"] = cli.main(["build", "--in", corpus, "--out", ds])
+seen["build"] = loaded()
+seen["train_exit"] = cli.main(["train", "--in", ds, "--out", model])
+seen["train"] = loaded()
+import citeforge
+seen["harvest"] = [callable(citeforge.harvest), citeforge.harvest.__module__]
+print(json.dumps(seen))
+"""
+
+
+def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
+    """numpy loads only for a stage that trains or decodes, and the HTTP
+    stack not at all outside harvesting."""
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(corpus_file),
+         str(tmp_path / "ds.jsonl"), str(tmp_path / "model.json")],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["build_exit"] == 0 and seen["build"] == []
+    assert seen["train_exit"] == 0 and seen["train"] == ["numpy"]
+    # the package exports the function, not the submodule of the same name
+    assert seen["harvest"] == [True, "citeforge.harvest"]

@@ -57,7 +57,7 @@ def test_desk_scale_400_entries_50_styles(rng, styles):
         for s in styles
     ]
     entries = random_corpus(rng, 400)
-    records, stats = build_all(entries, fifty, chunk_size=100)
+    records, stats = build_all(entries, fifty)
     assert stats.citations == 20_000
     assert sum(len(r.citations) for r in records) == 20_000
     assert all(len({c["style"] for c in r.citations}) == 50 for r in records)
@@ -68,22 +68,6 @@ def test_round_trip_inside_records(rng, styles):
     for record in records:
         for cit in record.citations:
             assert strip_tags(cit["annoRef"]) == cit["bibRef"]
-
-
-def test_chunk_independence(rng, styles):
-    entries = random_corpus(rng, 23)
-    baseline, _ = build_all(entries, styles[:3], chunk_size=1000)
-    for chunk_size in (1, 2, 7, 23, 100):
-        got, _ = build_all(entries, styles[:3], chunk_size=chunk_size)
-        assert got == baseline
-
-
-def test_jobs_do_not_change_output(rng, styles):
-    entries = random_corpus(rng, 30)
-    baseline, _ = build_all(entries, styles)
-    parallel, stats = build_all(entries, styles, jobs=4, chunk_size=8)
-    assert parallel == baseline
-    assert stats.citations == 300
 
 
 def test_no_styles_raises(rng):

@@ -1,9 +1,11 @@
-"""The token hot paths against reference copies of the code they replaced.
+"""The hot paths against reference copies of the code they replaced.
 
 Each reference below is the earlier, slower implementation kept verbatim
 in logic: the per-character `normalize`, the full feature extractor, the
-tokens x spans alignment scan and the Viterbi decoder that took the logs
-of its tables on every call.  The new code must agree with them exactly.
+tokens x spans alignment scan, the Viterbi decoder that took the logs of
+its tables on every call, and the renderer that made the plain and the
+annotated string in two separate passes.  The new code must agree with
+them exactly.
 """
 
 import random
@@ -11,14 +13,17 @@ import re
 import unicodedata
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from citeforge.annotation import escape, parse_annotation
+from citeforge import styles as styles_module
+from citeforge.annotation import escape, parse_annotation, strip_tags
+from citeforge.bibtex import BibEntry
 from citeforge.evaluate import normalize
 from citeforge.hmm import HmmModel, align_training, train_hmm, viterbi
 from citeforge.labels import CANONICAL_LABELS
-from citeforge.styles import MissingVariable, annotate, load_builtin_styles
+from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
 from citeforge.tokens import extract_features, tokenize
 
@@ -132,6 +137,27 @@ def reference_viterbi(model, tokens):
         path.append(int(back[t, path[-1]]))
     path.reverse()
     return [model.states[i] for i in path], log_prob
+
+
+def reference_render(entry, style, annotated):
+    parts = []
+    for seg in style.segments:
+        value = styles_module._segment_value(entry, seg, style)
+        if value is None:
+            if seg.omit_if_missing:
+                continue
+            raise MissingVariable(
+                f"{style.style_id}: entry {entry.key} has no {seg.variable}"
+            )
+        if annotated:
+            if seg.variable == "author":
+                inner = styles_module._annotated_name_list(entry.fields["author"], style)
+            else:
+                inner = escape(value)
+            value = f"<{seg.variable}>{inner}</{seg.variable}>"
+        parts.append(f"{seg.prefix}{value}{seg.suffix}")
+    parts.append(style.final_punct)
+    return "".join(parts)
 
 
 # --- normalize ----------------------------------------------------------
@@ -278,3 +304,53 @@ def test_viterbi_cached_tables_match_on_trained_model():
         tokens = tokenize(ref.bib_ref)
         seq, log_prob = viterbi(model, tokens)
         assert (seq.labels, log_prob) == reference_viterbi(model, tokens)
+
+
+# --- one-pass render ----------------------------------------------------
+
+
+def assert_render_matches_reference(entry):
+    for style in STYLES:
+        try:
+            want = (
+                reference_render(entry, style, annotated=False),
+                reference_render(entry, style, annotated=True),
+            )
+        except MissingVariable as exc:
+            with pytest.raises(MissingVariable, match=re.escape(str(exc))):
+                annotate(entry, style)
+            continue
+        got = annotate(entry, style)
+        assert (got.bib_ref, got.anno_ref) == want
+        assert render(entry, style) == want[0]
+        assert strip_tags(got.anno_ref) == got.bib_ref
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_one_pass_render_matches_two_pass_on_synthetic_corpus(seed):
+    for entry in random_corpus(random.Random(seed), 5):
+        assert_render_matches_reference(entry)
+
+
+# Tag delimiters, entities, name separators, dashes and non-ASCII text.
+_FIELD_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["<", ">", "&", "&amp;", " and ", ", ", "--", "-", "é", "中", " "]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+).map("".join)
+_FIELDS = st.dictionaries(
+    st.sampled_from(
+        ["author", "editor", "title", "journal", "booktitle", "year", "volume",
+         "number", "pages", "publisher", "address", "doi", "url", "note"]
+    ),
+    _FIELD_TEXT,
+)
+
+
+@PROPERTY
+@given(_FIELDS)
+def test_one_pass_render_matches_two_pass_on_arbitrary_fields(fields):
+    assert_render_matches_reference(BibEntry("article", "k", fields))

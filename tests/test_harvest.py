@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -234,6 +235,81 @@ def test_checkpoint_monotonic_last_id(server, tmp_path):
     finally:
         Checkpoint.write = original
     assert seen == sorted(seen)
+
+
+class _Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("crash_id", [1, 4])
+def test_resume_after_crash_before_checkpoint_keeps_no_duplicate(
+    server, tmp_path, monkeypatch, crash_id
+):
+    # The process dies after appending crash_id's body, before checkpointing it.
+    cfg = make_config(server, tmp_path)
+    original = Checkpoint.write
+
+    def crash(self, path):
+        if self.last_id == crash_id:
+            raise _Crash
+        original(self, path)
+
+    monkeypatch.setattr(Checkpoint, "write", crash)
+    with pytest.raises(_Crash):
+        harvest(cfg, random.Random(13))
+    monkeypatch.setattr(Checkpoint, "write", original)
+    assert len(parse_bibtex(cfg.output_path.read_text())[0]) == crash_id
+
+    stats = resume(cfg, random.Random(14))
+    assert stats.fetched_ids == 5 - crash_id + 1
+    entries, issues = parse_bibtex(cfg.output_path.read_text())
+    assert [e.key for e in entries] == [f"fixture{i}x0" for i in range(1, 6)]
+    assert not issues
+    checkpoint = Checkpoint.read(cfg.checkpoint_path)
+    assert checkpoint.entries_count == 5
+    assert checkpoint.output_offset == cfg.output_path.stat().st_size
+
+
+def test_resume_refuses_output_shorter_than_checkpoint(server, tmp_path):
+    cfg = make_config(server, tmp_path, id_end=3)
+    harvest(cfg, random.Random(15))
+    cfg.output_path.write_text("")
+    cfg.id_end = 5
+    with pytest.raises(CorruptCheckpoint):
+        resume(cfg)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"last_id": 2, "entries_count": 2}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": -1}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": "many"}',
+    ],
+    ids=["missing", "negative", "not-a-number"],
+)
+def test_checkpoint_needs_a_valid_output_offset(tmp_path, text):
+    path = tmp_path / "cp.json"
+    path.write_text(text)
+    with pytest.raises(CorruptCheckpoint):
+        Checkpoint.read(path)
+
+
+def test_checkpoint_write_replaces_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "cp.json"
+    Checkpoint(3, 3, 120).write(path)
+
+    def crash(src, dst):
+        raise _Crash
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(_Crash):
+        Checkpoint(4, 4, 160).write(path)
+    monkeypatch.undo()
+    assert Checkpoint.read(path) == Checkpoint(3, 3, 120)
+    Checkpoint(4, 4, 160).write(path)
+    assert Checkpoint.read(path) == Checkpoint(4, 4, 160)
+    assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
 
 # --- efficiency series ----------------------------------------------------
