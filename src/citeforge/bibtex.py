@@ -14,25 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-ENTRY_TYPES = frozenset(
-    {
-        "article",
-        "book",
-        "booklet",
-        "conference",
-        "inbook",
-        "incollection",
-        "inproceedings",
-        "manual",
-        "mastersthesis",
-        "misc",
-        "phdthesis",
-        "proceedings",
-        "techreport",
-        "unpublished",
-    }
-)
-
 KNOWN_FIELDS = frozenset(
     {
         "address",
@@ -62,8 +43,9 @@ KNOWN_FIELDS = frozenset(
     }
 )
 
-# Required fields per entry type.  A tuple with several names is a
-# disjunction: any one member satisfies the requirement.
+# Required fields per entry type; its keys are the supported entry types.
+# A tuple with several names is a disjunction: any one member satisfies the
+# requirement.
 REQUIRED_FIELDS: dict[str, tuple[tuple[str, ...], ...]] = {
     "article": (("author",), ("title",), ("journal",), ("year",)),
     "book": (("author", "editor"), ("title",), ("publisher",), ("year",)),
@@ -92,6 +74,8 @@ REQUIRED_FIELDS: dict[str, tuple[tuple[str, ...], ...]] = {
     "techreport": (("author",), ("title",), ("institution",), ("year",)),
     "unpublished": (("author",), ("title",), ("note",)),
 }
+
+ENTRY_TYPES = frozenset(REQUIRED_FIELDS)
 
 
 class IssueKind(Enum):
@@ -396,31 +380,33 @@ def type_histogram(entries: Iterable[BibEntry]) -> dict[str, int]:
     return dict(counts)
 
 
-def histogram_table(
-    entries: Iterable[BibEntry], rows: Iterable[str], kind: str = "field"
-) -> str:
-    """Aligned per-source count table with a fixed row vocabulary.
+def histogram_table(entries: Iterable[BibEntry]) -> str:
+    """Aligned per-source count tables: one row per standard field, then one
+    row per entry type, in sorted order.
 
-    `kind` selects field or type counts; columns are source tags in sorted
-    order (entries without a tag fall under "all").
+    Columns are source tags in sorted order; entries without a tag fall
+    under "all", and so does an empty corpus (an all-zero column).
     """
     groups: dict[str, list[BibEntry]] = {}
     for entry in entries:
         groups.setdefault(entry.source_tag or "all", []).append(entry)
-    sources = sorted(groups)
-    histogram = field_histogram if kind == "field" else type_histogram
-    counts = {src: histogram(groups[src]) for src in sources}
-
-    rows = list(rows)
-    label_w = max([len(r) for r in rows] + [len(kind)])
+    sources = sorted(groups) or ["all"]
     col_ws = [max(len(src), 8) for src in sources]
-    header = kind.ljust(label_w) + "".join(
-        f"  {src:>{w}}" for src, w in zip(sources, col_ws)
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        cells = "".join(
-            f"  {counts[src].get(row, 0):>{w}}" for src, w in zip(sources, col_ws)
+
+    def table(kind: str, rows: list[str], histogram) -> str:
+        counts = [histogram(groups.get(src, ())) for src in sources]
+        label_w = max(len(r) for r in rows + [kind])
+        header = kind.ljust(label_w) + "".join(
+            f"  {src:>{w}}" for src, w in zip(sources, col_ws)
         )
-        lines.append(row.ljust(label_w) + cells)
-    return "\n".join(lines)
+        lines = [header, "-" * len(header)]
+        for row in rows:
+            cells = "".join(f"  {c.get(row, 0):>{w}}" for c, w in zip(counts, col_ws))
+            lines.append(row.ljust(label_w) + cells)
+        return "\n".join(lines)
+
+    return (
+        table("field", sorted(KNOWN_FIELDS), field_histogram)
+        + "\n\n"
+        + table("type", sorted(ENTRY_TYPES), type_histogram)
+    )

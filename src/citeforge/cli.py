@@ -32,8 +32,6 @@ from .bibtex import (
     validate_entry,
 )
 from .dataset import (
-    FIELD_ROWS,
-    TYPE_ROWS,
     BuildStats,
     SplitManifest,
     build_dataset,
@@ -58,7 +56,6 @@ from .styles import (
     DuplicateStyle,
     MissingVariable,
     SchemaError,
-    annotate as render_annotated,
     builtin_styles_dir,
     load_styles,
     render,
@@ -208,10 +205,9 @@ class Settings:
         return value
 
     def resolved(self) -> dict:
-        merged = dict(self.config)
-        merged.update({k: v for k, v in self.cli.items() if v is not None})
-        merged.pop("func", None)
-        return merged
+        """The value `get` resolves for every flag of the subcommand, from
+        whichever source it came: what the manifest's config digest covers."""
+        return {name: self.get(name) for name in self.actions if name != "help"}
 
 
 def _load_entries(settings: Settings, run: Run, path: str):
@@ -284,8 +280,7 @@ def cmd_clean(settings: Settings, run: Run) -> int:
 def cmd_stats(settings: Settings, run: Run) -> int:
     paths = settings.require("in_path")
     if str(paths[0]).endswith(".jsonl"):
-        records = list(load_jsonl(run.read(paths[0])))
-        text = dataset_stats(records)
+        text = dataset_stats(load_jsonl(run.read(paths[0])))
     else:
         entries = []
         for path in paths:
@@ -294,11 +289,7 @@ def cmd_stats(settings: Settings, run: Run) -> int:
                 source_tag=Path(path).stem,
             )
             entries.extend(got)
-        text = (
-            histogram_table(entries, FIELD_ROWS, kind="field")
-            + "\n\n"
-            + histogram_table(entries, TYPE_ROWS, kind="type")
-        )
+        text = histogram_table(entries)
     out = settings.get("out")
     if out:
         Path(run.wrote(out)).write_text(text + "\n", encoding="utf-8")
@@ -324,31 +315,17 @@ def cmd_render(settings: Settings, run: Run) -> int:
 
 def cmd_annotate(settings: Settings, run: Run) -> int:
     entries, _ = _load_entries(settings, run, settings.require("in_path"))
-    styles = _styles(settings, run)
+    stats = BuildStats()
+    records = build_dataset(entries, _styles(settings, run), stats=stats)
     out = run.wrote(settings.require("out"))
-    count = 0
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in entries:
-            for style in styles:
-                try:
-                    ref = render_annotated(entry, style)
-                except MissingVariable as exc:
-                    print(f"skip: {exc}", file=sys.stderr)
-                    continue
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": entry.key,
-                            "style": style.style_id,
-                            "bibRef": ref.bib_ref,
-                            "annoRef": ref.anno_ref,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-                count += 1
-    print(f"annotated {count} references")
+        for record in records:
+            for cit in record.citations:
+                row = {"id": record.id, **cit}
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    for _, _, reason in stats.skip_log:
+        print(f"skip: {reason}", file=sys.stderr)
+    print(f"annotated {stats.citations} references")
     return 0
 
 

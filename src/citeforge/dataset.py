@@ -12,12 +12,11 @@ import csv
 import hashlib
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .bibtex import BibEntry
+from .bibtex import BibEntry, histogram_table
 from .styles import MissingVariable, StyleTemplate, annotate
 
 
@@ -82,36 +81,6 @@ class SplitManifest:
         return cls(data["seed"], tuple(data["train_ids"]), tuple(data["eval_ids"]))
 
 
-def _record_for_entry(
-    entry: BibEntry, styles: list[StyleTemplate]
-) -> tuple[DatasetRecord | None, list[tuple[str, str, str]]]:
-    citations = []
-    skips: list[tuple[str, str, str]] = []
-    for style in styles:
-        try:
-            rendered = annotate(entry, style)
-        except MissingVariable as exc:
-            skips.append((entry.key, style.style_id, str(exc)))
-            continue
-        citations.append(
-            {
-                "style": style.style_id,
-                "bibRef": rendered.bib_ref,
-                "annoRef": rendered.anno_ref,
-            }
-        )
-    if not citations:
-        return None, skips
-    record = DatasetRecord(
-        id=entry.key,
-        bib_fields=dict(entry.fields),
-        citations=citations,
-        entry_type=entry.entry_type,
-        source_tag=entry.source_tag,
-    )
-    return record, skips
-
-
 def build_dataset(
     entries: Iterable[BibEntry],
     styles: list[StyleTemplate],
@@ -128,15 +97,29 @@ def build_dataset(
         stats = BuildStats()
     for entry in entries:
         stats.entries += 1
-        record, skips = _record_for_entry(entry, styles)
-        stats.skipped_renders += len(skips)
-        stats.skip_log.extend(skips)
-        if record is None:
+        citations = []
+        for style in styles:
+            try:
+                rendered = annotate(entry, style)
+            except MissingVariable as exc:
+                stats.skipped_renders += 1
+                stats.skip_log.append((entry.key, style.style_id, str(exc)))
+                continue
+            citations.append(
+                {
+                    "style": style.style_id,
+                    "bibRef": rendered.bib_ref,
+                    "annoRef": rendered.anno_ref,
+                }
+            )
+        if not citations:
             stats.dropped_records += 1
-        else:
-            stats.records += 1
-            stats.citations += len(record.citations)
-            yield record
+            continue
+        stats.records += 1
+        stats.citations += len(citations)
+        yield DatasetRecord(
+            entry.key, dict(entry.fields), citations, entry.entry_type, entry.source_tag
+        )
 
 
 def split_dataset(records: Iterable[DatasetRecord | str], seed: int) -> SplitManifest:
@@ -201,56 +184,12 @@ def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
                 yield DatasetRecord.from_json_dict(json.loads(line))
 
 
-FIELD_ROWS = (
-    "address", "annote", "author", "booktitle", "chapter", "crossref",
-    "edition", "editor", "howpublished", "institution", "journal", "key",
-    "month", "note", "number", "organization", "pages", "publisher",
-    "school", "series", "title", "type", "volume", "year",
-)
-TYPE_ROWS = (
-    "article", "book", "booklet", "conference", "inbook", "incollection",
-    "inproceedings", "manual", "mastersthesis", "misc", "phdthesis",
-    "proceedings", "techreport", "unpublished",
-)
-
-
 def dataset_stats(records: Iterable[DatasetRecord]) -> str:
-    """Aligned per-source field and type count tables (24 + 14 fixed rows).
+    """`histogram_table` of the records' entries.
 
-    Sources come from build-time provenance; records reloaded from disk
-    carry none and group under "all" with unknown types.
+    Sources and types come from build-time provenance; records reloaded
+    from disk carry none and group under "all" with unknown types.
     """
-    field_counts: dict[str, Counter] = {}
-    type_counts: dict[str, Counter] = {}
-    for record in records:
-        src = record.source_tag or "all"
-        field_counts.setdefault(src, Counter()).update(
-            k for k in record.bib_fields if k in FIELD_ROWS
-        )
-        if record.entry_type:
-            type_counts.setdefault(src, Counter())[record.entry_type] += 1
-        else:
-            type_counts.setdefault(src, Counter())
-
-    def table(rows: tuple[str, ...], counts: dict[str, Counter], head: str) -> str:
-        sources = sorted(counts) or ["all"]
-        label_w = max(len(r) for r in rows + (head,))
-        col_ws = [max(len(s), 8) for s in sources]
-        lines = [
-            head.ljust(label_w)
-            + "".join(f"  {s:>{w}}" for s, w in zip(sources, col_ws))
-        ]
-        lines.append("-" * len(lines[0]))
-        for row in rows:
-            cells = "".join(
-                f"  {counts.get(s, Counter()).get(row, 0):>{w}}"
-                for s, w in zip(sources, col_ws)
-            )
-            lines.append(row.ljust(label_w) + cells)
-        return "\n".join(lines)
-
-    return (
-        table(FIELD_ROWS, field_counts, "field")
-        + "\n\n"
-        + table(TYPE_ROWS, type_counts, "type")
+    return histogram_table(
+        BibEntry(r.entry_type, r.id, r.bib_fields, r.source_tag) for r in records
     )

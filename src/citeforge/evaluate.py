@@ -164,13 +164,13 @@ class EvalReport:
 
     @property
     def micro(self) -> tuple[float, float, float]:
-        tp = sum(s.tp for s in self.per_label.values())
-        fp = sum(s.fp for s in self.per_label.values())
-        fn = sum(s.fn for s in self.per_label.values())
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * p * r / (p + r) if p + r else 0.0
-        return p, r, f1
+        scores = self.per_label.values()
+        total = LabelScore(
+            tp=sum(s.tp for s in scores),
+            fp=sum(s.fp for s in scores),
+            fn=sum(s.fn for s in scores),
+        )
+        return total.precision, total.recall, total.f1
 
     def to_json_dict(self) -> dict:
         p, r, f1 = self.micro

@@ -3,12 +3,13 @@
 A single serialized request stream walks an iterative-id URL template.
 Between requests the harvester waits a fixed threshold delay plus a random
 increment, rotates user agents per request, appends every successful body
-to the output file and then replaces the checkpoint, which records the
-output's length in bytes.  A crash costs at most one refetch: `resume`
-truncates the output to that length, dropping a body appended after the
-last checkpoint.  Only local fixture servers are allowed unless explicitly
-overridden.  `urllib.request` is imported inside `_fetch`, so importing
-the package does not load the HTTP and TLS stack.
+to the output file and a row to its `.log`, and then replaces the
+checkpoint, which records the length in bytes of both files.  A crash
+costs at most one refetch: `resume` truncates both files to those
+lengths, dropping a body or row appended after the last checkpoint.
+Only local fixture servers are allowed unless explicitly overridden.
+`urllib.request` is imported inside `_fetch`, so importing the package
+does not load the HTTP and TLS stack.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class Checkpoint:
     last_id: int
     entries_count: int
     output_offset: int  # bytes of output written up to and including last_id
+    log_offset: int  # bytes of the .log written up to and including last_id
     last_error: str | None = None
 
     def write(self, path: str | Path) -> None:
@@ -86,12 +88,14 @@ class Checkpoint:
                 int(data["last_id"]),
                 int(data["entries_count"]),
                 int(data["output_offset"]),
+                int(data["log_offset"]),
                 data.get("last_error"),
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
-        if checkpoint.output_offset < 0:
-            raise CorruptCheckpoint(f"checkpoint {path}: negative output_offset")
+        for name in ("output_offset", "log_offset"):
+            if getattr(checkpoint, name) < 0:
+                raise CorruptCheckpoint(f"checkpoint {path}: negative {name}")
         return checkpoint
 
 
@@ -129,15 +133,18 @@ def _log_path(config: HarvestConfig) -> Path:
 
 def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> HarvestStats:
     """Fetch the ids after `start.last_id`, first checkpointing `start` with
-    the output's current length, so a crash on the first id is resumable."""
+    the current lengths of the output and the log, so a crash on the first
+    id is resumable."""
     stats = HarvestStats()
     entries_total = start.entries_count
     out_path = Path(config.output_path)
     log_path = _log_path(config)
     first_request = True
-    with open(out_path, "ab") as out, open(log_path, "a", encoding="utf-8") as log:
+    with open(out_path, "ab") as out, open(log_path, "ab") as log:
         offset = out.tell()
-        replace(start, output_offset=offset).write(config.checkpoint_path)
+        replace(start, output_offset=offset, log_offset=log.tell()).write(
+            config.checkpoint_path
+        )
         for current_id in range(start.last_id + 1, config.id_end + 1):
             body = None
             error = None
@@ -170,11 +177,13 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
             else:
                 stats.skips += 1
                 stats.skipped_ids.append(current_id)
-            Checkpoint(current_id, entries_total, offset, error).write(config.checkpoint_path)
             event = {"ts": time.time(), "id": current_id, "status": outcome,
                      "entries": n_entries}
-            log.write(json.dumps(event) + "\n")
+            log.write((json.dumps(event) + "\n").encode("utf-8"))
             log.flush()
+            Checkpoint(current_id, entries_total, offset, log.tell(), error).write(
+                config.checkpoint_path
+            )
     return stats
 
 
@@ -182,15 +191,17 @@ def harvest(config: HarvestConfig, rng: random.Random | None = None) -> HarvestS
     """Fetch the whole configured id range from scratch, appending to the
     output file."""
     config.validate()
-    return _run(config, Checkpoint(config.id_start - 1, 0, 0), rng or random.Random())
+    start = Checkpoint(config.id_start - 1, 0, 0, 0)
+    return _run(config, start, rng or random.Random())
 
 
 def resume(config: HarvestConfig, rng: random.Random | None = None) -> HarvestStats:
     """Continue from the checkpoint.
 
-    Output past the checkpoint's offset (a body appended by a run that died
-    before it checkpointed) is truncated away, so no body is kept twice.
-    Raises CorruptCheckpoint rather than guessing and refetching.
+    Output and log past the checkpoint's offsets (a body and a row appended
+    by a run that died before it checkpointed) are truncated away, so no body
+    or row is kept twice.  Raises CorruptCheckpoint rather than guessing and
+    refetching.
     """
     config.validate()
     checkpoint = Checkpoint.read(config.checkpoint_path)
@@ -199,16 +210,21 @@ def resume(config: HarvestConfig, rng: random.Random | None = None) -> HarvestSt
             f"checkpoint id {checkpoint.last_id} outside range "
             f"{config.id_start}..{config.id_end}"
         )
-    out_path = Path(config.output_path)
-    size = out_path.stat().st_size if out_path.exists() else 0
-    if size < checkpoint.output_offset:
-        raise CorruptCheckpoint(
-            f"{config.output_path} holds {size} bytes, fewer than the "
-            f"{checkpoint.output_offset} the checkpoint recorded"
-        )
-    if size > checkpoint.output_offset:
-        os.truncate(out_path, checkpoint.output_offset)
+    _truncate_to(Path(config.output_path), checkpoint.output_offset)
+    _truncate_to(_log_path(config), checkpoint.log_offset)
     return _run(config, checkpoint, rng or random.Random())
+
+
+def _truncate_to(path: Path, length: int) -> None:
+    """Cut `path` back to the `length` bytes a checkpoint recorded."""
+    size = path.stat().st_size if path.exists() else 0
+    if size < length:
+        raise CorruptCheckpoint(
+            f"{path} holds {size} bytes, fewer than the {length} the "
+            "checkpoint recorded"
+        )
+    if size > length:
+        os.truncate(path, length)
 
 
 def efficiency_series(log_path: str | Path) -> list[tuple[float, int, float, float]]:

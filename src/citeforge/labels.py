@@ -71,11 +71,6 @@ def field_for_label(label: str) -> str:
     return CONSISTENCY_MAP[label][0]
 
 
-def label_for_field(field: str) -> str | None:
-    """Canonical label for a BibTeX field name, or None if unmapped."""
-    return _FIELD_TO_LABEL.get(field.lower())
-
-
 def to_canonical(name: str) -> str | None:
     """Resolve a label given either canonically or as a BibTeX field name."""
     low = name.lower()

@@ -115,76 +115,62 @@ def _initials(given: str, dotted: bool) -> str:
     return "".join(letters)
 
 
-def format_name(name: _Name, name_format: str) -> tuple[str, str]:
-    """(surname part, given part) of a formatted name; given may be ''."""
-    if not name.given:
-        return name.surname, ""
-    if name_format == "surname_initials":
-        return name.surname, _initials(name.given, dotted=False)
-    if name_format == "initials_dotted":
-        return name.surname, _initials(name.given, dotted=True)
-    return name.surname, name.given  # surname_first_full
-
-
-def _joined_name(name: _Name, name_format: str) -> str:
-    surname, given = format_name(name, name_format)
+def format_name(name: _Name, name_format: str) -> tuple[str, str, str]:
+    """(surname, joiner, given) of a formatted name; "".join of the three is
+    the printed name.  Joiner and given are '' when there is no given part."""
+    given = name.given
+    if given and name_format != "surname_first_full":
+        given = _initials(given, dotted=name_format == "initials_dotted")
     if not given:
-        return surname
-    if name_format == "surname_first_full":
-        return f"{surname}, {given}"
-    return f"{surname} {given}"
+        return name.surname, "", ""
+    return name.surname, ", " if name_format == "surname_first_full" else " ", given
 
 
-def format_name_list(value: str, style: StyleTemplate) -> str:
-    return style.name_delimiter.join(
-        _joined_name(n, style.name_format) for n in parse_names(value)
+# (surname, joiner, given) per name of a name list, as format_name gives them
+_Names = list[tuple[str, str, str]]
+
+
+def _tagged_names(names: _Names, style: StyleTemplate) -> str:
+    """Author value with <surname>/<firstname> wrapped around name parts;
+    delimiters and the joiner stay outside the part tags."""
+    escape = annotation.escape
+    return escape(style.name_delimiter).join(
+        f"<surname>{escape(surname)}</surname>"
+        + (f"{joiner}<firstname>{escape(given)}</firstname>" if given else "")
+        for surname, joiner, given in names
     )
 
 
-def _annotated_name_list(value: str, style: StyleTemplate) -> str:
-    """Author value with <surname>/<firstname> wrapped around name parts;
-    delimiters and the joining space stay outside the part tags."""
-    parts = []
-    for name in parse_names(value):
-        surname, given = format_name(name, style.name_format)
-        piece = f"<surname>{annotation.escape(surname)}</surname>"
-        if given:
-            joiner = ", " if style.name_format == "surname_first_full" else " "
-            piece += f"{joiner}<firstname>{annotation.escape(given)}</firstname>"
-        parts.append(piece)
-    return annotation.escape(style.name_delimiter).join(parts)
-
-
-def _segment_value(entry: BibEntry, seg: Segment, style: StyleTemplate) -> str | None:
-    value = entry_value(entry.fields, seg.variable)
-    if value is None:
-        return None
-    if seg.variable in ("author", "editor"):
-        return format_name_list(value, style)
-    if seg.variable == "page":
-        # Page ranges come in as 70-72 or 70--72; references print an en dash.
-        return _DASH_RUN.sub("–", value)
-    return value
-
-
-def _filled_segments(entry: BibEntry, style: StyleTemplate) -> list[tuple[Segment, str]]:
-    """Each segment the entry fills, with its formatted value.  A missing
-    value drops an omittable segment and raises MissingVariable otherwise."""
+def _filled_segments(
+    entry: BibEntry, style: StyleTemplate
+) -> list[tuple[Segment, str, _Names | None]]:
+    """Each segment the entry fills, with its formatted value and, for a name
+    list, the formatted names the value joins.  A missing value drops an
+    omittable segment and raises MissingVariable otherwise."""
     filled = []
     for seg in style.segments:
-        value = _segment_value(entry, seg, style)
+        value = entry_value(entry.fields, seg.variable)
         if value is None:
             if seg.omit_if_missing:
                 continue
             raise MissingVariable(
                 f"{style.style_id}: entry {entry.key} has no {seg.variable}"
             )
-        filled.append((seg, value))
+        names = None
+        if seg.variable in ("author", "editor"):
+            names = [format_name(n, style.name_format) for n in parse_names(value)]
+            value = style.name_delimiter.join(map("".join, names))
+        elif seg.variable == "page":
+            # Page ranges come in as 70-72 or 70--72; references print an en dash.
+            value = _DASH_RUN.sub("–", value)
+        filled.append((seg, value, names))
     return filled
 
 
-def _plain(filled: list[tuple[Segment, str]], style: StyleTemplate) -> str:
-    body = "".join(f"{seg.prefix}{value}{seg.suffix}" for seg, value in filled)
+def _plain(
+    filled: list[tuple[Segment, str, _Names | None]], style: StyleTemplate
+) -> str:
+    body = "".join(f"{seg.prefix}{value}{seg.suffix}" for seg, value, _ in filled)
     return body + style.final_punct
 
 
@@ -199,9 +185,9 @@ def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
     segment value."""
     filled = _filled_segments(entry, style)
     tagged = []
-    for seg, value in filled:
+    for seg, value, names in filled:
         if seg.variable == "author":
-            inner = _annotated_name_list(entry.fields["author"], style)
+            inner = _tagged_names(names, style)
         else:
             inner = annotation.escape(value)
         tagged.append(f"{seg.prefix}<{seg.variable}>{inner}</{seg.variable}>{seg.suffix}")

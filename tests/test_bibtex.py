@@ -1,8 +1,12 @@
 import random
 from collections import Counter
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from citeforge.bibtex import (
     ENTRY_TYPES,
+    KNOWN_FIELDS,
     REQUIRED_FIELDS,
     BibEntry,
     CleanPolicy,
@@ -97,6 +101,41 @@ def test_serialize_round_trip_on_generated_files():
         again, re_issues = parse_bibtex(serialize(first))
         assert re_issues == []
         assert again == first
+
+
+# A citation key is what the parser takes between `{` and the first comma:
+# anything without whitespace, commas or braces.
+_KEY = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=",{}"),
+    min_size=1,
+    max_size=12,
+).filter(lambda key: not any(c.isspace() for c in key))
+# Field names as the parser reads them (`[A-Za-z][\w.:-]*`), lowercased.
+_NAME = st.one_of(
+    st.sampled_from(sorted(KNOWN_FIELDS)), st.from_regex(r"[a-z][a-z0-9_.:-]{0,8}", fullmatch=True)
+)
+# Values BibTeX can hold: balanced braces, whitespace collapsed to single
+# spaces with none at either end.
+_BRACELESS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="{}"), max_size=8)
+_BALANCED = st.recursive(
+    _BRACELESS,
+    lambda inner: st.lists(st.one_of(inner, inner.map(lambda v: "{" + v + "}")), max_size=4).map("".join),
+    max_leaves=12,
+)
+_ENTRY = st.builds(
+    BibEntry,
+    st.sampled_from(sorted(ENTRY_TYPES)),
+    _KEY,
+    st.dictionaries(_NAME, _BALANCED.map(lambda v: " ".join(v.split())), max_size=6),
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_ENTRY, max_size=4))
+def test_serialize_parse_round_trip(entries):
+    parsed, issues = parse_bibtex(serialize(entries))
+    assert issues == []
+    assert parsed == entries
 
 
 def test_serialize_format():

@@ -65,6 +65,18 @@ def test_stats_prints_tables(corpus_file, capsys):
     assert "field" in out and "article" in out and "corpus" in out
 
 
+def test_stats_of_empty_bib_is_an_all_zero_column(tmp_path, capsys):
+    empty = tmp_path / "empty.bib"
+    empty.write_text("")
+    assert run("stats", "--in", empty) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["field", "all"]
+    rows = [line.split() for line in lines[2:] if line and not line.startswith("-")]
+    rows.remove(["type", "all"])
+    assert len(rows) == 24 + 14
+    assert all(row[1:] == ["0"] for row in rows)
+
+
 def test_render_and_annotate(tmp_path, corpus_file):
     # 20 renderable entries; the homepage stub has no title and is skipped
     refs = tmp_path / "refs.txt"
@@ -75,6 +87,24 @@ def test_render_and_annotate(tmp_path, corpus_file):
     rows = [json.loads(l) for l in annos.read_text().splitlines()]
     assert len(rows) == 20 * 10
     assert set(rows[0]) == {"id", "style", "bibRef", "annoRef"}
+
+
+def test_annotate_writes_the_citations_of_build(tmp_path, corpus_file, capsys):
+    annos, ds = tmp_path / "annos.jsonl", tmp_path / "ds.jsonl"
+    assert run("annotate", "--in", corpus_file, "--out", annos) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "annotated 200 references\n"
+    # the homepage stub has no title, so every style skips it
+    assert captured.err.count("skip: ") == 10
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    want = [
+        {"id": record["id"], **cit}
+        for record in map(json.loads, ds.read_text().splitlines())
+        for cit in record["citations"]
+    ]
+    rows = [json.loads(line) for line in annos.read_text().splitlines()]
+    assert rows == want
+    assert all(list(row) == ["id", "style", "bibRef", "annoRef"] for row in rows)
 
 
 def test_split_is_deterministic_across_runs(tmp_path, corpus_file):
@@ -192,6 +222,25 @@ def test_env_variable_override(tmp_path, corpus_file, monkeypatch):
     out_flag = tmp_path / "m_flag.json"
     assert run("split", "--in", ds, "--seed", 99, "--out", out_flag) == 0
     assert json.loads(out_env.read_text()) == json.loads(out_flag.read_text())
+
+
+def test_config_digest_covers_environment_values(tmp_path, corpus_file, monkeypatch):
+    ds = tmp_path / "ds.jsonl"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    out = tmp_path / "m.json"
+    manifest = tmp_path / "m.json.manifest.json"
+
+    def split_digest(*flags):
+        assert run("split", "--in", ds, "--out", out, *flags) == 0
+        return json.loads(manifest.read_text())["config_digest"]
+
+    default = split_digest()
+    monkeypatch.setenv("CITEFORGE_SEED", "99")
+    from_env = split_digest()
+    monkeypatch.delenv("CITEFORGE_SEED")
+    from_flag = split_digest("--seed", 99)
+    assert default != from_env
+    assert from_env == from_flag
 
 
 def test_config_file_supplies_flags(tmp_path, corpus_file):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from citeforge.annotation import strip_tags
-from citeforge.bibtex import BibEntry
+from citeforge.bibtex import BibEntry, histogram_table
 from citeforge.dataset import (
     BuildStats,
     DatasetRecord,
@@ -208,6 +208,16 @@ def test_stats_exact_hand_counts():
     assert lines["author"] == ["1", "0"]
     assert lines["article"] == ["2", "0"]
     assert lines["book"] == ["0", "1"]
+
+
+@pytest.mark.parametrize("tags", [(None,), ("acm", "dblp"), (None, "acm", "a-long-source")])
+def test_stats_of_records_equal_the_table_of_their_entries(rng, styles, tags):
+    entries = random_corpus(rng, 15)
+    for i, entry in enumerate(entries):
+        entry.source_tag = tags[i % len(tags)]
+    records, _ = build_all(entries, styles[:3])
+    kept = {r.id for r in records}
+    assert dataset_stats(records) == histogram_table(e for e in entries if e.key in kept)
 
 
 def test_stats_row_vocabulary_is_complete(rng, styles):

@@ -1,28 +1,31 @@
-"""The hot paths against reference copies of the code they replaced.
+"""Rewritten code against reference copies of the code it replaced.
 
-Each reference below is the earlier, slower implementation kept verbatim
-in logic: the per-character `normalize`, the full feature extractor, the
+Each reference below is the earlier implementation kept verbatim in
+logic: the per-character `normalize`, the full feature extractor, the
 tokens x spans alignment scan, the Viterbi decoder that took the logs of
-its tables on every call, and the renderer that made the plain and the
-annotated string in two separate passes.  The new code must agree with
-them exactly.
+its tables on every call, the renderer that made the plain and the
+annotated string in two separate passes (parsing and formatting each
+author list once per string), and the statistics tables that the corpus
+and the dataset side each drew with their own code.  The new code must
+agree with them exactly.
 """
 
 import random
 import re
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from citeforge import styles as styles_module
 from citeforge.annotation import escape, parse_annotation, strip_tags
-from citeforge.bibtex import BibEntry
+from citeforge.bibtex import BibEntry, field_histogram, histogram_table, type_histogram
+from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
 from citeforge.evaluate import normalize
 from citeforge.hmm import HmmModel, align_training, train_hmm, viterbi
-from citeforge.labels import CANONICAL_LABELS
+from citeforge.labels import CANONICAL_LABELS, entry_value
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
 from citeforge.tokens import extract_features, tokenize
@@ -139,10 +142,89 @@ def reference_viterbi(model, tokens):
     return [model.states[i] for i in path], log_prob
 
 
+_REF_DASH_RUN = re.compile(r"[-‐‑‒–—]{1,2}")
+
+
+def reference_parse_names(value):
+    names = []
+    for raw in value.split(" and "):
+        raw = raw.strip()
+        if not raw:
+            continue
+        if "," in raw:
+            surname, _, given = raw.partition(",")
+            names.append((surname.strip(), given.strip()))
+        else:
+            tokens = raw.split()
+            if len(tokens) == 1:
+                names.append((tokens[0], ""))
+            else:
+                names.append((tokens[-1], " ".join(tokens[:-1])))
+    return names
+
+
+def reference_initials(given, dotted):
+    letters = [tok[0].upper() for tok in given.split() if tok and tok[0].isalnum()]
+    if dotted:
+        return " ".join(f"{c}." for c in letters)
+    return "".join(letters)
+
+
+def reference_format_name(name, name_format):
+    surname, given = name
+    if not given:
+        return surname, ""
+    if name_format == "surname_initials":
+        return surname, reference_initials(given, dotted=False)
+    if name_format == "initials_dotted":
+        return surname, reference_initials(given, dotted=True)
+    return surname, given  # surname_first_full
+
+
+def reference_joined_name(name, name_format):
+    surname, given = reference_format_name(name, name_format)
+    if not given:
+        return surname
+    if name_format == "surname_first_full":
+        return f"{surname}, {given}"
+    return f"{surname} {given}"
+
+
+def reference_format_name_list(value, style):
+    return style.name_delimiter.join(
+        reference_joined_name(n, style.name_format) for n in reference_parse_names(value)
+    )
+
+
+def reference_annotated_name_list(value, style):
+    parts = []
+    for name in reference_parse_names(value):
+        surname, given = reference_format_name(name, style.name_format)
+        piece = f"<surname>{escape(surname)}</surname>"
+        if given:
+            joiner = ", " if style.name_format == "surname_first_full" else " "
+            piece += f"{joiner}<firstname>{escape(given)}</firstname>"
+        parts.append(piece)
+    return escape(style.name_delimiter).join(parts)
+
+
+def reference_segment_value(entry, seg, style):
+    value = entry_value(entry.fields, seg.variable)
+    if value is None:
+        return None
+    if seg.variable in ("author", "editor"):
+        return reference_format_name_list(value, style)
+    if seg.variable == "page":
+        return _REF_DASH_RUN.sub("–", value)
+    return value
+
+
 def reference_render(entry, style, annotated):
+    """Plain or tagged string in its own pass, each name list parsed and
+    formatted separately for the plain value and the tagged author."""
     parts = []
     for seg in style.segments:
-        value = styles_module._segment_value(entry, seg, style)
+        value = reference_segment_value(entry, seg, style)
         if value is None:
             if seg.omit_if_missing:
                 continue
@@ -151,13 +233,87 @@ def reference_render(entry, style, annotated):
             )
         if annotated:
             if seg.variable == "author":
-                inner = styles_module._annotated_name_list(entry.fields["author"], style)
+                inner = reference_annotated_name_list(entry.fields["author"], style)
             else:
                 inner = escape(value)
             value = f"<{seg.variable}>{inner}</{seg.variable}>"
         parts.append(f"{seg.prefix}{value}{seg.suffix}")
     parts.append(style.final_punct)
     return "".join(parts)
+
+
+_FIELD_ROWS = (
+    "address", "annote", "author", "booktitle", "chapter", "crossref",
+    "edition", "editor", "howpublished", "institution", "journal", "key",
+    "month", "note", "number", "organization", "pages", "publisher",
+    "school", "series", "title", "type", "volume", "year",
+)
+_TYPE_ROWS = (
+    "article", "book", "booklet", "conference", "inbook", "incollection",
+    "inproceedings", "manual", "mastersthesis", "misc", "phdthesis",
+    "proceedings", "techreport", "unpublished",
+)
+
+
+def reference_histogram_table(entries, rows, kind):
+    """One table of the corpus-side `stats`: field or type counts."""
+    groups = {}
+    for entry in entries:
+        groups.setdefault(entry.source_tag or "all", []).append(entry)
+    sources = sorted(groups)
+    histogram = field_histogram if kind == "field" else type_histogram
+    counts = {src: histogram(groups[src]) for src in sources}
+    rows = list(rows)
+    label_w = max([len(r) for r in rows] + [len(kind)])
+    col_ws = [max(len(src), 8) for src in sources]
+    header = kind.ljust(label_w) + "".join(
+        f"  {src:>{w}}" for src, w in zip(sources, col_ws)
+    )
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        cells = "".join(
+            f"  {counts[src].get(row, 0):>{w}}" for src, w in zip(sources, col_ws)
+        )
+        lines.append(row.ljust(label_w) + cells)
+    return "\n".join(lines)
+
+
+def reference_dataset_stats(records):
+    """The dataset-side `stats` tables, drawn by their own code."""
+    field_counts = {}
+    type_counts = {}
+    for record in records:
+        src = record.source_tag or "all"
+        field_counts.setdefault(src, Counter()).update(
+            k for k in record.bib_fields if k in _FIELD_ROWS
+        )
+        if record.entry_type:
+            type_counts.setdefault(src, Counter())[record.entry_type] += 1
+        else:
+            type_counts.setdefault(src, Counter())
+
+    def table(rows, counts, head):
+        sources = sorted(counts) or ["all"]
+        label_w = max(len(r) for r in rows + (head,))
+        col_ws = [max(len(s), 8) for s in sources]
+        lines = [
+            head.ljust(label_w)
+            + "".join(f"  {s:>{w}}" for s, w in zip(sources, col_ws))
+        ]
+        lines.append("-" * len(lines[0]))
+        for row in rows:
+            cells = "".join(
+                f"  {counts.get(s, Counter()).get(row, 0):>{w}}"
+                for s, w in zip(sources, col_ws)
+            )
+            lines.append(row.ljust(label_w) + cells)
+        return "\n".join(lines)
+
+    return (
+        table(_FIELD_ROWS, field_counts, "field")
+        + "\n\n"
+        + table(_TYPE_ROWS, type_counts, "type")
+    )
 
 
 # --- normalize ----------------------------------------------------------
@@ -354,3 +510,32 @@ _FIELDS = st.dictionaries(
 @given(_FIELDS)
 def test_one_pass_render_matches_two_pass_on_arbitrary_fields(fields):
     assert_render_matches_reference(BibEntry("article", "k", fields))
+
+
+# --- statistics table ---------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([None, "acm", "dblp", "a-long-source-tag"]), min_size=1, max_size=4),
+)
+def test_stats_table_matches_both_old_tables(seed, tags):
+    entries = random_corpus(random.Random(seed), 8)
+    for i, entry in enumerate(entries):
+        entry.source_tag = tags[i % len(tags)]
+    want = (
+        reference_histogram_table(entries, _FIELD_ROWS, "field")
+        + "\n\n"
+        + reference_histogram_table(entries, _TYPE_ROWS, "type")
+    )
+    assert histogram_table(entries) == want
+    records = list(build_dataset(entries, STYLES[:2]))
+    assert dataset_stats(records) == reference_dataset_stats(records)
+    reloaded = [DatasetRecord.from_json_dict(r.to_json_dict()) for r in records]
+    assert dataset_stats(reloaded) == reference_dataset_stats(reloaded)
+
+
+def test_stats_tables_of_empty_input():
+    assert dataset_stats([]) == reference_dataset_stats([])
+    assert histogram_table([]) == dataset_stats([])

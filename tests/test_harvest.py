@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -282,9 +283,9 @@ def test_resume_refuses_output_shorter_than_checkpoint(server, tmp_path):
 @pytest.mark.parametrize(
     "text",
     [
-        '{"last_id": 2, "entries_count": 2}',
-        '{"last_id": 2, "entries_count": 2, "output_offset": -1}',
-        '{"last_id": 2, "entries_count": 2, "output_offset": "many"}',
+        '{"last_id": 2, "entries_count": 2, "log_offset": 0}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": -1, "log_offset": 0}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": "many", "log_offset": 0}',
     ],
     ids=["missing", "negative", "not-a-number"],
 )
@@ -295,20 +296,75 @@ def test_checkpoint_needs_a_valid_output_offset(tmp_path, text):
         Checkpoint.read(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"last_id": 2, "entries_count": 2, "output_offset": 0}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": 0, "log_offset": -1}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": 0, "log_offset": "many"}',
+    ],
+    ids=["missing", "negative", "not-a-number"],
+)
+def test_checkpoint_needs_a_valid_log_offset(tmp_path, text):
+    path = tmp_path / "cp.json"
+    path.write_text(text)
+    with pytest.raises(CorruptCheckpoint):
+        Checkpoint.read(path)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_resume_after_crash_at_checkpoint_keeps_one_log_row_per_id(
+    server, tmp_path, monkeypatch, when
+):
+    # The process dies at id 3's checkpoint write, just before or just after it.
+    cfg = make_config(server, tmp_path)
+    log_path = Path(str(cfg.output_path) + ".log")
+    original = Checkpoint.write
+
+    def crash(self, path):
+        if self.last_id == 3:
+            if when == "after":
+                original(self, path)
+            raise _Crash
+        original(self, path)
+
+    monkeypatch.setattr(Checkpoint, "write", crash)
+    with pytest.raises(_Crash):
+        harvest(cfg, random.Random(16))
+    monkeypatch.setattr(Checkpoint, "write", original)
+
+    resume(cfg, random.Random(17))
+    entries, _ = parse_bibtex(cfg.output_path.read_text())
+    assert [e.key for e in entries] == [f"fixture{i}x0" for i in range(1, 6)]
+    rows = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert [row["id"] for row in rows] == [1, 2, 3, 4, 5]
+    assert len(efficiency_series(log_path)) == 5
+    assert Checkpoint.read(cfg.checkpoint_path).log_offset == log_path.stat().st_size
+
+
+def test_resume_refuses_log_shorter_than_checkpoint(server, tmp_path):
+    cfg = make_config(server, tmp_path, id_end=3)
+    harvest(cfg, random.Random(18))
+    Path(str(cfg.output_path) + ".log").write_text("")
+    cfg.id_end = 5
+    with pytest.raises(CorruptCheckpoint):
+        resume(cfg)
+
+
 def test_checkpoint_write_replaces_atomically(tmp_path, monkeypatch):
     path = tmp_path / "cp.json"
-    Checkpoint(3, 3, 120).write(path)
+    Checkpoint(3, 3, 120, 40).write(path)
 
     def crash(src, dst):
         raise _Crash
 
     monkeypatch.setattr(os, "replace", crash)
     with pytest.raises(_Crash):
-        Checkpoint(4, 4, 160).write(path)
+        Checkpoint(4, 4, 160, 50).write(path)
     monkeypatch.undo()
-    assert Checkpoint.read(path) == Checkpoint(3, 3, 120)
-    Checkpoint(4, 4, 160).write(path)
-    assert Checkpoint.read(path) == Checkpoint(4, 4, 160)
+    assert Checkpoint.read(path) == Checkpoint(3, 3, 120, 40)
+    Checkpoint(4, 4, 160, 50).write(path)
+    assert Checkpoint.read(path) == Checkpoint(4, 4, 160, 50)
     assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
 

@@ -13,7 +13,6 @@ from citeforge.styles import (
     Segment,
     StyleTemplate,
     annotate,
-    format_name_list,
     load_styles,
     parse_names,
     render,
@@ -58,12 +57,12 @@ def test_single_token_name_is_surname_only():
 def test_name_formats(fmt, expected):
     style = StyleTemplate(
         "t",
-        (Segment("author"), Segment("title")),
+        (Segment("author"), Segment("title", prefix=" | ")),
         name_format=fmt,
         name_delimiter="; ",
     )
-    got = format_name_list("Argon, Cenk and McLaughlin, Steven W.", style)
-    assert got == expected
+    entry = BibEntry("misc", "k", {"author": "Argon, Cenk and McLaughlin, Steven W.", "title": "T"})
+    assert render(entry, style) == expected + " | T"
 
 
 # --- rendering ----------------------------------------------------------
