@@ -51,7 +51,7 @@ from .harvest import (
     resume as run_resume,
     write_efficiency_csv,
 )
-from .hmm import HmmModel, align_training, tag_reference, train_hmm
+from .hmm import EmptyInput, HmmModel, align_training, tag_reference, train_hmm
 from .styles import (
     DuplicateStyle,
     MissingVariable,
@@ -279,8 +279,18 @@ def cmd_clean(settings: Settings, run: Run) -> int:
 
 def cmd_stats(settings: Settings, run: Run) -> int:
     paths = settings.require("in_path")
-    if str(paths[0]).endswith(".jsonl"):
-        text = dataset_stats(load_jsonl(run.read(paths[0])))
+    datasets = [str(path).endswith(".jsonl") for path in paths]
+    if any(datasets) and not all(datasets):
+        odd = paths[datasets.index(not datasets[0])]
+        kind = "a BibTeX file" if datasets[0] else "a .jsonl dataset"
+        raise ValueError(
+            f"stats reads .jsonl datasets or BibTeX files, not both: {odd} is "
+            f"{kind}, unlike {paths[0]}"
+        )
+    if datasets[0]:
+        text = dataset_stats(
+            record for path in paths for record in load_jsonl(run.read(path))
+        )
     else:
         entries = []
         for path in paths:
@@ -428,9 +438,16 @@ def cmd_tag(settings: Settings, run: Run) -> int:
                 if keep is not None and record.id not in keep:
                     continue
                 for cit in record.citations:
-                    fh.write(
-                        _tag_row(model, cit["bibRef"], id=record.id, style=cit["style"])
-                    )
+                    try:
+                        row = _tag_row(
+                            model, cit["bibRef"], id=record.id, style=cit["style"]
+                        )
+                    except EmptyInput:
+                        raise EmptyInput(
+                            f"{in_path}: row id {record.id!r}, style "
+                            f"{cit['style']!r} has a bibRef with no tokens to decode"
+                        ) from None
+                    fh.write(row)
                     count += 1
         else:
             for line in in_path.read_text(encoding="utf-8").splitlines():

@@ -188,9 +188,20 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
 
 
 def harvest(config: HarvestConfig, rng: random.Random | None = None) -> HarvestStats:
-    """Fetch the whole configured id range from scratch, appending to the
-    output file."""
+    """Fetch the whole configured id range from scratch.
+
+    The output and its `.log` must be missing or empty: a fresh run into
+    files an earlier run wrote would append a second copy of its bodies
+    and rows, so it raises ConfigError, writing nothing, and leaves
+    continuing that run to `resume`.
+    """
     config.validate()
+    for path in (Path(config.output_path), _log_path(config)):
+        if path.exists() and path.stat().st_size > 0:
+            raise ConfigError(
+                f"{path} already holds an earlier harvest; continue it with "
+                "--resume, or remove it to start from scratch"
+            )
     start = Checkpoint(config.id_start - 1, 0, 0, 0)
     return _run(config, start, rng or random.Random())
 

@@ -4,22 +4,31 @@ decoding of new ones.
 States are field labels; observations are token classes (lowercased
 surfaces seen at least twice in training, everything rarer backing off to
 its orthographic class).  Decoding is log-space Viterbi, O(T*N^2), with
-ties broken toward the lower state index so output is reproducible.  A
-model takes the logs of its initial, transition and emission tables once,
-when it is built, and every decode reads those; the tables are treated as
-fixed after construction.  `HmmModel.load` validates a model file (shapes,
-finite probabilities, rows summing to 1, canonical states, every backoff
-class in the vocabulary) and raises ValueError on a bad one.  numpy is
-imported inside the functions that use it, so the CLI stages that neither
-train nor decode never pay its import.
+ties broken toward the lower state index so output is reproducible.
+
+Training and loading are pure Python: `train_hmm` and `HmmModel.load`
+give the initial, transition and emission tables as nested lists of
+floats.  Each row is normalized by a total summed in numpy's pairwise
+order (`pairwise_sum`), so the saved model is the same, byte for byte,
+as one estimated with numpy.  A model also accepts ndarray tables and
+keeps whatever it is given; the tables are treated as fixed after
+construction.  numpy is imported only when a model decodes: its log
+tables are built once, on the first `viterbi` call, so `train` and
+`load` never pay that import.  `HmmModel.load` validates a model file
+(shapes, finite numeric probabilities, rows summing to 1, canonical
+states, every backoff class in the vocabulary) and raises ValueError on a
+bad one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
-from itertools import islice
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import islice
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,6 +44,8 @@ from .tokens import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    Table = list[float] | list[list[float]] | np.ndarray
 
 MIN_SURFACE_FREQ = 2
 
@@ -61,19 +72,25 @@ class LabelSequence:
 class HmmModel:
     states: list[str]
     vocab: list[str]
-    initial: np.ndarray  # (N,)
-    transition: np.ndarray  # (N, N)
-    emission: np.ndarray  # (N, V)
+    initial: Table  # (N,)
+    transition: Table  # (N, N)
+    emission: Table  # (N, V)
     smoothing_alpha: float
 
     def __post_init__(self):
+        self._sym_index = {sym: i for i, sym in enumerate(self.vocab)}
+
+    @cached_property
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Logs of the initial, transition and emission tables, taken on
+        the first decode and read by every later one."""
         import numpy as np
 
-        self._sym_index = {sym: i for i, sym in enumerate(self.vocab)}
         with np.errstate(divide="ignore"):
-            self._log_initial = np.log(self.initial)
-            self._log_transition = np.log(self.transition)
-            self._log_emission = np.log(self.emission)
+            return tuple(
+                np.log(np.asarray(t, dtype=float))
+                for t in (self.initial, self.transition, self.emission)
+            )
 
     def symbol_index(self, token: Token) -> int:
         """Column of a token's emission symbol; rare and unseen surfaces
@@ -88,9 +105,9 @@ class HmmModel:
             "states": self.states,
             "vocab": self.vocab,
             "alpha": self.smoothing_alpha,
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "emission": self.emission.tolist(),
+            "initial": [float(p) for p in self.initial],
+            "transition": [[float(p) for p in row] for row in self.transition],
+            "emission": [[float(p) for p in row] for row in self.emission],
         }
         Path(path).write_text(json.dumps(data), encoding="utf-8")
 
@@ -98,8 +115,6 @@ class HmmModel:
     def load(cls, path: str | Path) -> "HmmModel":
         """Read a model written by `save`; a file that is not a valid model
         raises ValueError naming the first problem found."""
-        import numpy as np
-
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
         if not isinstance(data, dict) or any(k not in data for k in keys):
@@ -112,24 +127,25 @@ class HmmModel:
             raise ValueError(f"{path}: states and vocab must be lists of strings")
         try:
             tables = {
-                k: np.array(data[k], dtype=float)
-                for k in ("initial", "transition", "emission")
+                k: _numeric_table(data[k]) for k in ("initial", "transition", "emission")
             }
-        except (TypeError, ValueError) as exc:
+        except (ValueError, RecursionError) as exc:  # ragged, non-numeric, too deep
             raise ValueError(
                 f"{path}: probability tables are not rectangular numeric arrays"
             ) from exc
         n, v = len(states), len(vocab)
         expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
-        for name, table in tables.items():
-            if table.shape != expected[name]:
+        for name, (shape, table) in tables.items():
+            if shape != expected[name]:
                 raise ValueError(
-                    f"{path}: {name} has shape {table.shape}, expected "
+                    f"{path}: {name} has shape {shape}, expected "
                     f"{expected[name]} for {n} states and {v} symbols"
                 )
-            if not (np.isfinite(table).all() and (table >= 0).all()):
+            rows = [table] if len(shape) == 1 else table
+            if not all(math.isfinite(p) and p >= 0 for row in rows for p in row):
                 raise ValueError(f"{path}: {name} has negative or non-finite values")
-            if not np.allclose(table.sum(axis=-1), 1.0):
+            # np.allclose(row_sums, 1.0): |sum - 1| <= atol + rtol * 1
+            if not all(abs(pairwise_sum(row) - 1.0) <= 1e-8 + 1e-5 for row in rows):
                 raise ValueError(f"{path}: {name} rows do not sum to 1")
         unknown = [s for s in states if s not in LABEL_SET]
         if unknown:
@@ -143,9 +159,9 @@ class HmmModel:
         return cls(
             states=states,
             vocab=vocab,
-            initial=tables["initial"],
-            transition=tables["transition"],
-            emission=tables["emission"],
+            initial=tables["initial"][1],
+            transition=tables["transition"][1],
+            emission=tables["emission"][1],
             smoothing_alpha=data["alpha"],
         )
 
@@ -187,17 +203,55 @@ def _all_backoff_classes() -> list[str]:
     ]
 
 
-def _normalize_rows(counts: np.ndarray) -> np.ndarray:
-    """Rows scaled to sum to 1; rows with no mass at all fall back to
-    uniform (only reachable with alpha=0)."""
-    import numpy as np
+def _numeric_table(value) -> tuple[tuple[int, ...], list]:
+    """Shape and float contents of a JSON table, as `np.array(value,
+    dtype=float)` would read it, except that every entry must be a JSON
+    number (not a bool, string or null).  ValueError if the nesting is
+    ragged or an entry is not a number."""
+    if isinstance(value, list):
+        parts = [_numeric_table(x) for x in value]
+        shapes = {shape for shape, _ in parts}
+        if len(shapes) > 1:
+            raise ValueError("ragged nesting")
+        inner = shapes.pop() if shapes else ()
+        return (len(value), *inner), [part for _, part in parts]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return (), float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{value} does not fit a float") from exc
+    raise ValueError(f"{value!r} is not a number")
 
-    counts = counts.astype(float)
-    totals = counts.sum(axis=-1, keepdims=True)
-    uniform = np.full_like(counts, 1.0 / counts.shape[-1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), uniform)
-    return out
+
+def pairwise_sum(xs: list[float]) -> float:
+    """Sum of `xs` added in the order numpy's pairwise summation uses, so
+    the total equals `np.sum` bit for bit.
+
+    Below 8 values a plain loop; up to 128, eight running sums over
+    interleaved values, combined pairwise, then the tail; above 128, the
+    two halves split at `n // 2` rounded down to a multiple of 8.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, xs[j:end:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[end:], total)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
+
+
+def _normalize_row(counts: list[float], alpha: float) -> list[float]:
+    """Smoothed counts scaled to sum to 1; a row with no mass at all falls
+    back to uniform (only reachable with alpha=0)."""
+    row = [c + alpha for c in counts]
+    total = pairwise_sum(row)
+    if total > 0:
+        return [c / total for c in row]
+    return [1.0 / len(row)] * len(row)
 
 
 def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
@@ -207,14 +261,14 @@ def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
     frequency >= 2 plus the full set of backoff classes, so any token maps
     to some column at decode time.
     """
-    import numpy as np
-
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
 
     states = sorted({label for seq in corpus for label in seq.labels})
+    if not states:
+        raise EmptyCorpus("training corpus has no tokens")
     surface_freq = Counter(
         tok.features.lower for seq in corpus for tok in seq.tokens
     )
@@ -224,26 +278,26 @@ def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
     state_index = {s: i for i, s in enumerate(states)}
 
     n, v = len(states), len(vocab)
-    initial = np.zeros(n)
-    transition = np.zeros((n, n))
-    emission = np.zeros((n, v))
+    initial = [0.0] * n
+    transition = [[0.0] * n for _ in range(n)]
+    emission = [[0.0] * v for _ in range(n)]
     for seq in corpus:
         if not seq.labels:
             continue
         initial[state_index[seq.labels[0]]] += 1
         for prev, cur in zip(seq.labels, seq.labels[1:]):
-            transition[state_index[prev], state_index[cur]] += 1
+            transition[state_index[prev]][state_index[cur]] += 1
         for tok, label in zip(seq.tokens, seq.labels):
             lower = tok.features.lower
             sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else tok.features.backoff_class()
-            emission[state_index[label], sym_index[sym]] += 1
+            emission[state_index[label]][sym_index[sym]] += 1
 
     return HmmModel(
         states=states,
         vocab=vocab,
-        initial=_normalize_rows(initial + alpha),
-        transition=_normalize_rows(transition + alpha),
-        emission=_normalize_rows(emission + alpha),
+        initial=_normalize_row(initial, alpha),
+        transition=[_normalize_row(row, alpha) for row in transition],
+        emission=[_normalize_row(row, alpha) for row in emission],
         smoothing_alpha=alpha,
     )
 
@@ -258,11 +312,11 @@ def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]
 
     if not tokens:
         raise EmptyInput("no tokens to decode")
-    log_trans = model._log_transition
+    log_init, log_trans, log_emis = model._log_tables
     obs = [model.symbol_index(tok) for tok in tokens]
-    emis = model._log_emission[:, obs].T  # (T, N): row t scores obs[t]
+    emis = log_emis[:, obs].T  # (T, N): row t scores obs[t]
     t_len, n = len(obs), len(model.states)
-    delta = model._log_initial + emis[0]
+    delta = log_init + emis[0]
     back = np.zeros((t_len, n), dtype=int)
     for t in range(1, t_len):
         scores = delta[:, None] + log_trans  # (from, to)

@@ -77,6 +77,33 @@ def test_stats_of_empty_bib_is_an_all_zero_column(tmp_path, capsys):
     assert all(row[1:] == ["0"] for row in rows)
 
 
+def _dataset_of(tmp_path, name, n_entries, seed):
+    bib = tmp_path / f"{name}.bib"
+    bib.write_text(serialize(random_corpus(random.Random(seed), n_entries)), encoding="utf-8")
+    out = tmp_path / f"{name}.jsonl"
+    assert run("build", "--in", bib, "--out", out) == 0
+    return out
+
+
+def test_stats_counts_every_dataset(tmp_path, capsys):
+    a = _dataset_of(tmp_path, "a", 5, 601)
+    b = _dataset_of(tmp_path, "b", 7, 602)
+    capsys.readouterr()
+    assert run("stats", "--in", a, b) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["title", "12"] in rows
+
+
+@pytest.mark.parametrize("dataset_first", [True, False])
+def test_stats_refuses_datasets_mixed_with_bibtex(tmp_path, corpus_file, capsys, dataset_first):
+    a = _dataset_of(tmp_path, "a", 5, 601)
+    paths, odd = ((a, corpus_file), corpus_file) if dataset_first else ((corpus_file, a), a)
+    capsys.readouterr()
+    assert run("stats", "--in", *paths) == 1
+    captured = capsys.readouterr()
+    assert f"{odd} is" in captured.err and captured.out == ""
+
+
 def test_render_and_annotate(tmp_path, corpus_file):
     # 20 renderable entries; the homepage stub has no title and is skipped
     refs = tmp_path / "refs.txt"
@@ -210,6 +237,22 @@ def test_tag_with_corrupted_model_is_domain_error(tmp_path, corpus_file, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "transition" in err
     assert "Traceback" not in err
+
+
+def test_tag_names_the_row_with_an_empty_reference(tmp_path, corpus_file, capsys):
+    ds = tmp_path / "ds.jsonl"
+    model = tmp_path / "model.json"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    assert run("train", "--in", ds, "--out", model) == 0
+    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    rows[1]["citations"][2]["bibRef"] = " "
+    ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run("tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(rows[1]["id"]) in err
+    assert repr(rows[1]["citations"][2]["style"]) in err
 
 
 def test_env_variable_override(tmp_path, corpus_file, monkeypatch):
@@ -397,6 +440,10 @@ seen["build_exit"] = cli.main(["build", "--in", corpus, "--out", ds])
 seen["build"] = loaded()
 seen["train_exit"] = cli.main(["train", "--in", ds, "--out", model])
 seen["train"] = loaded()
+cli.HmmModel.load(model)
+seen["load"] = loaded()
+seen["tag_exit"] = cli.main(["tag", "--in", ds, "--model", model, "--out", ds + ".tagged"])
+seen["tag"] = loaded()
 import citeforge
 seen["harvest"] = [callable(citeforge.harvest), citeforge.harvest.__module__]
 print(json.dumps(seen))
@@ -404,8 +451,8 @@ print(json.dumps(seen))
 
 
 def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
-    """numpy loads only for a stage that trains or decodes, and the HTTP
-    stack not at all outside harvesting."""
+    """numpy loads only when a model decodes (not to train or load one),
+    and the HTTP stack not at all outside harvesting."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, str(corpus_file),
          str(tmp_path / "ds.jsonl"), str(tmp_path / "model.json")],
@@ -415,6 +462,8 @@ def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     seen = json.loads(result.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["build_exit"] == 0 and seen["build"] == []
-    assert seen["train_exit"] == 0 and seen["train"] == ["numpy"]
+    assert seen["train_exit"] == 0 and seen["train"] == []
+    assert seen["load"] == []
+    assert seen["tag_exit"] == 0 and seen["tag"] == ["numpy"]
     # the package exports the function, not the submodule of the same name
     assert seen["harvest"] == [True, "citeforge.harvest"]

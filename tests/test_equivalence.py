@@ -3,17 +3,21 @@
 Each reference below is the earlier implementation kept verbatim in
 logic: the per-character `normalize`, the full feature extractor, the
 tokens x spans alignment scan, the Viterbi decoder that took the logs of
-its tables on every call, the renderer that made the plain and the
+its tables on every call, HMM training, saving and loading on numpy
+arrays, the renderer that made the plain and the
 annotated string in two separate passes (parsing and formatting each
 author list once per string), and the statistics tables that the corpus
 and the dataset side each drew with their own code.  The new code must
 agree with them exactly.
 """
 
+import json
 import random
 import re
+import tempfile
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +28,17 @@ from citeforge.annotation import escape, parse_annotation, strip_tags
 from citeforge.bibtex import BibEntry, field_histogram, histogram_table, type_histogram
 from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
 from citeforge.evaluate import normalize
-from citeforge.hmm import HmmModel, align_training, train_hmm, viterbi
-from citeforge.labels import CANONICAL_LABELS, entry_value
+from citeforge.hmm import (
+    MIN_SURFACE_FREQ,
+    HmmModel,
+    LabelSequence,
+    _all_backoff_classes,
+    align_training,
+    pairwise_sum,
+    train_hmm,
+    viterbi,
+)
+from citeforge.labels import CANONICAL_LABELS, LABEL_SET, entry_value
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
 from citeforge.tokens import extract_features, tokenize
@@ -140,6 +153,110 @@ def reference_viterbi(model, tokens):
         path.append(int(back[t, path[-1]]))
     path.reverse()
     return [model.states[i] for i in path], log_prob
+
+
+def reference_normalize_rows(counts):
+    counts = counts.astype(float)
+    totals = counts.sum(axis=-1, keepdims=True)
+    uniform = np.full_like(counts, 1.0 / counts.shape[-1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), uniform)
+    return out
+
+
+def reference_train_hmm(corpus, alpha):
+    """Counting into numpy arrays; the model holds ndarray tables."""
+    states = sorted({label for seq in corpus for label in seq.labels})
+    surface_freq = Counter(tok.features.lower for seq in corpus for tok in seq.tokens)
+    kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
+    vocab = kept + _all_backoff_classes()
+    sym_index = {sym: i for i, sym in enumerate(vocab)}
+    state_index = {s: i for i, s in enumerate(states)}
+    n, v = len(states), len(vocab)
+    initial = np.zeros(n)
+    transition = np.zeros((n, n))
+    emission = np.zeros((n, v))
+    for seq in corpus:
+        if not seq.labels:
+            continue
+        initial[state_index[seq.labels[0]]] += 1
+        for prev, cur in zip(seq.labels, seq.labels[1:]):
+            transition[state_index[prev], state_index[cur]] += 1
+        for tok, label in zip(seq.tokens, seq.labels):
+            lower = tok.features.lower
+            sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else tok.features.backoff_class()
+            emission[state_index[label], sym_index[sym]] += 1
+    return HmmModel(
+        states=states,
+        vocab=vocab,
+        initial=reference_normalize_rows(initial + alpha),
+        transition=reference_normalize_rows(transition + alpha),
+        emission=reference_normalize_rows(emission + alpha),
+        smoothing_alpha=alpha,
+    )
+
+
+def reference_save_text(model):
+    return json.dumps({
+        "states": model.states,
+        "vocab": model.vocab,
+        "alpha": model.smoothing_alpha,
+        "initial": model.initial.tolist(),
+        "transition": model.transition.tolist(),
+        "emission": model.emission.tolist(),
+    })
+
+
+def reference_load(path):
+    """The numpy loader: same checks, tables read by np.array(dtype=float)."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
+    if not isinstance(data, dict) or any(k not in data for k in keys):
+        raise ValueError(f"{path}: model file needs the keys {', '.join(keys)}")
+    states, vocab = data["states"], data["vocab"]
+    if not all(
+        isinstance(x, list) and all(isinstance(w, str) for w in x)
+        for x in (states, vocab)
+    ):
+        raise ValueError(f"{path}: states and vocab must be lists of strings")
+    try:
+        tables = {
+            k: np.array(data[k], dtype=float)
+            for k in ("initial", "transition", "emission")
+        }
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: probability tables are not rectangular numeric arrays"
+        ) from exc
+    n, v = len(states), len(vocab)
+    expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
+    for name, table in tables.items():
+        if table.shape != expected[name]:
+            raise ValueError(
+                f"{path}: {name} has shape {table.shape}, expected "
+                f"{expected[name]} for {n} states and {v} symbols"
+            )
+        if not (np.isfinite(table).all() and (table >= 0).all()):
+            raise ValueError(f"{path}: {name} has negative or non-finite values")
+        if not np.allclose(table.sum(axis=-1), 1.0):
+            raise ValueError(f"{path}: {name} rows do not sum to 1")
+    unknown = [s for s in states if s not in LABEL_SET]
+    if unknown:
+        raise ValueError(f"{path}: states are not canonical labels: {unknown}")
+    missing = set(_all_backoff_classes()) - set(vocab)
+    if missing:
+        raise ValueError(
+            f"{path}: vocabulary lacks {len(missing)} backoff classes, "
+            f"e.g. {min(missing)!r}"
+        )
+    return HmmModel(
+        states=states,
+        vocab=vocab,
+        initial=tables["initial"],
+        transition=tables["transition"],
+        emission=tables["emission"],
+        smoothing_alpha=data["alpha"],
+    )
 
 
 _REF_DASH_RUN = re.compile(r"[-‐‑‒–—]{1,2}")
@@ -460,6 +577,127 @@ def test_viterbi_cached_tables_match_on_trained_model():
         tokens = tokenize(ref.bib_ref)
         seq, log_prob = viterbi(model, tokens)
         assert (seq.labels, log_prob) == reference_viterbi(model, tokens)
+
+
+# --- pure-Python training and loading -----------------------------------
+
+# Counts plus alpha, probabilities and their tiny tails: non-negative
+# values over many magnitudes, where the order of additions shows.
+_NONNEG = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.integers(0, 50).map(float),
+    st.sampled_from([0.0, 0.05, 0.1, 1e-300, 1e6 + 0.1]),
+)
+
+
+@PROPERTY
+@given(st.integers(1, 5000), st.integers(0, 2**32 - 1))
+def test_pairwise_sum_matches_numpy_on_long_rows(n, seed):
+    rng = random.Random(seed)
+    row = [rng.random() * 10.0 ** rng.randint(-12, 6) for _ in range(n)]
+    assert pairwise_sum(row).hex() == float(np.sum(np.array(row))).hex()
+
+
+@PROPERTY
+@given(st.lists(_NONNEG, min_size=1, max_size=300))
+def test_pairwise_sum_matches_numpy_on_drawn_rows(row):
+    assert pairwise_sum(row).hex() == float(np.sum(np.array(row))).hex()
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_pairwise_sum_matches_numpy_row_wise(n_rows, width, seed):
+    rng = random.Random(seed)
+    table = [[rng.random() * 10.0 ** rng.randint(-12, 6) for _ in range(width)]
+             for _ in range(n_rows)]
+    want = np.array(table).sum(axis=-1, keepdims=True)[:, 0].tolist()
+    assert [pairwise_sum(row).hex() for row in table] == [x.hex() for x in want]
+
+
+_SURFACES = ("Smith", "smith", "J.", "2002.", "(2002).", "Deep", "parsing,",
+             "IEEE", "pp.", "12(3):45", "\u201cQuoted", "and", "x-y-z", "\u00e9t\u00e9")
+
+
+@st.composite
+def _labelled_corpus(draw):
+    labels = st.sampled_from(CANONICAL_LABELS[:6])
+    # at least one token: a corpus of empty references has no states and
+    # is refused (EmptyCorpus) rather than trained
+    corpus = [LabelSequence(tokenize("Smith"), [draw(labels)])]
+    for _ in range(draw(st.integers(0, 11))):
+        surfaces = draw(st.lists(
+            st.one_of(st.sampled_from(_SURFACES), st.text("aZ1.,(", min_size=1, max_size=4)),
+            max_size=20,
+        ))
+        tokens = tokenize(" ".join(surfaces))
+        corpus.append(LabelSequence(tokens, draw(st.lists(
+            labels, min_size=len(tokens), max_size=len(tokens)))))
+    return corpus
+
+
+def assert_saved_as_reference(model, reference):
+    """`model.save` writes the bytes the numpy code wrote for `reference`.
+    Compared item by item: a failure then names the first differing
+    number, where a diff of the two one-line files would take minutes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model.save(path)
+        got = path.read_text(encoding="utf-8")
+    assert got.split(", ") == reference_save_text(reference).split(", ")
+
+
+@PROPERTY
+@given(_labelled_corpus(), st.sampled_from([0, 0.0, 0.05, 0.1, 1e6]))
+def test_train_matches_numpy_training_byte_for_byte(corpus, alpha):
+    assert_saved_as_reference(train_hmm(corpus, alpha=alpha), reference_train_hmm(corpus, alpha))
+
+
+def _annotated_corpus(seed, n_entries):
+    refs = []
+    for i, entry in enumerate(random_corpus(random.Random(seed), n_entries)):
+        try:
+            refs.append(annotate(entry, STYLES[i % len(STYLES)]))
+        except MissingVariable:
+            continue
+    return refs
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.1, 1e6])
+def test_train_matches_numpy_training_on_rendered_references(alpha):
+    corpus = [align_training(r.anno_ref) for r in _annotated_corpus(13, 200)]
+    assert_saved_as_reference(train_hmm(corpus, alpha=alpha), reference_train_hmm(corpus, alpha))
+
+
+@PROPERTY
+@given(_labelled_corpus(), st.sampled_from([0.0, 0.05, 0.1, 1e6]))
+def test_loaded_model_matches_numpy_load_and_decodes_alike(corpus, alpha):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        train_hmm(corpus, alpha=alpha).save(path)
+        loaded, ref = HmmModel.load(path), reference_load(path)
+    for name in ("initial", "transition", "emission"):
+        assert np.array_equal(np.asarray(getattr(loaded, name)), getattr(ref, name))
+    assert (loaded.states, loaded.vocab, loaded.smoothing_alpha) == (
+        ref.states, ref.vocab, ref.smoothing_alpha)
+    for seq in corpus:
+        if not seq.tokens:
+            continue
+        got, got_lp = viterbi(loaded, seq.tokens)
+        want, want_lp = viterbi(ref, seq.tokens)
+        assert got.labels == want.labels and got_lp == want_lp
+        assert (got.labels, got_lp) == reference_viterbi(ref, seq.tokens)
+
+
+def test_loaded_trained_model_decodes_like_numpy_load(tmp_path):
+    refs = _annotated_corpus(14, 120)
+    model = train_hmm([align_training(r.anno_ref) for r in refs[:80]], alpha=0.1)
+    model.save(tmp_path / "model.json")
+    loaded, ref = HmmModel.load(tmp_path / "model.json"), reference_load(tmp_path / "model.json")
+    for r in refs[80:]:
+        tokens = tokenize(r.bib_ref)
+        got, got_lp = viterbi(loaded, tokens)
+        want, want_lp = viterbi(ref, tokens)
+        assert got.labels == want.labels and got_lp == want_lp
 
 
 # --- one-pass render ----------------------------------------------------

@@ -117,6 +117,32 @@ def test_harvest_all_ok(server, tmp_path):
     assert checkpoint.last_id == 5 and checkpoint.entries_count == 5
 
 
+@pytest.mark.parametrize("leftover", ["out.bib", "out.bib.log"])
+def test_fresh_harvest_refuses_an_earlier_runs_files(server, tmp_path, leftover):
+    cfg = make_config(server, tmp_path)
+    (tmp_path / leftover).write_text("from an earlier run\n")
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="--resume"):
+        harvest(cfg, random.Random(1))
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def test_second_fresh_harvest_refuses_and_keeps_the_first(server, tmp_path):
+    cfg = make_config(server, tmp_path)
+    harvest(cfg, random.Random(1))
+    files = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="--resume"):
+        harvest(cfg, random.Random(1))
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == files
+
+
+def test_fresh_harvest_accepts_empty_files(server, tmp_path):
+    cfg = make_config(server, tmp_path)
+    (tmp_path / "out.bib").write_text("")
+    (tmp_path / "out.bib.log").write_text("")
+    assert harvest(cfg, random.Random(1)).fetched_ids == 5
+
+
 def test_persistent_failure_is_skipped(tmp_path):
     script = FixtureScript(fail_status={3: 500})
     with FixtureServer(script) as server:

@@ -100,10 +100,10 @@ def test_train_hand_counts_alpha_zero():
     seq = align_like(["x", "y", "z"], ["A", "A", "B"])
     model = train_hmm([seq], alpha=0.0)
     a, b = model.states.index("A"), model.states.index("B")
-    assert model.transition[a, a] == pytest.approx(0.5, abs=1e-12)
-    assert model.transition[a, b] == pytest.approx(0.5, abs=1e-12)
+    assert model.transition[a][a] == pytest.approx(0.5, abs=1e-12)
+    assert model.transition[a][b] == pytest.approx(0.5, abs=1e-12)
     # B never transitions anywhere: that row falls back to uniform
-    assert model.transition[b].tolist() == pytest.approx([0.5, 0.5])
+    assert model.transition[b] == pytest.approx([0.5, 0.5])
     assert model.initial[a] == 1.0 and model.initial[b] == 0.0
 
 
@@ -116,18 +116,18 @@ def test_train_two_state_deterministic_alpha_hand_computation():
     model = train_hmm(seqs, alpha=0.1)
     a, b = model.states.index("A"), model.states.index("B")
     # transitions out of A: 3 to B, 0 to A
-    assert model.transition[a, b] == pytest.approx(3.1 / 3.2, abs=1e-12)
-    assert model.transition[a, a] == pytest.approx(0.1 / 3.2, abs=1e-12)
+    assert model.transition[a][b] == pytest.approx(3.1 / 3.2, abs=1e-12)
+    assert model.transition[a][a] == pytest.approx(0.1 / 3.2, abs=1e-12)
     # transitions out of B: 1 to A (middle of first sequence)
-    assert model.transition[b, a] == pytest.approx(1.1 / 1.2, abs=1e-12)
+    assert model.transition[b][a] == pytest.approx(1.1 / 1.2, abs=1e-12)
     assert model.initial[a] == pytest.approx(2.1 / 2.2, abs=1e-12)
     # u and v both occur >= 2 times, so both are surface symbols
     u, v = model.vocab.index("u"), model.vocab.index("v")
     n_vocab = len(model.vocab)
-    assert model.emission[a, u] == pytest.approx(
+    assert model.emission[a][u] == pytest.approx(
         3.1 / (3 + 0.1 * n_vocab), abs=1e-12
     )
-    assert model.emission[b, v] == pytest.approx(
+    assert model.emission[b][v] == pytest.approx(
         3.1 / (3 + 0.1 * n_vocab), abs=1e-12
     )
 
@@ -135,9 +135,9 @@ def test_train_two_state_deterministic_alpha_hand_computation():
 def test_train_positive_probabilities_with_alpha():
     seq = align_like(["a", "b", "c"], ["title", "title", "issued"])
     model = train_hmm([seq], alpha=0.1)
-    assert (model.initial > 0).all()
-    assert (model.transition > 0).all()
-    assert (model.emission > 0).all()
+    assert (np.asarray(model.initial) > 0).all()
+    assert (np.asarray(model.transition) > 0).all()
+    assert (np.asarray(model.emission) > 0).all()
 
 
 def test_train_rows_normalized():
@@ -148,9 +148,9 @@ def test_train_rows_normalized():
         for s in load_builtin_styles()[:3]
     ]
     model = train_hmm(corpus, alpha=0.05)
-    assert model.initial.sum() == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_allclose(model.transition.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(model.emission.sum(axis=1), 1.0, atol=1e-9)
+    assert np.asarray(model.initial).sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(np.asarray(model.transition).sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(np.asarray(model.emission).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_train_large_alpha_approaches_uniform():
@@ -158,12 +158,17 @@ def test_train_large_alpha_approaches_uniform():
     seq = align_like(["a", "b", "a", "b"], ["A", "B", "A", "B"])
     model = train_hmm([seq], alpha=1e6)
     n = len(model.states)
-    assert np.all(np.abs(model.transition - 1.0 / n) <= n * 1e-5)
+    assert np.all(np.abs(np.asarray(model.transition) - 1.0 / n) <= n * 1e-5)
 
 
 def test_train_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         train_hmm([], alpha=0.1)
+
+
+def test_train_corpus_of_empty_references_raises():
+    with pytest.raises(EmptyCorpus, match="no tokens"):
+        train_hmm([LabelSequence([], []), LabelSequence([], [])], alpha=0.0)
 
 
 def test_rare_surfaces_back_off_to_class():
@@ -301,6 +306,13 @@ def _corrupt(data, key, index, value):
         table[index] = value
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize(
     "corruption,message",
     [
@@ -318,6 +330,10 @@ def _corrupt(data, key, index, value):
         pytest.param(lambda d: _corrupt(d, "states", 1, 7), "lists of strings", id="non-string-state"),
         pytest.param(lambda d: _corrupt(d, "vocab", -1, "renamed"), "lacks 1 backoff", id="backoff-missing"),
         pytest.param(lambda d: d.pop("alpha"), "needs the keys", id="missing-key"),
+        pytest.param(lambda d: d.update(transition=[[True, 0.0, 0.0]] + d["transition"][1:]), "rectangular numeric", id="bool"),
+        pytest.param(lambda d: d.update(transition=[["0.5", 0.5, 0.0]] + d["transition"][1:]), "rectangular numeric", id="numeric-string"),
+        pytest.param(lambda d: _corrupt(d, "emission", (0, 0), 10**400), "rectangular numeric", id="huge-int"),
+        pytest.param(lambda d: d.update(initial=_nested(600)), "rectangular numeric", id="deep-nesting"),
     ],
 )
 def test_model_load_rejects_corrupted_file(tmp_path, corruption, message):
