@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 KNOWN_FIELDS = frozenset(
     {
@@ -101,9 +101,6 @@ class BibEntry:
     fields: dict[str, str]
     source_tag: str | None = field(default=None, compare=False)
 
-    def get(self, name: str) -> str | None:
-        return self.fields.get(name)
-
 
 @dataclass
 class CleanPolicy:
@@ -171,7 +168,7 @@ def _read_quoted(text: str, i: int) -> tuple[str, int]:
     raise _EntrySyntaxError("unterminated quoted value")
 
 
-def _parse_fields(body: str, key: str) -> dict[str, str]:
+def _parse_fields(body: str) -> dict[str, str]:
     """Parse the `name = value, ...` tail of an entry body."""
     fields: dict[str, str] = {}
     i = 0
@@ -210,75 +207,54 @@ def _parse_fields(body: str, key: str) -> dict[str, str]:
     return fields
 
 
-def iter_bibtex(text: str) -> Iterator[tuple[BibEntry | None, ValidationIssue | None]]:
-    """Stream entries out of BibTeX text, one `@type{...}` block at a time.
+def parse_bibtex(
+    text: str, source_tag: str | None = None
+) -> tuple[list[BibEntry], list[ValidationIssue]]:
+    """Parse BibTeX text into entries plus a list of problems found, one
+    `@type{...}` block at a time.
 
-    Yields (entry, None) for each well-formed block and (None, issue) for
-    each malformed or unsupported one.  `@comment` blocks are skipped
-    silently; `@string`/`@preamble` are out of scope and reported.
+    Nothing here is fatal: a malformed or unsupported block becomes an
+    issue and parsing moves on to the next `@`.  `@comment` blocks are
+    skipped silently; `@string`/`@preamble` are out of scope and reported.
     """
+    entries: list[BibEntry] = []
+    issues: list[ValidationIssue] = []
     pos = 0
-    while True:
-        m = _ENTRY_START.search(text, pos)
-        if not m:
-            return
+    while m := _ENTRY_START.search(text, pos):
         entry_type = m.group(1).lower()
-        brace_open = m.end() - 1
         try:
-            body, end = _read_braced(text, brace_open)
+            body, pos = _read_braced(text, m.end() - 1)
         except _EntrySyntaxError as exc:
-            yield None, ValidationIssue("?", IssueKind.SYNTAX_ERROR, str(exc))
+            issues.append(ValidationIssue("?", IssueKind.SYNTAX_ERROR, str(exc)))
             pos = m.end()
             continue
-        pos = end
 
         if entry_type == "comment":
             continue
         if entry_type in ("string", "preamble"):
-            yield None, ValidationIssue(
+            issues.append(ValidationIssue(
                 "?", IssueKind.SYNTAX_ERROR, f"@{entry_type} is not supported"
-            )
+            ))
             continue
 
-        comma = body.find(",")
-        if comma < 0:
-            key, rest = body.strip(), ""
-        else:
-            key, rest = body[:comma].strip(), body[comma + 1 :]
+        key, _, rest = body.partition(",")
+        key = key.strip()
         if not key or any(c.isspace() for c in key):
-            yield None, ValidationIssue(
+            issues.append(ValidationIssue(
                 key or "?", IssueKind.SYNTAX_ERROR, "missing or malformed citation key"
-            )
+            ))
             continue
         if entry_type not in ENTRY_TYPES:
-            yield None, ValidationIssue(
+            issues.append(ValidationIssue(
                 key, IssueKind.UNKNOWN_TYPE, f"unknown entry type @{entry_type}"
-            )
+            ))
             continue
         try:
-            fields = _parse_fields(rest, key)
+            fields = _parse_fields(rest)
         except _EntrySyntaxError as exc:
-            yield None, ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc))
+            issues.append(ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc)))
             continue
-        yield BibEntry(entry_type, key, fields), None
-
-
-def parse_bibtex(
-    text: str, source_tag: str | None = None
-) -> tuple[list[BibEntry], list[ValidationIssue]]:
-    """Parse BibTeX text into entries plus a list of problems found.
-
-    Nothing here is fatal: broken blocks become issues and parsing moves on
-    to the next `@`.
-    """
-    entries: list[BibEntry] = []
-    issues: list[ValidationIssue] = []
-    for entry, issue in iter_bibtex(text):
-        if entry is not None:
-            entry.source_tag = source_tag
-            entries.append(entry)
-        if issue is not None:
-            issues.append(issue)
+        entries.append(BibEntry(entry_type, key, fields, source_tag))
     return entries, issues
 
 

@@ -38,6 +38,7 @@ from .dataset import (
     dataset_stats,
     export,
     load_jsonl,
+    read_json_lines,
     sha256_file,
     split_dataset,
 )
@@ -142,18 +143,13 @@ class Settings:
     ValueError naming where it came from.
     """
 
-    # argparse dests that differ from their flag spelling
-    ALIASES = {"in_path": "in"}
-
     def __init__(self, args: argparse.Namespace):
         self.cli = dict(vars(args))
         self.actions = self.cli.pop("actions", {})
         config_path = self._lookup("config")
         self.config = {}
         if config_path:
-            self.config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            if not isinstance(self.config, dict):
-                raise ValueError(f"config file {config_path} must hold a JSON object")
+            self.config = _read_json_object(config_path)
 
     def _typed(self, name: str, value, source: str):
         action = self.actions.get(name)
@@ -181,7 +177,7 @@ class Settings:
         value = self.cli.get(name)
         if value is not None:
             return value
-        env_name = ENV_PREFIX + self.ALIASES.get(name, name).upper().replace("-", "_")
+        env_name = ENV_PREFIX + name.upper()
         value = os.environ.get(env_name)
         if value is not None:
             return self._typed(name, value, f"environment variable {env_name}")
@@ -191,15 +187,14 @@ class Settings:
         value = self._lookup(name)
         if value is not None:
             return value
-        for key in (name, self.ALIASES.get(name, name)):
-            if self.config.get(key) is not None:
-                return self._typed(name, self.config[key], f"config key {key!r}")
+        if self.config.get(name) is not None:
+            return self._typed(name, self.config[name], f"config key {name!r}")
         return default
 
     def require(self, name: str):
         value = self.get(name)
         if value is None:
-            flag = self.ALIASES.get(name, name).replace("_", "-")
+            flag = name.replace("_", "-")
             print(f"error: missing required flag --{flag}", file=sys.stderr)
             raise SystemExit(2)
         return value
@@ -210,10 +205,28 @@ class Settings:
         return {name: self.get(name) for name in self.actions if name != "help"}
 
 
-def _load_entries(settings: Settings, run: Run, path: str):
+def _read_json_object(path) -> dict:
+    """The JSON object in a file; a file that holds none (not JSON, not an
+    object, or nested past the recursion limit) is a ValueError naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not readable as JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return data
+
+
+def _resolved(**values) -> dict:
+    """The keyword arguments that resolved to a value: the library's own
+    defaults stand for the rest."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _load_entries(run: Run, path: str):
+    """Entries and issues of a BibTeX file, tagged with the file's stem."""
     text = Path(run.read(path)).read_text(encoding="utf-8")
-    tag = settings.get("source_tag") or Path(path).stem
-    return parse_bibtex(text, source_tag=tag)
+    return parse_bibtex(text, source_tag=Path(path).stem)
 
 
 def _styles(settings: Settings, run: Run):
@@ -231,7 +244,7 @@ def _styles(settings: Settings, run: Run):
 
 
 def cmd_parse(settings: Settings, run: Run) -> int:
-    entries, issues = _load_entries(settings, run, settings.require("in_path"))
+    entries, issues = _load_entries(run, settings.require("in"))
     for entry in entries:
         issues.extend(validate_entry(entry))
     out = run.wrote(settings.require("out"))
@@ -253,7 +266,7 @@ def cmd_parse(settings: Settings, run: Run) -> int:
 
 
 def cmd_clean(settings: Settings, run: Run) -> int:
-    entries, _ = _load_entries(settings, run, settings.require("in_path"))
+    entries, _ = _load_entries(run, settings.require("in"))
     strip = tuple(
         f.strip() for f in (settings.get("strip_fields") or "").split(",") if f.strip()
     )
@@ -278,7 +291,7 @@ def cmd_clean(settings: Settings, run: Run) -> int:
 
 
 def cmd_stats(settings: Settings, run: Run) -> int:
-    paths = settings.require("in_path")
+    paths = settings.require("in")
     datasets = [str(path).endswith(".jsonl") for path in paths]
     if any(datasets) and not all(datasets):
         odd = paths[datasets.index(not datasets[0])]
@@ -292,14 +305,9 @@ def cmd_stats(settings: Settings, run: Run) -> int:
             record for path in paths for record in load_jsonl(run.read(path))
         )
     else:
-        entries = []
-        for path in paths:
-            got, _ = parse_bibtex(
-                Path(run.read(path)).read_text(encoding="utf-8"),
-                source_tag=Path(path).stem,
-            )
-            entries.extend(got)
-        text = histogram_table(entries)
+        text = histogram_table(
+            [entry for path in paths for entry in _load_entries(run, path)[0]]
+        )
     out = settings.get("out")
     if out:
         Path(run.wrote(out)).write_text(text + "\n", encoding="utf-8")
@@ -308,7 +316,7 @@ def cmd_stats(settings: Settings, run: Run) -> int:
 
 
 def cmd_render(settings: Settings, run: Run) -> int:
-    entries, _ = _load_entries(settings, run, settings.require("in_path"))
+    entries, _ = _load_entries(run, settings.require("in"))
     styles = _styles(settings, run)
     lines = []
     for entry in entries:
@@ -324,7 +332,7 @@ def cmd_render(settings: Settings, run: Run) -> int:
 
 
 def cmd_annotate(settings: Settings, run: Run) -> int:
-    entries, _ = _load_entries(settings, run, settings.require("in_path"))
+    entries, _ = _load_entries(run, settings.require("in"))
     stats = BuildStats()
     records = build_dataset(entries, _styles(settings, run), stats=stats)
     out = run.wrote(settings.require("out"))
@@ -340,7 +348,7 @@ def cmd_annotate(settings: Settings, run: Run) -> int:
 
 
 def cmd_build(settings: Settings, run: Run) -> int:
-    entries, _ = _load_entries(settings, run, settings.require("in_path"))
+    entries, _ = _load_entries(run, settings.require("in"))
     styles = _styles(settings, run)
     stats = BuildStats()
     records = build_dataset(entries, styles, stats=stats)
@@ -362,7 +370,7 @@ def cmd_build(settings: Settings, run: Run) -> int:
 
 
 def cmd_split(settings: Settings, run: Run) -> int:
-    records = load_jsonl(run.read(settings.require("in_path")))
+    records = load_jsonl(run.read(settings.require("in")))
     manifest = split_dataset(list(records), settings.get("seed", 42))
     out = run.wrote(settings.require("out"))
     Path(out).write_text(
@@ -372,22 +380,29 @@ def cmd_split(settings: Settings, run: Run) -> int:
     return 0
 
 
-def _read_split(run: Run, path) -> SplitManifest:
-    return SplitManifest.from_json_dict(
-        json.loads(Path(run.read(path)).read_text(encoding="utf-8"))
-    )
+def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
+    """The ids on one side ("train" or "eval") of the --split manifest;
+    None when no split is given."""
+    path = settings.get("split")
+    if not path:
+        return None
+    data = _read_json_object(run.read(path))
+    try:
+        manifest = SplitManifest.from_json_dict(data)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return set(getattr(manifest, side + "_ids"))
 
 
 def cmd_train(settings: Settings, run: Run) -> int:
-    records = list(load_jsonl(run.read(settings.require("in_path"))))
-    split_path = settings.get("split")
-    if split_path:
-        train_ids = set(_read_split(run, split_path).train_ids)
+    records = list(load_jsonl(run.read(settings.require("in"))))
+    train_ids = _split_ids(settings, run, "train")
+    if train_ids is not None:
         records = [r for r in records if r.id in train_ids]
     corpus = [
         align_training(cit["annoRef"]) for record in records for cit in record.citations
     ]
-    model = train_hmm(corpus, alpha=settings.get("alpha", 0.1))
+    model = train_hmm(corpus, **_resolved(alpha=settings.get("alpha")))
     out = run.wrote(settings.require("out"))
     model.save(out)
     print(
@@ -406,6 +421,8 @@ def _is_dataset_file(path: Path) -> bool:
                 row = json.loads(line)
             except json.JSONDecodeError:
                 return False
+            except RecursionError:
+                return True  # JSON too deep to read: load_jsonl names the line
             return isinstance(row, dict) and "citations" in row
     return False
 
@@ -424,16 +441,13 @@ def _tag_row(model: HmmModel, reference: str, **keys) -> str:
 
 def cmd_tag(settings: Settings, run: Run) -> int:
     model = HmmModel.load(run.read(settings.require("model")))
-    in_path = Path(run.read(settings.require("in_path")))
+    in_path = Path(run.read(settings.require("in")))
     out = run.wrote(settings.require("out"))
     count = 0
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         if _is_dataset_file(in_path):
             records = load_jsonl(in_path)
-            split_path = settings.get("split")
-            keep = None
-            if split_path:
-                keep = set(_read_split(run, split_path).eval_ids)
+            keep = _split_ids(settings, run, "eval")
             for record in records:
                 if keep is not None and record.id not in keep:
                     continue
@@ -460,22 +474,18 @@ def cmd_tag(settings: Settings, run: Run) -> int:
 
 
 def cmd_evaluate(settings: Settings, run: Run) -> int:
-    tagged_path = Path(run.read(settings.require("in_path")))
+    tagged_path = Path(run.read(settings.require("in")))
     records = list(load_jsonl(run.read(settings.require("dataset"))))
-    eval_ids = None
-    split_path = settings.get("split")
-    if split_path:
-        eval_ids = set(_read_split(run, split_path).eval_ids)
+    eval_ids = _split_ids(settings, run, "eval")
     policy = EvalPolicy(
-        tau=settings.get("tau", 0.15),
-        count_near_as_correct=settings.get("near_as_correct", False),
+        **_resolved(
+            tau=settings.get("tau"),
+            count_near_as_correct=settings.get("near_as_correct"),
+        )
     )
-    tagged = (
-        json.loads(line)
-        for line in tagged_path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
+    report = evaluate_dataset(
+        read_json_lines(tagged_path), records, policy, eval_ids=eval_ids
     )
-    report = evaluate_dataset(tagged, records, policy, eval_ids=eval_ids)
     out = settings.get("out")
     if out:
         write_report(report, run.wrote(out))
@@ -484,19 +494,20 @@ def cmd_evaluate(settings: Settings, run: Run) -> int:
 
 
 def cmd_harvest(settings: Settings, run: Run) -> int:
-    agents = settings.get("user_agent") or ["citeforge/" + __version__]
+    agents = settings.get("user_agent")
     config = HarvestConfig(
         url_template=settings.require("url_template"),
         id_start=settings.get("id_start", 1),
         id_end=settings.require("id_end"),
-        td_millis=settings.get("td", 1000),
-        rid_millis=settings.get("rid", 500),
-        user_agents=tuple(agents),
-        max_retries=settings.get("max_retries", 2),
         output_path=settings.require("out"),
-        checkpoint_path=settings.get("checkpoint")
-        or str(settings.require("out")) + ".checkpoint.json",
-        allow_external=settings.get("allow_external", False),
+        **_resolved(
+            td_millis=settings.get("td"),
+            rid_millis=settings.get("rid"),
+            user_agents=tuple(agents) if agents else None,
+            max_retries=settings.get("max_retries"),
+            checkpoint_path=settings.get("checkpoint"),
+            allow_external=settings.get("allow_external"),
+        ),
     )
     seed = settings.get("seed")
     rng = random.Random(seed) if seed is not None else None
@@ -566,10 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def f_in(p, multiple=False):
-        if multiple:
-            p.add_argument("--in", dest="in_path", nargs="+")
-        else:
-            p.add_argument("--in", dest="in_path")
+        p.add_argument("--in", nargs="+" if multiple else None)
 
     def f_out(p):
         p.add_argument("--out")
@@ -579,21 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--style", help="restrict to one style id")
 
     add("parse", cmd_parse, f_in, f_out,
-        lambda p: p.add_argument("--issues"),
-        lambda p: p.add_argument("--source-tag", dest="source_tag"))
+        lambda p: p.add_argument("--issues"))
     add("clean", cmd_clean, f_in, f_out,
         lambda p: p.add_argument("--strip-fields", dest="strip_fields"),
         lambda p: p.add_argument("--keep-homepage-misc", dest="keep_homepage_misc",
-                                 action="store_const", const=True),
-        lambda p: p.add_argument("--source-tag", dest="source_tag"))
+                                 action="store_const", const=True))
     add("stats", cmd_stats, lambda p: f_in(p, multiple=True), f_out)
-    add("render", cmd_render, f_in, f_out, f_styles,
-        lambda p: p.add_argument("--source-tag", dest="source_tag"))
-    add("annotate", cmd_annotate, f_in, f_out, f_styles,
-        lambda p: p.add_argument("--source-tag", dest="source_tag"))
+    add("render", cmd_render, f_in, f_out, f_styles)
+    add("annotate", cmd_annotate, f_in, f_out, f_styles)
     add("build", cmd_build, f_in, f_out, f_styles,
-        lambda p: p.add_argument("--format", choices=("jsonl", "csv")),
-        lambda p: p.add_argument("--source-tag", dest="source_tag"))
+        lambda p: p.add_argument("--format", choices=("jsonl", "csv")))
     add("split", cmd_split, f_in, f_out,
         lambda p: p.add_argument("--seed", type=int))
     add("train", cmd_train, f_in, f_out,

@@ -46,11 +46,14 @@ class DatasetRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DatasetRecord":
-        return cls(
-            id=data["id"],
-            bib_fields=dict(data["bib_fields"]),
-            citations=[dict(c) for c in data["citations"]],
-        )
+        try:
+            return cls(
+                id=data["id"],
+                bib_fields=dict(data["bib_fields"]),
+                citations=[dict(c) for c in data["citations"]],
+            )
+        except KeyError as exc:
+            raise ValueError(f"dataset record lacks the key {exc}") from None
 
 
 @dataclass
@@ -78,7 +81,10 @@ class SplitManifest:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SplitManifest":
-        return cls(data["seed"], tuple(data["train_ids"]), tuple(data["eval_ids"]))
+        try:
+            return cls(data["seed"], tuple(data["train_ids"]), tuple(data["eval_ids"]))
+        except KeyError as exc:
+            raise ValueError(f"split manifest lacks the key {exc}") from None
 
 
 def build_dataset(
@@ -177,11 +183,26 @@ def export(
     return sha256_file(path)
 
 
-def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
+def read_json_lines(path: str | Path, convert=lambda row: row) -> Iterator:
+    """`convert` of each JSON object in a JSON Lines file, blank lines
+    skipped.  A line that is not an object `convert` takes is a ValueError
+    naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield DatasetRecord.from_json_dict(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("expected a JSON object")
+                item = convert(row)
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+            yield item
+
+
+def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
+    return read_json_lines(path, DatasetRecord.from_json_dict)
 
 
 def dataset_stats(records: Iterable[DatasetRecord]) -> str:

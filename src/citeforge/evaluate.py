@@ -106,7 +106,7 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def classify_match(pred: str, truth: str, tau: float = 0.15) -> MatchClass:
+def classify_match(pred: str, truth: str, tau: float = EvalPolicy.tau) -> MatchClass:
     """One class per pair, by precedence: equality, containment either way,
     then edit distance within `tau` of the longer length."""
     if pred == truth:
@@ -149,18 +149,6 @@ class EvalReport:
     discarded_empty: int = 0
     missing_ground_truth: int = 0
     references: int = 0
-
-    def merge_counts(self, other: "EvalReport") -> None:
-        for label, score in other.per_label.items():
-            mine = self.per_label.setdefault(label, LabelScore())
-            mine.tp += score.tp
-            mine.fp += score.fp
-            mine.fn += score.fn
-            mine.support += score.support
-            mine.match_classes.update(score.match_classes)
-        self.discarded_empty += other.discarded_empty
-        self.missing_ground_truth += other.missing_ground_truth
-        self.references += other.references
 
     @property
     def micro(self) -> tuple[float, float, float]:
@@ -222,8 +210,14 @@ def score(
     truths are false negatives.  Each prediction also logs the best match
     class it reached, for the diagnostics table.
     """
-    policy = policy or EvalPolicy()
-    report = EvalReport(references=1)
+    report = EvalReport()
+    _score_into(report, predictions, truth, policy or EvalPolicy())
+    return report
+
+
+def _score_into(report: EvalReport, predictions, truth, policy: EvalPolicy) -> None:
+    """Add one reference's scores, as `score` defines them, to `report`."""
+    report.references += 1
     preds = _resolve(predictions, report)
     truths = _resolve(truth, report)
 
@@ -252,7 +246,6 @@ def score(
             stats.fp += 1
     for label, pool in open_truths.items():
         report.per_label[label].fn += len(pool)
-    return report
 
 
 def ground_truth_fields(anno_ref: str) -> list[ExtractedField]:
@@ -295,7 +288,7 @@ def evaluate_dataset(
             total.missing_ground_truth += 1
             continue
         preds = [ExtractedField(f["label"], f["value"]) for f in row.get("fields", [])]
-        total.merge_counts(score(preds, truth, policy))
+        _score_into(total, preds, truth, policy)
     return total
 
 

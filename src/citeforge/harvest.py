@@ -22,6 +22,7 @@ import urllib.parse
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import __version__
 from .bibtex import parse_bibtex
 
 
@@ -40,12 +41,16 @@ class HarvestConfig:
     id_end: int  # inclusive
     td_millis: int = 1000
     rid_millis: int = 500
-    user_agents: tuple[str, ...] = ("citeforge/0.1",)
+    user_agents: tuple[str, ...] = ("citeforge/" + __version__,)
     max_retries: int = 2
     output_path: str | Path = "harvest.bib"
-    checkpoint_path: str | Path = "harvest.checkpoint.json"
+    checkpoint_path: str | Path | None = None  # None: <output_path>.checkpoint.json
     allow_external: bool = False
     timeout: float = 10.0
+
+    def __post_init__(self):
+        if self.checkpoint_path is None:
+            self.checkpoint_path = Path(str(self.output_path) + ".checkpoint.json")
 
     def validate(self) -> None:
         if self.url_template.count("{id}") != 1:
@@ -91,7 +96,7 @@ class Checkpoint:
                 int(data["log_offset"]),
                 data.get("last_error"),
             )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
         for name in ("output_offset", "log_offset"):
             if getattr(checkpoint, name) < 0:

@@ -34,13 +34,7 @@ from typing import TYPE_CHECKING
 
 from .annotation import parse_annotation
 from .labels import LABEL_SET, field_for_label
-from .tokens import (
-    CASE_CLASSES,
-    LAST_CHAR_CLASSES,
-    PUNCT_CLASSES,
-    Token,
-    tokenize,
-)
+from .tokens import BACKOFF_CLASSES, FeatureVector, Token, tokenize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,12 +87,7 @@ class HmmModel:
             )
 
     def symbol_index(self, token: Token) -> int:
-        """Column of a token's emission symbol; rare and unseen surfaces
-        land on their orthographic backoff class."""
-        idx = self._sym_index.get(token.features.lower)
-        if idx is None:
-            idx = self._sym_index[token.features.backoff_class()]
-        return idx
+        return _symbol_column(self._sym_index, token.features)
 
     def save(self, path: str | Path) -> None:
         data = {
@@ -115,7 +104,10 @@ class HmmModel:
     def load(cls, path: str | Path) -> "HmmModel":
         """Read a model written by `save`; a file that is not a valid model
         raises ValueError naming the first problem found."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not readable as JSON: {exc}") from None
         keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
         if not isinstance(data, dict) or any(k not in data for k in keys):
             raise ValueError(f"{path}: model file needs the keys {', '.join(keys)}")
@@ -150,7 +142,7 @@ class HmmModel:
         unknown = [s for s in states if s not in LABEL_SET]
         if unknown:
             raise ValueError(f"{path}: states are not canonical labels: {unknown}")
-        missing = set(_all_backoff_classes()) - set(vocab)
+        missing = set(BACKOFF_CLASSES) - set(vocab)
         if missing:
             raise ValueError(
                 f"{path}: vocabulary lacks {len(missing)} backoff classes, "
@@ -194,13 +186,13 @@ def align_training(anno_ref: str) -> LabelSequence:
     return LabelSequence(tokens, labels)
 
 
-def _all_backoff_classes() -> list[str]:
-    return [
-        f"C={c}|P={p}|L={l}"
-        for c in CASE_CLASSES
-        for p in PUNCT_CLASSES
-        for l in LAST_CHAR_CLASSES
-    ]
+def _symbol_column(sym_index: dict[str, int], features: FeatureVector) -> int:
+    """Column of a token's emission symbol: its lowercased surface when in
+    the vocabulary, else (rare or unseen) its orthographic backoff class."""
+    idx = sym_index.get(features.lower)
+    if idx is None:
+        idx = sym_index[features.backoff_class()]
+    return idx
 
 
 def _numeric_table(value) -> tuple[tuple[int, ...], list]:
@@ -273,7 +265,7 @@ def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
         tok.features.lower for seq in corpus for tok in seq.tokens
     )
     kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
-    vocab = kept + _all_backoff_classes()
+    vocab = kept + list(BACKOFF_CLASSES)
     sym_index = {sym: i for i, sym in enumerate(vocab)}
     state_index = {s: i for i, s in enumerate(states)}
 
@@ -288,9 +280,7 @@ def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
         for prev, cur in zip(seq.labels, seq.labels[1:]):
             transition[state_index[prev]][state_index[cur]] += 1
         for tok, label in zip(seq.tokens, seq.labels):
-            lower = tok.features.lower
-            sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else tok.features.backoff_class()
-            emission[state_index[label]][sym_index[sym]] += 1
+            emission[state_index[label]][_symbol_column(sym_index, tok.features)] += 1
 
     return HmmModel(
         states=states,

@@ -57,6 +57,13 @@ class FeatureVector:
         return f"C={self.case_class}|P={self.punct_class}|L={self.last_char_class}"
 
 
+# Every backoff symbol, case x punctuation x last character.
+BACKOFF_CLASSES = tuple(
+    FeatureVector("", last, case, punct).backoff_class()
+    for case in CASE_CLASSES for punct in PUNCT_CLASSES for last in LAST_CHAR_CLASSES
+)
+
+
 @dataclass(frozen=True)
 class Token:
     surface: str

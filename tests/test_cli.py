@@ -428,6 +428,85 @@ def test_config_must_be_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["parse", "clean", "render", "annotate", "build"])
+def test_source_tag_flag_is_gone(tmp_path, corpus_file, subcommand):
+    with pytest.raises(SystemExit) as excinfo:
+        run(subcommand, "--in", corpus_file, "--out", tmp_path / "o", "--source-tag", "x")
+    assert excinfo.value.code == 2
+
+
+# --- unreadable inputs are domain errors that name the file --------------
+
+
+def assert_domain_error(code, capsys, *names):
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error:") and "Traceback" not in err
+    for name in names:
+        assert str(name) in err, (name, err)
+
+
+@pytest.fixture()
+def chain_files(tmp_path, corpus_file):
+    """A dataset, its split and a model trained on it."""
+    ds, split, model = tmp_path / "ds.jsonl", tmp_path / "split.json", tmp_path / "model.json"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    assert run("split", "--in", ds, "--out", split) == 0
+    assert run("train", "--in", ds, "--out", model) == 0
+    return ds, split, model
+
+
+@pytest.mark.parametrize("kind", ["model", "split", "config", "dataset"])
+def test_json_nested_past_the_recursion_limit(tmp_path, chain_files, capsys, kind):
+    ds, split, model = chain_files
+    deep = tmp_path / f"deep-{kind}.json"
+    deep.write_text('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}\n")
+    out = tmp_path / "out"
+    argv = {
+        "model": ["tag", "--in", ds, "--model", deep, "--out", out],
+        "split": ["train", "--in", ds, "--split", deep, "--out", out],
+        "config": ["split", "--config", deep],
+        "dataset": ["train", "--in", deep, "--out", out],
+    }[kind]
+    capsys.readouterr()
+    assert_domain_error(run(*argv), capsys, deep)
+
+
+def test_evaluate_names_a_tagged_line_that_is_not_an_object(tmp_path, chain_files, capsys):
+    ds = chain_files[0]
+    tagged = tmp_path / "tagged.jsonl"
+    tagged.write_text('{"id": "a", "style": "s", "fields": []}\n[1]\n')
+    capsys.readouterr()
+    code = run("evaluate", "--in", tagged, "--dataset", ds)
+    assert_domain_error(code, capsys, tagged, "line 2")
+
+
+@pytest.mark.parametrize("subcommand", ["tag", "evaluate"])
+def test_dataset_row_without_bib_fields(tmp_path, chain_files, capsys, subcommand):
+    ds, _, model = chain_files
+    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    del rows[2]["bib_fields"]
+    ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    tagged = tmp_path / "tagged.jsonl"
+    tagged.write_text("")
+    argv = {
+        "tag": ["tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl"],
+        "evaluate": ["evaluate", "--in", tagged, "--dataset", ds],
+    }[subcommand]
+    capsys.readouterr()
+    assert_domain_error(run(*argv), capsys, ds, "line 3", "'bib_fields'")
+
+
+def test_train_split_without_seed(tmp_path, chain_files, capsys):
+    ds, split, _ = chain_files
+    data = json.loads(split.read_text())
+    del data["seed"]
+    split.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run("train", "--in", ds, "--split", split, "--out", tmp_path / "m.json")
+    assert_domain_error(code, capsys, split, "'seed'")
+
+
 # Runs in a fresh interpreter: what each step leaves in sys.modules.
 IMPORT_PROBE = """
 import json, sys

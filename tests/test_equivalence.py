@@ -32,7 +32,6 @@ from citeforge.hmm import (
     MIN_SURFACE_FREQ,
     HmmModel,
     LabelSequence,
-    _all_backoff_classes,
     align_training,
     pairwise_sum,
     train_hmm,
@@ -41,7 +40,7 @@ from citeforge.hmm import (
 from citeforge.labels import CANONICAL_LABELS, LABEL_SET, entry_value
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
-from citeforge.tokens import extract_features, tokenize
+from citeforge.tokens import BACKOFF_CLASSES, extract_features, tokenize
 
 STYLES = load_builtin_styles()
 PROPERTY = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -169,7 +168,7 @@ def reference_train_hmm(corpus, alpha):
     states = sorted({label for seq in corpus for label in seq.labels})
     surface_freq = Counter(tok.features.lower for seq in corpus for tok in seq.tokens)
     kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
-    vocab = kept + _all_backoff_classes()
+    vocab = kept + list(BACKOFF_CLASSES)
     sym_index = {sym: i for i, sym in enumerate(vocab)}
     state_index = {s: i for i, s in enumerate(states)}
     n, v = len(states), len(vocab)
@@ -243,7 +242,7 @@ def reference_load(path):
     unknown = [s for s in states if s not in LABEL_SET]
     if unknown:
         raise ValueError(f"{path}: states are not canonical labels: {unknown}")
-    missing = set(_all_backoff_classes()) - set(vocab)
+    missing = set(BACKOFF_CLASSES) - set(vocab)
     if missing:
         raise ValueError(
             f"{path}: vocabulary lacks {len(missing)} backoff classes, "

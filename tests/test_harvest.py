@@ -76,6 +76,14 @@ def test_rejects_empty_range_and_negative_delays(tmp_path):
         HarvestConfig("http://localhost/{id}", 1, 2, td_millis=-1).validate()
 
 
+def test_defaults_are_the_ones_the_cli_uses(tmp_path):
+    from citeforge import __version__
+
+    cfg = HarvestConfig("http://localhost/{id}", 1, 2, output_path=tmp_path / "h.bib")
+    assert Path(cfg.checkpoint_path) == tmp_path / "h.bib.checkpoint.json"
+    assert cfg.user_agents == ("citeforge/" + __version__,)
+
+
 # --- fixture determinism --------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from citeforge.hmm import (
     EmptyInput,
     HmmModel,
     LabelSequence,
-    _all_backoff_classes,
     align_training,
     fields_from_labels,
     tag_reference,
@@ -23,7 +22,7 @@ from citeforge.hmm import (
 )
 from citeforge.styles import annotate, load_builtin_styles
 from citeforge.synth import random_corpus
-from citeforge.tokens import extract_features, tokenize
+from citeforge.tokens import BACKOFF_CLASSES, extract_features, tokenize
 
 
 def make_sequence(surfaces, labels):
@@ -280,7 +279,7 @@ def test_viterbi_empty_input_raises():
 def loadable_model(rng, n_states, n_words):
     """A random model that `HmmModel.load` accepts: canonical states and
     every backoff class in the vocabulary."""
-    vocab = [f"w{i}" for i in range(n_words)] + _all_backoff_classes()
+    vocab = [f"w{i}" for i in range(n_words)] + list(BACKOFF_CLASSES)
     model = random_model(rng, n_states, len(vocab))
     return dataclasses.replace(model, states=list(CANONICAL_LABELS[:n_states]), vocab=vocab)
 
