@@ -37,8 +37,8 @@ from .dataset import (
     build_dataset,
     dataset_stats,
     export,
+    is_dataset,
     load_jsonl,
-    read_json_lines,
     sha256_file,
     split_dataset,
 )
@@ -53,6 +53,7 @@ from .harvest import (
     write_efficiency_csv,
 )
 from .hmm import EmptyInput, HmmModel, align_training, tag_reference, train_hmm
+from .jsonfile import read_json, read_json_lines
 from .styles import (
     DuplicateStyle,
     MissingVariable,
@@ -149,7 +150,7 @@ class Settings:
         config_path = self._lookup("config")
         self.config = {}
         if config_path:
-            self.config = _read_json_object(config_path)
+            self.config = read_json(config_path, _config_object)
 
     def _typed(self, name: str, value, source: str):
         action = self.actions.get(name)
@@ -163,15 +164,14 @@ class Settings:
                     f"{'/'.join(FALSE_WORDS)}, got {value!r}"
                 )
             return word in TRUE_WORDS
-        convert = action.type or (lambda x: x)
+        convert = action.type or _string
         try:
             if action.nargs == "+" or isinstance(action, argparse._AppendAction):
                 return [convert(v) for v in (value if isinstance(value, list) else [value])]
             return convert(value)
         except (TypeError, ValueError):
-            raise ValueError(
-                f"{source}: invalid {action.type.__name__} value {value!r}"
-            ) from None
+            kind = action.type.__name__ if action.type else "string"
+            raise ValueError(f"{source}: invalid {kind} value {value!r}") from None
 
     def _lookup(self, name: str):
         value = self.cli.get(name)
@@ -205,16 +205,17 @@ class Settings:
         return {name: self.get(name) for name in self.actions if name != "help"}
 
 
-def _read_json_object(path) -> dict:
-    """The JSON object in a file; a file that holds none (not JSON, not an
-    object, or nested past the recursion limit) is a ValueError naming it."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: not readable as JSON: {exc}") from None
+def _config_object(data) -> dict:
     if not isinstance(data, dict):
-        raise ValueError(f"{path} must hold a JSON object")
+        raise ValueError("a config file must hold a JSON object")
     return data
+
+
+def _string(value) -> str:
+    """A flag without a `type` takes a string, as on the command line."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
 
 
 def _resolved(**values) -> dict:
@@ -292,12 +293,12 @@ def cmd_clean(settings: Settings, run: Run) -> int:
 
 def cmd_stats(settings: Settings, run: Run) -> int:
     paths = settings.require("in")
-    datasets = [str(path).endswith(".jsonl") for path in paths]
+    datasets = [is_dataset(path) for path in paths]
     if any(datasets) and not all(datasets):
         odd = paths[datasets.index(not datasets[0])]
-        kind = "a BibTeX file" if datasets[0] else "a .jsonl dataset"
+        kind = "a BibTeX file" if datasets[0] else "a dataset"
         raise ValueError(
-            f"stats reads .jsonl datasets or BibTeX files, not both: {odd} is "
+            f"stats reads datasets or BibTeX files, not both: {odd} is "
             f"{kind}, unlike {paths[0]}"
         )
     if datasets[0]:
@@ -386,11 +387,7 @@ def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
     path = settings.get("split")
     if not path:
         return None
-    data = _read_json_object(run.read(path))
-    try:
-        manifest = SplitManifest.from_json_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    manifest = read_json(run.read(path), SplitManifest.from_json_dict)
     return set(getattr(manifest, side + "_ids"))
 
 
@@ -412,21 +409,6 @@ def cmd_train(settings: Settings, run: Run) -> int:
     return 0
 
 
-def _is_dataset_file(path: Path) -> bool:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                return False
-            except RecursionError:
-                return True  # JSON too deep to read: load_jsonl names the line
-            return isinstance(row, dict) and "citations" in row
-    return False
-
-
 def _tag_row(model: HmmModel, reference: str, **keys) -> str:
     """One tagged.jsonl line: `keys` first, then the decode of `reference`."""
     fields, log_prob = tag_reference(model, reference)
@@ -439,13 +421,28 @@ def _tag_row(model: HmmModel, reference: str, **keys) -> str:
     return json.dumps(row, ensure_ascii=False) + "\n"
 
 
+def _tagged_row(row: dict) -> dict:
+    """A tagged.jsonl row as `evaluate` reads it.  `id` and `style`, when
+    present, are strings; rows without them (plain-text `tag`) count as
+    missing ground truth."""
+    if not all(isinstance(row.get(key, ""), str) for key in ("id", "style")):
+        raise ValueError("id and style must be strings")
+    fields = row.get("fields", [])
+    if not isinstance(fields, list) or not all(
+        isinstance(f, dict) and all(isinstance(f.get(k), str) for k in ("label", "value"))
+        for f in fields
+    ):
+        raise ValueError("fields must be a list of objects whose label and value are strings")
+    return row
+
+
 def cmd_tag(settings: Settings, run: Run) -> int:
     model = HmmModel.load(run.read(settings.require("model")))
     in_path = Path(run.read(settings.require("in")))
     out = run.wrote(settings.require("out"))
     count = 0
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        if _is_dataset_file(in_path):
+        if is_dataset(in_path):
             records = load_jsonl(in_path)
             keep = _split_ids(settings, run, "eval")
             for record in records:
@@ -484,7 +481,7 @@ def cmd_evaluate(settings: Settings, run: Run) -> int:
         )
     )
     report = evaluate_dataset(
-        read_json_lines(tagged_path), records, policy, eval_ids=eval_ids
+        read_json_lines(tagged_path, _tagged_row), records, policy, eval_ids=eval_ids
     )
     out = settings.get("out")
     if out:
@@ -535,18 +532,30 @@ def cmd_harvest(settings: Settings, run: Run) -> int:
     return 0
 
 
+def _rules(settings: Settings, flag: str, shape: str, sizes) -> list[list[int]]:
+    """The colon-separated integers of each --`flag` rule, `sizes` of them;
+    a rule of another shape is a ValueError naming the flag and the rule."""
+    rules = []
+    for rule in settings.get(flag) or []:
+        parts = rule.split(":")
+        try:
+            if len(parts) not in sizes:
+                raise ValueError
+            rules.append([int(part) for part in parts])
+        except ValueError:
+            raise ValueError(f"--{flag} {rule!r}: expected {shape}") from None
+    return rules
+
+
 def cmd_serve_fixture(settings: Settings, run: Run) -> int:
     from .fixture import FixtureScript, FixtureServer
 
     script = FixtureScript()
-    for rule in settings.get("fail") or []:
-        parts = rule.split(":")
-        fid, status = int(parts[0]), int(parts[1])
+    for fid, status, *times in _rules(settings, "fail", "id:status[:times]", (2, 3)):
         script.fail_status[fid] = status
-        if len(parts) > 2:
-            script.fail_times[fid] = int(parts[2])
-    for rule in settings.get("multi") or []:
-        fid, count = (int(x) for x in rule.split(":"))
+        if times:
+            script.fail_times[fid] = times[0]
+    for fid, count in _rules(settings, "multi", "id:count", (2,)):
         script.entries[fid] = count
     server = FixtureServer(script, port=settings.get("port", 8344))
     server.start()

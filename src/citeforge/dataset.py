@@ -17,7 +17,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .bibtex import BibEntry, histogram_table
+from .jsonfile import read_json_lines
 from .styles import MissingVariable, StyleTemplate, annotate
+
+
+CITATION_KEYS = ("style", "bibRef", "annoRef")
 
 
 class NoStyles(ValueError):
@@ -32,7 +36,7 @@ class TooSmall(ValueError):
 class DatasetRecord:
     id: str
     bib_fields: dict[str, str]
-    citations: list[dict[str, str]]  # keys: style, bibRef, annoRef
+    citations: list[dict[str, str]]  # keys: CITATION_KEYS
     # provenance for statistics; not part of the exported schema
     entry_type: str | None = field(default=None, compare=False)
     source_tag: str | None = field(default=None, compare=False)
@@ -46,14 +50,22 @@ class DatasetRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DatasetRecord":
-        try:
-            return cls(
-                id=data["id"],
-                bib_fields=dict(data["bib_fields"]),
-                citations=[dict(c) for c in data["citations"]],
-            )
-        except KeyError as exc:
-            raise ValueError(f"dataset record lacks the key {exc}") from None
+        record = cls(data["id"], data["bib_fields"], data["citations"])
+        fields, citations = record.bib_fields, record.citations
+        if not isinstance(record.id, str):
+            raise ValueError("id must be a string")
+        if not (isinstance(fields, dict) and all(isinstance(v, str) for v in fields.values())):
+            raise ValueError("bib_fields must be an object of strings")
+        if not isinstance(citations, list):
+            raise ValueError("citations must be a list")
+        for i, cit in enumerate(citations):
+            if not isinstance(cit, dict) or not all(
+                isinstance(cit.get(key), str) for key in CITATION_KEYS
+            ):
+                raise ValueError(
+                    f"citation {i} must be an object whose style, bibRef and annoRef are strings"
+                )
+        return record
 
 
 @dataclass
@@ -81,10 +93,13 @@ class SplitManifest:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SplitManifest":
-        try:
-            return cls(data["seed"], tuple(data["train_ids"]), tuple(data["eval_ids"]))
-        except KeyError as exc:
-            raise ValueError(f"split manifest lacks the key {exc}") from None
+        seed, train_ids, eval_ids = data["seed"], data["train_ids"], data["eval_ids"]
+        if type(seed) is not int:
+            raise ValueError("seed must be an integer")
+        for ids in (train_ids, eval_ids):
+            if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+                raise ValueError("train_ids and eval_ids must be lists of strings")
+        return cls(seed, tuple(train_ids), tuple(eval_ids))
 
 
 def build_dataset(
@@ -183,26 +198,18 @@ def export(
     return sha256_file(path)
 
 
-def read_json_lines(path: str | Path, convert=lambda row: row) -> Iterator:
-    """`convert` of each JSON object in a JSON Lines file, blank lines
-    skipped.  A line that is not an object `convert` takes is a ValueError
-    naming the file and the line."""
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError("expected a JSON object")
-                item = convert(row)
-            except (ValueError, TypeError, RecursionError) as exc:
-                raise ValueError(f"{path} line {number}: {exc}") from None
-            yield item
-
-
 def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
     return read_json_lines(path, DatasetRecord.from_json_dict)
+
+
+def is_dataset(path: str | Path) -> bool:
+    """Whether a file is a dataset rather than text: its first non-blank
+    character is `{`.  `load_jsonl` then reads it strictly."""
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                return line.lstrip().startswith(b"{")
+    return False
 
 
 def dataset_stats(records: Iterable[DatasetRecord]) -> str:

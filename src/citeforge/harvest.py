@@ -19,11 +19,12 @@ import os
 import random
 import time
 import urllib.parse
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
 from .bibtex import parse_bibtex
+from .jsonfile import read_json, read_json_lines
 
 
 class ConfigError(ValueError):
@@ -87,20 +88,20 @@ class Checkpoint:
 
     @classmethod
     def read(cls, path: str | Path) -> "Checkpoint":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            checkpoint = cls(
-                int(data["last_id"]),
-                int(data["entries_count"]),
-                int(data["output_offset"]),
-                int(data["log_offset"]),
-                data.get("last_error"),
-            )
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
+        if not Path(path).is_file():
+            raise CorruptCheckpoint(f"no checkpoint at {path}")
+        return read_json(path, cls.from_json_dict, CorruptCheckpoint)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "Checkpoint":
+        checkpoint = cls(**data)
+        if not all(type(n) is int for n in astuple(checkpoint)[:4]):
+            raise ValueError("last_id, entries_count and the offsets must be integers")
         for name in ("output_offset", "log_offset"):
             if getattr(checkpoint, name) < 0:
-                raise CorruptCheckpoint(f"checkpoint {path}: negative {name}")
+                raise ValueError(f"negative {name}")
+        if not isinstance(checkpoint.last_error, (str, type(None))):
+            raise ValueError("last_error must be a string or null")
         return checkpoint
 
 
@@ -249,24 +250,28 @@ def efficiency_series(log_path: str | Path) -> list[tuple[float, int, float, flo
     Rows are (timestamp, cumulative entries, entries-per-request for the
     step, efficiency normalized by the best step).  Empty log, empty list.
     """
-    rows: list[tuple[float, int, float]] = []
-    cumulative = 0
     path = Path(log_path)
     if not path.exists():
         return []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            event = json.loads(line)
-            cumulative += event["entries"]
-            rows.append((event["ts"], cumulative, float(event["entries"])))
+    rows: list[tuple[float, int, float]] = []
+    cumulative = 0
+    for ts, entries in read_json_lines(path, _log_event):
+        cumulative += entries
+        rows.append((ts, cumulative, float(entries)))
     if not rows:
         return []
     best = max(r[2] for r in rows)
     return [
         (ts, total, eff, eff / best if best else 0.0) for ts, total, eff in rows
     ]
+
+
+def _log_event(event: dict) -> tuple[float, int]:
+    """Timestamp and entry count of one `.log` row."""
+    ts, entries = event["ts"], event["entries"]
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or type(entries) is not int:
+        raise ValueError("ts must be a number and entries an integer")
+    return ts, entries
 
 
 def write_efficiency_csv(series, path: str | Path) -> None:

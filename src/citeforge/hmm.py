@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .annotation import parse_annotation
+from .jsonfile import read_json
 from .labels import LABEL_SET, field_for_label
 from .tokens import BACKOFF_CLASSES, FeatureVector, Token, tokenize
 
@@ -103,49 +104,49 @@ class HmmModel:
     @classmethod
     def load(cls, path: str | Path) -> "HmmModel":
         """Read a model written by `save`; a file that is not a valid model
-        raises ValueError naming the first problem found."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not readable as JSON: {exc}") from None
+        raises ValueError naming the file and the first problem found."""
+        return read_json(path, cls.from_json_dict)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "HmmModel":
         keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
         if not isinstance(data, dict) or any(k not in data for k in keys):
-            raise ValueError(f"{path}: model file needs the keys {', '.join(keys)}")
+            raise ValueError(f"model file needs the keys {', '.join(keys)}")
         states, vocab = data["states"], data["vocab"]
         if not all(
             isinstance(x, list) and all(isinstance(w, str) for w in x)
             for x in (states, vocab)
         ):
-            raise ValueError(f"{path}: states and vocab must be lists of strings")
+            raise ValueError("states and vocab must be lists of strings")
         try:
             tables = {
                 k: _numeric_table(data[k]) for k in ("initial", "transition", "emission")
             }
         except (ValueError, RecursionError) as exc:  # ragged, non-numeric, too deep
             raise ValueError(
-                f"{path}: probability tables are not rectangular numeric arrays"
+                "probability tables are not rectangular numeric arrays"
             ) from exc
         n, v = len(states), len(vocab)
         expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
         for name, (shape, table) in tables.items():
             if shape != expected[name]:
                 raise ValueError(
-                    f"{path}: {name} has shape {shape}, expected "
+                    f"{name} has shape {shape}, expected "
                     f"{expected[name]} for {n} states and {v} symbols"
                 )
             rows = [table] if len(shape) == 1 else table
             if not all(math.isfinite(p) and p >= 0 for row in rows for p in row):
-                raise ValueError(f"{path}: {name} has negative or non-finite values")
+                raise ValueError(f"{name} has negative or non-finite values")
             # np.allclose(row_sums, 1.0): |sum - 1| <= atol + rtol * 1
             if not all(abs(pairwise_sum(row) - 1.0) <= 1e-8 + 1e-5 for row in rows):
-                raise ValueError(f"{path}: {name} rows do not sum to 1")
+                raise ValueError(f"{name} rows do not sum to 1")
         unknown = [s for s in states if s not in LABEL_SET]
         if unknown:
-            raise ValueError(f"{path}: states are not canonical labels: {unknown}")
+            raise ValueError(f"states are not canonical labels: {unknown}")
         missing = set(BACKOFF_CLASSES) - set(vocab)
         if missing:
             raise ValueError(
-                f"{path}: vocabulary lacks {len(missing)} backoff classes, "
+                f"vocabulary lacks {len(missing)} backoff classes, "
                 f"e.g. {min(missing)!r}"
             )
         return cls(

@@ -8,13 +8,13 @@ equals the plain render.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import annotation
 from .bibtex import BibEntry
+from .jsonfile import read_json
 from .labels import LABEL_SET, entry_value
 
 NAME_FORMATS = ("surname_initials", "surname_first_full", "initials_dotted")
@@ -195,39 +195,38 @@ def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
     return RenderedReference(style.style_id, _plain(filled, style), "".join(tagged))
 
 
-def style_from_dict(data: dict, origin: str = "<dict>") -> StyleTemplate:
-    required = {"style_id", "name_format", "name_delimiter", "final_punct", "segments"}
-    for key in required:
+_STYLE_KEYS = {
+    "style_id": str, "name_format": str, "name_delimiter": str, "final_punct": str,
+    "segments": list,
+}
+_SEGMENT_KEYS = {"variable": str, "prefix": str, "suffix": str, "omit_if_missing": bool}
+_JSON_TYPES = {str: "string", list: "list", bool: "boolean"}
+
+
+def _check_keys(data: dict, types: dict, where: str) -> None:
+    for key, value in data.items():
+        if key not in types:
+            raise SchemaError(f"{where}unexpected key {key!r}")
+        if not isinstance(value, types[key]):
+            raise SchemaError(f"{where}{key!r} must be a {_JSON_TYPES[types[key]]}")
+
+
+def style_from_dict(data: dict) -> StyleTemplate:
+    """The style a style file's JSON object describes; SchemaError names the
+    first key that is missing, unexpected or of the wrong JSON type."""
+    if not isinstance(data, dict):
+        raise SchemaError("a style file must hold a JSON object")
+    for key in _STYLE_KEYS:
         if key not in data:
-            raise SchemaError(f"{origin}: missing key {key!r}")
-    for key in data:
-        if key not in required:
-            raise SchemaError(f"{origin}: unexpected key {key!r}")
+            raise SchemaError(f"missing key {key!r}")
+    _check_keys(data, _STYLE_KEYS, "")
     segments = []
     for i, seg in enumerate(data["segments"]):
         if not isinstance(seg, dict) or "variable" not in seg:
-            raise SchemaError(f"{origin}: segment {i} missing key 'variable'")
-        for key in seg:
-            if key not in {"variable", "prefix", "suffix", "omit_if_missing"}:
-                raise SchemaError(f"{origin}: segment {i} unexpected key {key!r}")
-        segments.append(
-            Segment(
-                variable=seg["variable"],
-                prefix=seg.get("prefix", ""),
-                suffix=seg.get("suffix", ""),
-                omit_if_missing=seg.get("omit_if_missing", True),
-            )
-        )
-    try:
-        return StyleTemplate(
-            style_id=data["style_id"],
-            segments=tuple(segments),
-            name_format=data["name_format"],
-            name_delimiter=data["name_delimiter"],
-            final_punct=data["final_punct"],
-        )
-    except SchemaError as exc:
-        raise SchemaError(f"{origin}: {exc}") from exc
+            raise SchemaError(f"segment {i} missing key 'variable'")
+        _check_keys(seg, _SEGMENT_KEYS, f"segment {i} ")
+        segments.append(Segment(**seg))
+    return StyleTemplate(**dict(data, segments=segments))
 
 
 def load_styles(path: str | Path) -> list[StyleTemplate]:
@@ -243,11 +242,7 @@ def load_styles(path: str | Path) -> list[StyleTemplate]:
     styles: list[StyleTemplate] = []
     seen: dict[str, Path] = {}
     for file in files:
-        try:
-            data = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{file.name}: invalid JSON ({exc})") from exc
-        style = style_from_dict(data, origin=file.name)
+        style = read_json(file, style_from_dict, SchemaError)
         if style.style_id in seen:
             raise DuplicateStyle(
                 f"style_id {style.style_id!r} in both {seen[style.style_id].name} "

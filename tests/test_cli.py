@@ -507,6 +507,129 @@ def test_train_split_without_seed(tmp_path, chain_files, capsys):
     assert_domain_error(code, capsys, split, "'seed'")
 
 
+def _edit_rows(path, edit):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize(
+    "subcommand,key,value",
+    [("tag", "bibRef", None), ("tag", "bibRef", 5), ("train", "annoRef", 5)],
+    ids=["tag-without-bibRef", "tag-integer-bibRef", "train-integer-annoRef"],
+)
+def test_dataset_citation_of_the_wrong_shape(
+    tmp_path, chain_files, capsys, subcommand, key, value
+):
+    ds, _, model = chain_files
+
+    def edit(rows):
+        cit = rows[1]["citations"][3]
+        if value is None:
+            del cit[key]
+        else:
+            cit[key] = value
+
+    _edit_rows(ds, edit)
+    out = tmp_path / "out"
+    argv = {
+        "tag": ["tag", "--in", ds, "--model", model, "--out", out],
+        "train": ["train", "--in", ds, "--out", out],
+    }[subcommand]
+    capsys.readouterr()
+    assert_domain_error(run(*argv), capsys, ds, "line 2", "citation 3", key)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda row: row["fields"][0].pop("label"),
+        lambda row: row.update(fields=5),
+        lambda row: row["fields"][0].update(value=5),
+        lambda row: row.update(id=[1]),
+    ],
+    ids=["field-without-label", "fields-not-a-list", "integer-value", "list-id"],
+)
+def test_evaluate_names_a_tagged_row_of_the_wrong_shape(tmp_path, chain_files, capsys, edit):
+    ds, _, model = chain_files
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", ds, "--model", model, "--out", tagged) == 0
+    _edit_rows(tagged, lambda rows: edit(rows[2]))
+    capsys.readouterr()
+    code = run("evaluate", "--in", tagged, "--dataset", ds)
+    assert_domain_error(code, capsys, tagged, "line 3")
+
+
+def test_evaluate_keeps_rows_without_id_and_style(tmp_path, chain_files, capsys):
+    ds = chain_files[0]
+    tagged = tmp_path / "tagged.jsonl"
+    tagged.write_text('{"reference": "x", "fields": [], "log_prob": -1.0}\n')
+    capsys.readouterr()
+    assert run("evaluate", "--in", tagged, "--dataset", ds) == 0
+
+
+def test_tag_refuses_a_dataset_with_a_cut_first_line(tmp_path, chain_files, capsys):
+    ds, _, model = chain_files
+    lines = ds.read_text().splitlines(keepends=True)
+    ds.write_text(lines[0][: len(lines[0]) // 2] + "\n" + "".join(lines[1:]))
+    out = tmp_path / "t.jsonl"
+    capsys.readouterr()
+    code = run("tag", "--in", ds, "--model", model, "--out", out)
+    assert_domain_error(code, capsys, ds, "line 1")
+
+
+def test_tag_reads_text_starting_with_a_brace_as_a_dataset(tmp_path, chain_files, capsys):
+    model = chain_files[2]
+    refs = tmp_path / "refs.txt"
+    refs.write_text("{Argon} C. 2002. A parallel decoder. IEEE.\n")
+    out = tmp_path / "t.jsonl"
+    capsys.readouterr()
+    code = run("tag", "--in", refs, "--model", model, "--out", out)
+    assert_domain_error(code, capsys, refs, "line 1")
+
+
+def test_stats_knows_a_dataset_by_its_content(tmp_path, chain_files, capsys):
+    ds = chain_files[0]
+    renamed = tmp_path / "ds.json"
+    renamed.write_text(ds.read_text())
+    for path in (ds, renamed):
+        capsys.readouterr()
+        assert run("stats", "--in", path) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["title", "20"] in rows
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda b: json.dumps({**json.loads(b), "segments": 5}).encode(),
+        lambda b: b.replace(b'"author"', b'["author"]', 1),
+        lambda b: b.replace(b"false", b'"no"', 1),
+        lambda b: b.replace(b'""', b"[" * 5000 + b"]" * 5000, 1),
+        lambda b: b.replace("í".encode(), "í".encode("latin-1")),
+    ],
+    ids=["segments-not-a-list", "list-variable", "string-omit-if-missing",
+         "nested-5000-deep", "not-utf-8"],
+)
+def test_build_names_a_bad_style_file(tmp_path, corpus_file, capsys, edit):
+    from citeforge.styles import builtin_styles_dir
+
+    good = (builtin_styles_dir() / "abnt_like.json").read_bytes()
+    style = tmp_path / "one.json"
+    style.write_bytes(edit(good))
+    assert style.read_bytes() != good
+    code = run("build", "--in", corpus_file, "--styles", style, "--out", tmp_path / "o")
+    assert_domain_error(code, capsys, style)
+
+
+@pytest.mark.parametrize(
+    "flag,rule", [("fail", "3"), ("fail", "3:x"), ("multi", "3"), ("multi", "3:2:1")]
+)
+def test_serve_fixture_names_a_bad_rule(capsys, flag, rule):
+    code = run("serve-fixture", "--port", 0, f"--{flag}", rule)
+    assert_domain_error(code, capsys, f"--{flag}", repr(rule))
+
+
 # Runs in a fresh interpreter: what each step leaves in sys.modules.
 IMPORT_PROBE = """
 import json, sys

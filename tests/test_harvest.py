@@ -437,3 +437,13 @@ def test_efficiency_series_hand_computed(tmp_path):
         (3.0, 5, 0.0, 0.0),
         (4.0, 7, 2.0, 0.5),
     ]
+
+
+@pytest.mark.parametrize(
+    "row", ['{"ts": 2.0, "entries": "1"}', '{"ts": 2.0}', "[2.0, 1]", '{"ts": "2", "entries": 1}']
+)
+def test_efficiency_series_names_a_bad_log_row(tmp_path, row):
+    log = tmp_path / "bad.log"
+    log.write_text('{"ts": 1.0, "id": 1, "status": "ok", "entries": 1}\n' + row + "\n")
+    with pytest.raises(ValueError, match="bad.log line 2"):
+        efficiency_series(log)

@@ -1,0 +1,56 @@
+import re
+from pathlib import Path
+
+import pytest
+
+import citeforge
+from citeforge.jsonfile import read_json, read_json_lines
+
+
+class Custom(ValueError):
+    pass
+
+
+def test_json_is_decoded_only_in_jsonfile():
+    """The door stays the only one: no other module decodes JSON."""
+    decoders = re.compile(r"\bjson\.loads?\b|\bfrom json import\b|\bJSONDecoder\b")
+    src = Path(citeforge.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if decoders.search(p.read_text()))
+    assert users == ["jsonfile.py"]
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (b'{"a": 1', "not readable as JSON"),
+        (b'{"a": "\xff"}', "can't decode byte 0xff"),
+        (b"[" * 5000 + b"]" * 5000, "recursion"),
+        (b'{"b": 1}', "missing key 'a'"),
+        (b'{"a": [1]}', "unhashable"),
+    ],
+    ids=["cut", "not-utf-8", "too-deep", "missing-key", "wrong-type"],
+)
+def test_read_json_names_the_file(tmp_path, raw, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(Custom) as excinfo:
+        read_json(path, lambda data: {data["a"]}, Custom)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert message in str(excinfo.value)
+
+
+def test_read_json_lines_names_the_line_and_skips_blanks(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n  \n{"a": 2}\n{"b": 3}\n')
+    rows = read_json_lines(path, lambda row: row["a"])
+    assert [next(rows), next(rows)] == [1, 2]
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 5: missing key 'a'"):
+        next(rows)
+
+
+@pytest.mark.parametrize("line", [b"[1]", b'"a"', b'{"a": \xff}'])
+def test_read_json_lines_wants_utf8_objects(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+    with pytest.raises(ValueError, match="line 2"):
+        list(read_json_lines(path, lambda row: row))
