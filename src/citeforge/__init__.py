@@ -51,7 +51,6 @@ from .harvest import (
 from .hmm import (
     HmmModel,
     LabelSequence,
-    TaggedField,
     align_training,
     tag_reference,
     train_hmm,

@@ -53,7 +53,7 @@ from .harvest import (
     write_efficiency_csv,
 )
 from .hmm import EmptyInput, HmmModel, align_training, tag_reference, train_hmm
-from .jsonfile import read_json, read_json_lines
+from .jsonfile import read_json, read_json_lines, write_json, write_json_lines
 from .styles import (
     DuplicateStyle,
     MissingVariable,
@@ -77,6 +77,9 @@ DOMAIN_ERRORS = (
 ENV_PREFIX = "CITEFORGE_"
 TRUE_WORDS = ("1", "true", "yes", "on")
 FALSE_WORDS = ("0", "false", "no", "off")
+# The JSON types a config value may have, besides a string read as on the
+# command line, for a flag of each `type`; a flag without one takes only strings.
+JSON_TYPES = {int: (int,), float: (int, float)}
 
 
 class Run:
@@ -130,8 +133,7 @@ class Run:
             "finished": time.time(),
             "tool_version": __version__,
         }
-        target = Path(str(self.outputs[0]) + ".manifest.json")
-        target.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        write_json(str(self.outputs[0]) + ".manifest.json", manifest)
 
 
 class Settings:
@@ -140,7 +142,9 @@ class Settings:
     Values from the environment and the config file are typed the way
     argparse types the flag: store-const flags take a yes/no word, list
     flags (append or nargs="+") wrap a single value in a list, and typed
-    flags go through their `type`.  A value that does not fit is a
+    flags go through their `type`.  A config value that is not a string
+    must have the flag's JSON type: an integer for an `int` flag, a number
+    for a `float` flag, never a boolean.  A value that does not fit is a
     ValueError naming where it came from.
     """
 
@@ -164,7 +168,13 @@ class Settings:
                     f"{'/'.join(FALSE_WORDS)}, got {value!r}"
                 )
             return word in TRUE_WORDS
-        convert = action.type or _string
+        kinds = (str, *JSON_TYPES.get(action.type, ()))
+
+        def convert(item):
+            if isinstance(item, bool) or not isinstance(item, kinds):
+                raise TypeError(item)
+            return (action.type or str)(item)
+
         try:
             if action.nargs == "+" or isinstance(action, argparse._AppendAction):
                 return [convert(v) for v in (value if isinstance(value, list) else [value])]
@@ -211,13 +221,6 @@ def _config_object(data) -> dict:
     return data
 
 
-def _string(value) -> str:
-    """A flag without a `type` takes a string, as on the command line."""
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
 def _resolved(**values) -> dict:
     """The keyword arguments that resolved to a value: the library's own
     defaults stand for the rest."""
@@ -250,17 +253,12 @@ def cmd_parse(settings: Settings, run: Run) -> int:
         issues.extend(validate_entry(entry))
     out = run.wrote(settings.require("out"))
     Path(out).write_text(serialize(entries), encoding="utf-8")
-    issues_path = run.wrote(settings.get("issues") or str(out) + ".issues.json")
-    Path(issues_path).write_text(
-        json.dumps(
-            [
-                {"citation_key": i.citation_key, "kind": i.kind.value, "detail": i.detail}
-                for i in issues
-            ],
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    write_json(
+        run.wrote(settings.get("issues") or str(out) + ".issues.json"),
+        [
+            {"citation_key": i.citation_key, "kind": i.kind.value, "detail": i.detail}
+            for i in issues
+        ],
     )
     print(f"parsed {len(entries)} entries, {len(issues)} issues")
     return 0
@@ -336,12 +334,8 @@ def cmd_annotate(settings: Settings, run: Run) -> int:
     entries, _ = _load_entries(run, settings.require("in"))
     stats = BuildStats()
     records = build_dataset(entries, _styles(settings, run), stats=stats)
-    out = run.wrote(settings.require("out"))
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            for cit in record.citations:
-                row = {"id": record.id, **cit}
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    rows = ({"id": record.id, **cit} for record in records for cit in record.citations)
+    write_json_lines(run.wrote(settings.require("out")), rows)
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
     print(f"annotated {stats.citations} references")
@@ -373,10 +367,7 @@ def cmd_build(settings: Settings, run: Run) -> int:
 def cmd_split(settings: Settings, run: Run) -> int:
     records = load_jsonl(run.read(settings.require("in")))
     manifest = split_dataset(list(records), settings.get("seed", 42))
-    out = run.wrote(settings.require("out"))
-    Path(out).write_text(
-        json.dumps(manifest.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(run.wrote(settings.require("out")), manifest.to_json_dict())
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
     return 0
 
@@ -409,18 +400,6 @@ def cmd_train(settings: Settings, run: Run) -> int:
     return 0
 
 
-def _tag_row(model: HmmModel, reference: str, **keys) -> str:
-    """One tagged.jsonl line: `keys` first, then the decode of `reference`."""
-    fields, log_prob = tag_reference(model, reference)
-    row = {
-        **keys,
-        "reference": reference,
-        "fields": [{"label": f.label, "value": f.value} for f in fields],
-        "log_prob": log_prob,
-    }
-    return json.dumps(row, ensure_ascii=False) + "\n"
-
-
 def _tagged_row(row: dict) -> dict:
     """A tagged.jsonl row as `evaluate` reads it.  `id` and `style`, when
     present, are strings; rows without them (plain-text `tag`) count as
@@ -436,36 +415,38 @@ def _tagged_row(row: dict) -> dict:
     return row
 
 
+def _references(settings: Settings, run: Run, in_path: Path):
+    """(keys, reference) of each reference `tag` decodes: the citations of a
+    dataset, on the --split eval side when a split is given, or each
+    non-blank line of a text file."""
+    if is_dataset(in_path):
+        keep = _split_ids(settings, run, "eval")
+        for record in load_jsonl(in_path):
+            if keep is None or record.id in keep:
+                for cit in record.citations:
+                    yield {"id": record.id, "style": cit["style"]}, cit["bibRef"]
+    else:
+        text = in_path.read_text(encoding="utf-8")
+        yield from (({}, line.strip()) for line in text.splitlines() if line.strip())
+
+
 def cmd_tag(settings: Settings, run: Run) -> int:
     model = HmmModel.load(run.read(settings.require("model")))
     in_path = Path(run.read(settings.require("in")))
-    out = run.wrote(settings.require("out"))
-    count = 0
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        if is_dataset(in_path):
-            records = load_jsonl(in_path)
-            keep = _split_ids(settings, run, "eval")
-            for record in records:
-                if keep is not None and record.id not in keep:
-                    continue
-                for cit in record.citations:
-                    try:
-                        row = _tag_row(
-                            model, cit["bibRef"], id=record.id, style=cit["style"]
-                        )
-                    except EmptyInput:
-                        raise EmptyInput(
-                            f"{in_path}: row id {record.id!r}, style "
-                            f"{cit['style']!r} has a bibRef with no tokens to decode"
-                        ) from None
-                    fh.write(row)
-                    count += 1
-        else:
-            for line in in_path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                fh.write(_tag_row(model, line.strip()))
-                count += 1
+
+    def rows():
+        for keys, reference in _references(settings, run, in_path):
+            try:
+                extracted, log_prob = tag_reference(model, reference)
+            except EmptyInput:  # only a dataset row: a text line has a token
+                raise EmptyInput(
+                    f"{in_path}: row id {keys['id']!r}, style "
+                    f"{keys['style']!r} has a bibRef with no tokens to decode"
+                ) from None
+            fields = [{"label": f.label, "value": f.value} for f in extracted]
+            yield dict(keys, reference=reference, fields=fields, log_prob=log_prob)
+
+    count = write_json_lines(run.wrote(settings.require("out")), rows())
     print(f"tagged {count} references")
     return 0
 

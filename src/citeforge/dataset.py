@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .bibtex import BibEntry, histogram_table
-from .jsonfile import read_json_lines
+from .jsonfile import read_json_lines, write_json_lines
 from .styles import MissingVariable, StyleTemplate, annotate
 
 
@@ -179,10 +178,7 @@ def export(
     """
     path = Path(path)
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_json_dict(), ensure_ascii=False))
-                fh.write("\n")
+        write_json_lines(path, (record.to_json_dict() for record in records))
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -204,12 +200,16 @@ def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
 
 def is_dataset(path: str | Path) -> bool:
     """Whether a file is a dataset rather than text: its first non-blank
-    character is `{`.  `load_jsonl` then reads it strictly."""
+    character is `{`, or `[` followed by `{` (a row wrapped in a list).
+    `load_jsonl` then reads it strictly.  A numbered reference list
+    (`[1] ...`) stays text."""
+    head = b""
     with open(path, "rb") as fh:
         for line in fh:
-            if line.strip():
-                return line.lstrip().startswith(b"{")
-    return False
+            head += b"".join(line.split())
+            if head not in (b"", b"["):
+                break
+    return head.startswith((b"{", b"[{"))
 
 
 def dataset_stats(records: Iterable[DatasetRecord]) -> str:

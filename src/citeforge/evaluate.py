@@ -9,7 +9,6 @@ out per label and micro-averaged.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from collections import Counter
@@ -18,6 +17,7 @@ from enum import Enum
 from typing import Iterable
 
 from .annotation import MalformedAnnotation, parse_annotation
+from .jsonfile import write_json
 from .labels import to_canonical
 
 
@@ -324,6 +324,4 @@ def format_report(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_json_dict())

@@ -27,6 +27,9 @@ from .bibtex import parse_bibtex
 from .jsonfile import read_json, read_json_lines
 
 
+FETCH_TIMEOUT_S = 10.0
+
+
 class ConfigError(ValueError):
     pass
 
@@ -47,7 +50,6 @@ class HarvestConfig:
     output_path: str | Path = "harvest.bib"
     checkpoint_path: str | Path | None = None  # None: <output_path>.checkpoint.json
     allow_external: bool = False
-    timeout: float = 10.0
 
     def __post_init__(self):
         if self.checkpoint_path is None:
@@ -119,13 +121,13 @@ class HarvestStats:
         return self.entries / self.requests if self.requests else 0.0
 
 
-def _fetch(url: str, user_agent: str, timeout: float) -> tuple[int, str]:
+def _fetch(url: str, user_agent: str) -> tuple[int, str]:
     import urllib.error
     import urllib.request
 
     request = urllib.request.Request(url, headers={"User-Agent": user_agent})
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
+        with urllib.request.urlopen(request, timeout=FETCH_TIMEOUT_S) as resp:
             return resp.status, resp.read().decode("utf-8", errors="replace")
     except urllib.error.HTTPError as exc:
         return exc.code, ""
@@ -163,7 +165,7 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
                 agent = rng.choice(config.user_agents)
                 url = config.url_template.format(id=current_id)
                 stats.requests += 1
-                status, payload = _fetch(url, agent, config.timeout)
+                status, payload = _fetch(url, agent)
                 if status == 200:
                     body = payload
                     break

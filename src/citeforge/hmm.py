@@ -27,12 +27,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import islice
-from operator import add
+from itertools import groupby, islice
+from operator import add, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .annotation import parse_annotation
+from .evaluate import ExtractedField
 from .jsonfile import read_json
 from .labels import LABEL_SET, field_for_label
 from .tokens import BACKOFF_CLASSES, FeatureVector, Token, tokenize
@@ -324,33 +325,20 @@ def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]
     return LabelSequence(list(tokens), labels), log_prob
 
 
-@dataclass(frozen=True)
-class TaggedField:
-    label: str  # BibTeX field name (canonical labels resolved through the map)
-    value: str
-
-
-def fields_from_labels(tokens: list[Token], labels: list[str]) -> list[TaggedField]:
+def fields_from_labels(tokens: list[Token], labels: list[str]) -> list[ExtractedField]:
     """Concatenate maximal runs of one label into (field, value) pairs.
 
     `other` runs are dropped; surfaces join with single spaces; labels map
     to their BibTeX field names.
     """
-    fields: list[TaggedField] = []
-    run_label: str | None = None
-    run_surfaces: list[str] = []
-    for tok, label in zip(tokens, labels):
-        if label != run_label:
-            if run_label is not None and run_label != "other":
-                fields.append(TaggedField(field_for_label(run_label), " ".join(run_surfaces)))
-            run_label, run_surfaces = label, []
-        run_surfaces.append(tok.surface)
-    if run_label is not None and run_label != "other":
-        fields.append(TaggedField(field_for_label(run_label), " ".join(run_surfaces)))
-    return fields
+    return [
+        ExtractedField(field_for_label(label), " ".join(tok.surface for tok, _ in run))
+        for label, run in groupby(zip(tokens, labels), key=itemgetter(1))
+        if label != "other"
+    ]
 
 
-def tag_reference(model: HmmModel, reference: str) -> tuple[list[TaggedField], float]:
+def tag_reference(model: HmmModel, reference: str) -> tuple[list[ExtractedField], float]:
     """Decode one reference string into extracted fields plus the decode
     log-probability."""
     tokens = tokenize(reference)

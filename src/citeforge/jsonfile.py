@@ -1,15 +1,19 @@
-"""The one door through which the pipeline reads JSON files.
+"""The one door through which the pipeline reads and writes JSON files.
 
-A converter checks the shape of each file kind.  Text that is not UTF-8
-or not JSON, nesting past the recursion limit, a missing key or a wrong
-type all become one error naming the file, and for JSON Lines the line.
+A converter checks the shape of each file kind read.  Text that is not
+UTF-8 or not JSON, nesting past the recursion limit, a missing key or a
+wrong type all become one error naming the file, and for JSON Lines the
+line.  Three writers live elsewhere: `HmmModel.save` (compact, with no
+final newline, as the bytes of `model.json` are pinned), `Checkpoint.write`
+(an atomic replace) and the harvest `.log` (a binary append at the byte
+offsets the checkpoint records).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 BAD_DOCUMENT = (ValueError, KeyError, TypeError, RecursionError)
 
@@ -44,3 +48,18 @@ def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
             except BAD_DOCUMENT as exc:
                 raise ValueError(f"{path} line {number}: {_reason(exc)}") from exc
             yield item
+
+
+def write_json(path: str | Path, document) -> None:
+    """A document: indented by two spaces, ASCII only, with a final newline."""
+    text = json.dumps(document, indent=2) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_json_lines(path: str | Path, rows: Iterable) -> int:
+    """One compact row per line, non-ASCII kept, LF endings; returns the row count."""
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for count, row in enumerate(rows, 1):
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    return count

@@ -155,16 +155,12 @@ def random_booktitle(rng: random.Random) -> str:
 
 
 def random_entry(
-    rng: random.Random,
-    entry_type: str | None = None,
-    key: str | None = None,
-    source_tag: str | None = None,
+    rng: random.Random, key: str | None = None, source_tag: str | None = None
 ) -> BibEntry:
     """One plausible entry; always carries author, title and year so every
     shipped style can render it."""
-    if entry_type is None:
-        types, weights = zip(*ENTRY_TYPE_WEIGHTS)
-        entry_type = rng.choices(types, weights=weights, k=1)[0]
+    types, weights = zip(*ENTRY_TYPE_WEIGHTS)
+    entry_type = rng.choices(types, weights=weights, k=1)[0]
     fields: dict[str, str] = {}
     fields["author"] = random_name_list(rng)
     fields["title"] = random_title(rng)

@@ -2,11 +2,15 @@ import json
 import random
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import citeforge
 from citeforge.bibtex import serialize
 from citeforge.cli import Settings, build_parser, main
+from citeforge.hmm import HmmModel, tag_reference
 from citeforge.synth import homepage_misc_entry, random_corpus
 
 
@@ -224,6 +228,46 @@ def test_tag_plain_text_references(tmp_path, corpus_file):
     assert set(row) == {"reference", "fields", "log_prob"}
 
 
+def tagged_rows(path, model_path, references):
+    """The rows of a tagged.jsonl, checked against `tag_reference` of each
+    reference in input order; returns the rows without their decode."""
+    model = HmmModel.load(model_path)
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [row["reference"] for row in rows] == references
+    for row in rows:
+        fields, log_prob = tag_reference(model, row["reference"])
+        assert row["fields"] == [{"label": f.label, "value": f.value} for f in fields]
+        assert row["log_prob"] == log_prob
+    return [{k: v for k, v in row.items() if k not in ("fields", "log_prob")} for row in rows]
+
+
+def test_tag_rows_of_a_text_file_follow_its_lines(tmp_path, chain_files):
+    model = chain_files[2]
+    refs = tmp_path / "refs.txt"
+    lines = ["Argon C. 2002. A parallel decoder. IEEE.", "Björk B. Über alles. 1999."]
+    refs.write_text(f"\n  {lines[0]}  \n\n{lines[1]}\n", encoding="utf-8")
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
+    rows = tagged_rows(tagged, model, lines)
+    assert [list(row) for row in rows] == [["reference"]] * 2
+
+
+def test_tag_rows_of_a_dataset_follow_its_eval_citations(tmp_path, chain_files):
+    ds, split, model = chain_files
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", ds, "--split", split, "--model", model, "--out", tagged) == 0
+    eval_ids = set(json.loads(split.read_text())["eval_ids"])
+    want = [
+        {"id": record["id"], "style": cit["style"], "reference": cit["bibRef"]}
+        for record in map(json.loads, ds.read_text(encoding="utf-8").splitlines())
+        if record["id"] in eval_ids
+        for cit in record["citations"]
+    ]
+    rows = tagged_rows(tagged, model, [row["reference"] for row in want])
+    assert rows == want
+    assert all(list(row) == ["id", "style", "reference"] for row in rows)
+
+
 def test_tag_with_corrupted_model_is_domain_error(tmp_path, corpus_file, capsys):
     ds = tmp_path / "ds.jsonl"
     model = tmp_path / "model.json"
@@ -294,6 +338,31 @@ def test_config_file_supplies_flags(tmp_path, corpus_file):
     config.write_text(json.dumps({"in": str(ds), "seed": 7, "out": str(out)}))
     assert run("split", "--config", config) == 0
     assert json.loads(out.read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("seed,shown", [(1.5, "1.5"), (True, "True")])
+def test_config_number_of_the_wrong_json_type(tmp_path, corpus_file, capsys, seed, shown):
+    ds = tmp_path / "ds.jsonl"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "m.json"
+    config.write_text(json.dumps({"in": str(ds), "seed": seed, "out": str(out)}))
+    capsys.readouterr()
+    assert run("split", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: config key 'seed': invalid int value {shown}\n"
+    assert not out.exists()
+
+
+def test_config_integer_for_a_float_flag_and_string_for_an_int_flag(tmp_path, chain_files):
+    ds, _, model = chain_files
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", ds, "--model", model, "--out", tagged) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tau": 1, "seed": "7"}))
+    tau = settings_for("evaluate", "--config", config).get("tau")
+    assert tau == 1.0 and isinstance(tau, float)
+    assert settings_for("split", "--config", config).get("seed") == 7
+    assert run("evaluate", "--config", config, "--in", tagged, "--dataset", ds) == 0
 
 
 def test_flag_beats_env_and_config(tmp_path, corpus_file, monkeypatch):
@@ -599,6 +668,31 @@ def test_stats_knows_a_dataset_by_its_content(tmp_path, chain_files, capsys):
         assert ["title", "20"] in rows
 
 
+@pytest.mark.parametrize("subcommand", ["tag", "stats"])
+def test_a_dataset_whose_first_row_is_wrapped_in_a_list(
+    tmp_path, chain_files, capsys, subcommand
+):
+    ds, _, model = chain_files
+    lines = ds.read_text().splitlines(keepends=True)
+    ds.write_text("[ " + lines[0].rstrip("\n") + "]\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    if subcommand == "tag":
+        code = run("tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl")
+    else:
+        code = run("stats", "--in", ds)
+    assert_domain_error(code, capsys, f"{ds} line 1: expected a JSON object")
+
+
+def test_tag_reads_a_numbered_reference_list_as_text(tmp_path, chain_files, capsys):
+    model = chain_files[2]
+    refs = tmp_path / "refs.txt"
+    refs.write_text("[1] Argon C. 2002. A parallel decoder. IEEE.\n[2] Björk B. 1999.\n")
+    out = tmp_path / "t.jsonl"
+    capsys.readouterr()
+    assert run("tag", "--in", refs, "--model", model, "--out", out) == 0
+    assert capsys.readouterr().out == "tagged 2 references\n"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -669,3 +763,13 @@ def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     assert seen["tag_exit"] == 0 and seen["tag"] == ["numpy"]
     # the package exports the function, not the submodule of the same name
     assert seen["harvest"] == [True, "citeforge.harvest"]
+
+
+def test_version_has_one_home():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # `[tool.setuptools]` support is marked beta
+        assert read_configuration(pyproject, expand=False)["project"]["dynamic"] == ["version"]
+        assert read_configuration(pyproject)["project"]["version"] == citeforge.__version__

@@ -6,9 +6,10 @@ tokens x spans alignment scan, the Viterbi decoder that took the logs of
 its tables on every call, HMM training, saving and loading on numpy
 arrays, the renderer that made the plain and the
 annotated string in two separate passes (parsing and formatting each
-author list once per string), and the statistics tables that the corpus
-and the dataset side each drew with their own code.  The new code must
-agree with them exactly.
+author list once per string), the statistics tables that the corpus
+and the dataset side each drew with their own code, and the label-run
+grouping that flushed its last run in a second copy of the loop body.
+The new code must agree with them exactly.
 """
 
 import json
@@ -27,20 +28,21 @@ from hypothesis import strategies as st
 from citeforge.annotation import escape, parse_annotation, strip_tags
 from citeforge.bibtex import BibEntry, field_histogram, histogram_table, type_histogram
 from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
-from citeforge.evaluate import normalize
+from citeforge.evaluate import ExtractedField, normalize
 from citeforge.hmm import (
     MIN_SURFACE_FREQ,
     HmmModel,
     LabelSequence,
     align_training,
+    fields_from_labels,
     pairwise_sum,
     train_hmm,
     viterbi,
 )
-from citeforge.labels import CANONICAL_LABELS, LABEL_SET, entry_value
+from citeforge.labels import CANONICAL_LABELS, LABEL_SET, entry_value, field_for_label
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
-from citeforge.tokens import BACKOFF_CLASSES, extract_features, tokenize
+from citeforge.tokens import BACKOFF_CLASSES, Token, extract_features, tokenize
 
 STYLES = load_builtin_styles()
 PROPERTY = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -432,6 +434,22 @@ def reference_dataset_stats(records):
     )
 
 
+def reference_fields_from_labels(tokens, labels):
+    """Label runs to fields, the last run flushed after the loop."""
+    fields = []
+    run_label = None
+    run_surfaces = []
+    for tok, label in zip(tokens, labels):
+        if label != run_label:
+            if run_label is not None and run_label != "other":
+                fields.append(ExtractedField(field_for_label(run_label), " ".join(run_surfaces)))
+            run_label, run_surfaces = label, []
+        run_surfaces.append(tok.surface)
+    if run_label is not None and run_label != "other":
+        fields.append(ExtractedField(field_for_label(run_label), " ".join(run_surfaces)))
+    return fields
+
+
 # --- normalize ----------------------------------------------------------
 
 # Control, format (soft hyphen, zero-width space), escape, ampersand, the
@@ -776,3 +794,31 @@ def test_stats_table_matches_both_old_tables(seed, tags):
 def test_stats_tables_of_empty_input():
     assert dataset_stats([]) == reference_dataset_stats([])
     assert histogram_table([]) == dataset_stats([])
+
+
+# --- label runs to fields -----------------------------------------------
+
+# Few labels, so that runs of one label form often.
+_RUN_LABELS = st.sampled_from(["other", "author", "title", "issued", "container-title"])
+_RUN_SURFACES = st.lists(st.text("ab.,&é", min_size=1, max_size=4), max_size=30)
+
+
+def assert_fields_as_reference(surfaces, labels):
+    tokens = [Token(s, 0, len(s), extract_features(s)) for s in surfaces]
+    want = reference_fields_from_labels(tokens, labels)
+    assert fields_from_labels(tokens, labels) == want
+
+
+@PROPERTY
+@given(_RUN_SURFACES, st.lists(_RUN_LABELS, max_size=30))
+def test_fields_from_labels_matches_two_flush_grouping(surfaces, labels):
+    assert_fields_as_reference(surfaces, labels)
+
+
+@pytest.mark.parametrize(
+    "surfaces,labels",
+    [([], []), (["a", "b", "c"], ["other"] * 3), (["a"], ["title"]), (["a"], ["other"])],
+    ids=["empty", "all-other", "single-token", "single-other"],
+)
+def test_fields_from_labels_edge_cases_match_reference(surfaces, labels):
+    assert_fields_as_reference(surfaces, labels)

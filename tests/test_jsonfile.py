@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import citeforge
-from citeforge.jsonfile import read_json, read_json_lines
+from citeforge.jsonfile import read_json, read_json_lines, write_json, write_json_lines
 
 
 class Custom(ValueError):
@@ -54,3 +54,32 @@ def test_read_json_lines_wants_utf8_objects(tmp_path, line):
     path.write_bytes(b'{"a": 1}\n' + line + b"\n")
     with pytest.raises(ValueError, match="line 2"):
         list(read_json_lines(path, lambda row: row))
+
+
+# --- the way out ----------------------------------------------------------
+
+
+def test_write_json_indents_escapes_and_ends_with_a_newline(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"name": "Müller", "ids": [1, 2]})
+    assert path.read_bytes() == (
+        b'{\n  "name": "M\\u00fcller",\n  "ids": [\n    1,\n    2\n  ]\n}\n'
+    )
+
+
+def test_write_json_lines_keeps_text_and_counts_rows(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"a": "Müller"}, {"b": "x\ny"}, {"c": 1.5}]
+    assert write_json_lines(path, iter(rows)) == 3
+    assert path.read_bytes() == (
+        '{"a": "Müller"}\n{"b": "x\\ny"}\n{"c": 1.5}\n'.encode("utf-8")
+    )
+    assert list(read_json_lines(path, lambda row: row)) == rows
+
+
+def test_write_json_lines_of_no_rows_is_an_empty_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("old\n")
+    assert write_json_lines(path, []) == 0
+    assert path.read_bytes() == b""
+
