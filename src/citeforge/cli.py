@@ -53,7 +53,7 @@ from .harvest import (
     write_efficiency_csv,
 )
 from .hmm import EmptyInput, HmmModel, align_training, tag_reference, train_hmm
-from .jsonfile import read_json, read_json_lines, write_json, write_json_lines
+from .jsonfile import read_json, read_json_lines, write_json, write_json_lines, write_text
 from .styles import (
     DuplicateStyle,
     MissingVariable,
@@ -247,12 +247,12 @@ def _styles(settings: Settings, run: Run):
     return styles
 
 
-def cmd_parse(settings: Settings, run: Run) -> int:
+def cmd_parse(settings: Settings, run: Run) -> None:
     entries, issues = _load_entries(run, settings.require("in"))
     for entry in entries:
         issues.extend(validate_entry(entry))
     out = run.wrote(settings.require("out"))
-    Path(out).write_text(serialize(entries), encoding="utf-8")
+    write_text(out, serialize(entries))
     write_json(
         run.wrote(settings.get("issues") or str(out) + ".issues.json"),
         [
@@ -261,10 +261,9 @@ def cmd_parse(settings: Settings, run: Run) -> int:
         ],
     )
     print(f"parsed {len(entries)} entries, {len(issues)} issues")
-    return 0
 
 
-def cmd_clean(settings: Settings, run: Run) -> int:
+def cmd_clean(settings: Settings, run: Run) -> None:
     entries, _ = _load_entries(run, settings.require("in"))
     strip = tuple(
         f.strip() for f in (settings.get("strip_fields") or "").split(",") if f.strip()
@@ -275,7 +274,7 @@ def cmd_clean(settings: Settings, run: Run) -> int:
     )
     cleaned, stats = clean_corpus(entries, policy)
     out = run.wrote(settings.require("out"))
-    Path(out).write_text(serialize(cleaned), encoding="utf-8")
+    write_text(out, serialize(cleaned))
     print(
         json.dumps(
             {
@@ -286,10 +285,9 @@ def cmd_clean(settings: Settings, run: Run) -> int:
             }
         )
     )
-    return 0
 
 
-def cmd_stats(settings: Settings, run: Run) -> int:
+def cmd_stats(settings: Settings, run: Run) -> None:
     paths = settings.require("in")
     datasets = [is_dataset(path) for path in paths]
     if any(datasets) and not all(datasets):
@@ -309,12 +307,11 @@ def cmd_stats(settings: Settings, run: Run) -> int:
         )
     out = settings.get("out")
     if out:
-        Path(run.wrote(out)).write_text(text + "\n", encoding="utf-8")
+        write_text(run.wrote(out), text + "\n")
     print(text)
-    return 0
 
 
-def cmd_render(settings: Settings, run: Run) -> int:
+def cmd_render(settings: Settings, run: Run) -> None:
     entries, _ = _load_entries(run, settings.require("in"))
     styles = _styles(settings, run)
     lines = []
@@ -325,12 +322,11 @@ def cmd_render(settings: Settings, run: Run) -> int:
             except MissingVariable as exc:
                 print(f"skip: {exc}", file=sys.stderr)
     out = run.wrote(settings.require("out"))
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out, "\n".join(lines) + "\n")
     print(f"rendered {len(lines)} references")
-    return 0
 
 
-def cmd_annotate(settings: Settings, run: Run) -> int:
+def cmd_annotate(settings: Settings, run: Run) -> None:
     entries, _ = _load_entries(run, settings.require("in"))
     stats = BuildStats()
     records = build_dataset(entries, _styles(settings, run), stats=stats)
@@ -339,10 +335,9 @@ def cmd_annotate(settings: Settings, run: Run) -> int:
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
     print(f"annotated {stats.citations} references")
-    return 0
 
 
-def cmd_build(settings: Settings, run: Run) -> int:
+def cmd_build(settings: Settings, run: Run) -> None:
     entries, _ = _load_entries(run, settings.require("in"))
     styles = _styles(settings, run)
     stats = BuildStats()
@@ -361,15 +356,13 @@ def cmd_build(settings: Settings, run: Run) -> int:
             }
         )
     )
-    return 0
 
 
-def cmd_split(settings: Settings, run: Run) -> int:
+def cmd_split(settings: Settings, run: Run) -> None:
     records = load_jsonl(run.read(settings.require("in")))
     manifest = split_dataset(list(records), settings.get("seed", 42))
     write_json(run.wrote(settings.require("out")), manifest.to_json_dict())
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
-    return 0
 
 
 def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
@@ -382,7 +375,7 @@ def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
     return set(getattr(manifest, side + "_ids"))
 
 
-def cmd_train(settings: Settings, run: Run) -> int:
+def cmd_train(settings: Settings, run: Run) -> None:
     records = list(load_jsonl(run.read(settings.require("in"))))
     train_ids = _split_ids(settings, run, "train")
     if train_ids is not None:
@@ -397,7 +390,6 @@ def cmd_train(settings: Settings, run: Run) -> int:
         f"trained on {len(corpus)} references: "
         f"{len(model.states)} states, vocabulary {len(model.vocab)}"
     )
-    return 0
 
 
 def _tagged_row(row: dict) -> dict:
@@ -430,7 +422,7 @@ def _references(settings: Settings, run: Run, in_path: Path):
         yield from (({}, line.strip()) for line in text.splitlines() if line.strip())
 
 
-def cmd_tag(settings: Settings, run: Run) -> int:
+def cmd_tag(settings: Settings, run: Run) -> None:
     model = HmmModel.load(run.read(settings.require("model")))
     in_path = Path(run.read(settings.require("in")))
 
@@ -448,10 +440,9 @@ def cmd_tag(settings: Settings, run: Run) -> int:
 
     count = write_json_lines(run.wrote(settings.require("out")), rows())
     print(f"tagged {count} references")
-    return 0
 
 
-def cmd_evaluate(settings: Settings, run: Run) -> int:
+def cmd_evaluate(settings: Settings, run: Run) -> None:
     tagged_path = Path(run.read(settings.require("in")))
     records = list(load_jsonl(run.read(settings.require("dataset"))))
     eval_ids = _split_ids(settings, run, "eval")
@@ -468,10 +459,9 @@ def cmd_evaluate(settings: Settings, run: Run) -> int:
     if out:
         write_report(report, run.wrote(out))
     print(format_report(report))
-    return 0
 
 
-def cmd_harvest(settings: Settings, run: Run) -> int:
+def cmd_harvest(settings: Settings, run: Run) -> None:
     agents = settings.get("user_agent")
     config = HarvestConfig(
         url_template=settings.require("url_template"),
@@ -497,7 +487,7 @@ def cmd_harvest(settings: Settings, run: Run) -> int:
     run.wrote(config.checkpoint_path)
     csv_out = settings.get("efficiency_csv")
     if csv_out:
-        series = efficiency_series(str(config.output_path) + ".log")
+        series = efficiency_series(config.log_path)
         write_efficiency_csv(series, run.wrote(csv_out))
     print(
         json.dumps(
@@ -510,7 +500,6 @@ def cmd_harvest(settings: Settings, run: Run) -> int:
             }
         )
     )
-    return 0
 
 
 def _rules(settings: Settings, flag: str, shape: str, sizes) -> list[list[int]]:
@@ -528,7 +517,7 @@ def _rules(settings: Settings, flag: str, shape: str, sizes) -> list[list[int]]:
     return rules
 
 
-def cmd_serve_fixture(settings: Settings, run: Run) -> int:
+def cmd_serve_fixture(settings: Settings, run: Run) -> None:
     from .fixture import FixtureScript, FixtureServer
 
     script = FixtureScript()
@@ -538,7 +527,10 @@ def cmd_serve_fixture(settings: Settings, run: Run) -> int:
             script.fail_times[fid] = times[0]
     for fid, count in _rules(settings, "multi", "id:count", (2,)):
         script.entries[fid] = count
-    server = FixtureServer(script, port=settings.get("port", 8344))
+    port = settings.get("port", 8344)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"--port {port}: expected a port number 0-65535")
+    server = FixtureServer(script, port=port)
     server.start()
     print(f"fixture server on {server.base_url} (Ctrl+C to stop)")
     try:
@@ -546,7 +538,6 @@ def cmd_serve_fixture(settings: Settings, run: Run) -> int:
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,10 +618,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = Settings(args)
         run = Run(args.subcommand, settings.resolved())
-        code = args.func(settings, run)
-        if code == 0:
-            run.finish()
-        return code
+        args.func(settings, run)
+        run.finish()
+        return 0
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .bibtex import BibEntry, histogram_table
-from .jsonfile import read_json_lines, write_json_lines
+from .jsonfile import read_json_lines, replacing, write_json_lines
 from .styles import MissingVariable, StyleTemplate, annotate
 
 
@@ -180,7 +180,7 @@ def export(
     if format == "jsonl":
         write_json_lines(path, (record.to_json_dict() for record in records))
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with replacing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "style", "bibRef", "annoRef", "bib_fields"])
             for record in records:

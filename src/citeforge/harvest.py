@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .bibtex import parse_bibtex
-from .jsonfile import read_json, read_json_lines
+from .jsonfile import read_json, read_json_lines, replacing, write_text
 
 
 FETCH_TIMEOUT_S = 10.0
@@ -55,6 +55,10 @@ class HarvestConfig:
         if self.checkpoint_path is None:
             self.checkpoint_path = Path(str(self.output_path) + ".checkpoint.json")
 
+    @property
+    def log_path(self) -> Path:
+        return Path(str(self.output_path) + ".log")
+
     def validate(self) -> None:
         if self.url_template.count("{id}") != 1:
             raise ConfigError("url_template must contain exactly one {id}")
@@ -62,6 +66,8 @@ class HarvestConfig:
             raise ConfigError("empty id range")
         if self.td_millis < 0 or self.rid_millis < 0:
             raise ConfigError("delays must be nonnegative")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be nonnegative")
         if not self.user_agents:
             raise ConfigError("at least one user agent is required")
         if not self.allow_external:
@@ -81,12 +87,9 @@ class Checkpoint:
     last_error: str | None = None
 
     def write(self, path: str | Path) -> None:
-        """Replace the checkpoint file atomically: a reader sees the old
-        checkpoint or the new one, never a partial write."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.__dict__), encoding="utf-8")
-        os.replace(tmp, path)
+        """Replace the checkpoint file: a reader sees the old checkpoint or
+        the new one, never a partial write."""
+        write_text(path, json.dumps(self.__dict__))
 
     @classmethod
     def read(cls, path: str | Path) -> "Checkpoint":
@@ -135,10 +138,6 @@ def _fetch(url: str, user_agent: str) -> tuple[int, str]:
         return 0, str(exc)
 
 
-def _log_path(config: HarvestConfig) -> Path:
-    return Path(str(config.output_path) + ".log")
-
-
 def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> HarvestStats:
     """Fetch the ids after `start.last_id`, first checkpointing `start` with
     the current lengths of the output and the log, so a crash on the first
@@ -146,7 +145,7 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
     stats = HarvestStats()
     entries_total = start.entries_count
     out_path = Path(config.output_path)
-    log_path = _log_path(config)
+    log_path = config.log_path
     first_request = True
     with open(out_path, "ab") as out, open(log_path, "ab") as log:
         offset = out.tell()
@@ -204,7 +203,7 @@ def harvest(config: HarvestConfig, rng: random.Random | None = None) -> HarvestS
     continuing that run to `resume`.
     """
     config.validate()
-    for path in (Path(config.output_path), _log_path(config)):
+    for path in (Path(config.output_path), config.log_path):
         if path.exists() and path.stat().st_size > 0:
             raise ConfigError(
                 f"{path} already holds an earlier harvest; continue it with "
@@ -230,7 +229,7 @@ def resume(config: HarvestConfig, rng: random.Random | None = None) -> HarvestSt
             f"{config.id_start}..{config.id_end}"
         )
     _truncate_to(Path(config.output_path), checkpoint.output_offset)
-    _truncate_to(_log_path(config), checkpoint.log_offset)
+    _truncate_to(config.log_path, checkpoint.log_offset)
     return _run(config, checkpoint, rng or random.Random())
 
 
@@ -277,7 +276,7 @@ def _log_event(event: dict) -> tuple[float, int]:
 
 
 def write_efficiency_csv(series, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write("timestamp,entries,entries_per_request,normalized\n")
         for ts, total, eff, norm in series:
             fh.write(f"{ts},{total},{eff},{norm}\n")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .annotation import parse_annotation
 from .evaluate import ExtractedField
-from .jsonfile import read_json
+from .jsonfile import read_json, write_text
 from .labels import LABEL_SET, field_for_label
 from .tokens import BACKOFF_CLASSES, FeatureVector, Token, tokenize
 
@@ -100,7 +100,7 @@ class HmmModel:
             "transition": [[float(p) for p in row] for row in self.transition],
             "emission": [[float(p) for p in row] for row in self.emission],
         }
-        Path(path).write_text(json.dumps(data), encoding="utf-8")
+        write_text(path, json.dumps(data))
 
     @classmethod
     def load(cls, path: str | Path) -> "HmmModel":

@@ -1,19 +1,21 @@
-"""The one door through which the pipeline reads and writes JSON files.
+"""The one door through which the pipeline reads JSON and writes files.
 
 A converter checks the shape of each file kind read.  Text that is not
 UTF-8 or not JSON, nesting past the recursion limit, a missing key or a
 wrong type all become one error naming the file, and for JSON Lines the
-line.  Three writers live elsewhere: `HmmModel.save` (compact, with no
-final newline, as the bytes of `model.json` are pinned), `Checkpoint.write`
-(an atomic replace) and the harvest `.log` (a binary append at the byte
-offsets the checkpoint records).
+line.  Every output is written by `replacing`, so it appears only when
+complete and a failed stage leaves its outputs as they were.  Only the
+harvest output and its `.log` are written elsewhere: the harvester
+appends to them at the byte offsets its checkpoint records.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 BAD_DOCUMENT = (ValueError, KeyError, TypeError, RecursionError)
 
@@ -50,16 +52,44 @@ def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
             yield item
 
 
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8, LF-ended text file written to `<path>.tmp` and renamed onto
+    `path` when the block ends; on an error the temporary file is deleted
+    and `path` keeps its old bytes, or stays absent.  A symlink is written
+    through to its target; a path that is not a regular file (a FIFO, a
+    terminal) is written in place, as a rename would replace the node."""
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    target = target.resolve()
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """`text` as the whole file, UTF-8 with LF endings."""
+    with replacing(path) as fh:
+        fh.write(text)
+
+
 def write_json(path: str | Path, document) -> None:
     """A document: indented by two spaces, ASCII only, with a final newline."""
-    text = json.dumps(document, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_text(path, json.dumps(document, indent=2) + "\n")
 
 
 def write_json_lines(path: str | Path, rows: Iterable) -> int:
     """One compact row per line, non-ASCII kept, LF endings; returns the row count."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         for count, row in enumerate(rows, 1):
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     return count

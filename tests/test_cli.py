@@ -299,6 +299,25 @@ def test_tag_names_the_row_with_an_empty_reference(tmp_path, corpus_file, capsys
     assert repr(rows[1]["citations"][2]["style"]) in err
 
 
+def test_a_failed_tag_leaves_nothing_for_evaluate_to_score(tmp_path, chain_files, capsys):
+    ds, _, model = chain_files
+    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    rows[5]["citations"][0]["bibRef"] = ""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    fresh, earlier = tmp_path / "t.jsonl", tmp_path / "earlier.jsonl"
+    assert run("tag", "--in", ds, "--model", model, "--out", earlier) == 0
+    kept = earlier.read_bytes()
+    for out in (fresh, earlier):
+        assert run("tag", "--in", bad, "--model", model, "--out", out) == 1
+    assert not fresh.exists()
+    assert earlier.read_bytes() == kept
+    assert not list(tmp_path.glob("*.tmp"))
+    capsys.readouterr()
+    assert run("evaluate", "--in", fresh, "--dataset", bad) == 1
+    assert str(fresh) in capsys.readouterr().err
+
+
 def test_env_variable_override(tmp_path, corpus_file, monkeypatch):
     ds = tmp_path / "ds.jsonl"
     assert run("build", "--in", corpus_file, "--out", ds) == 0
@@ -411,6 +430,24 @@ def test_harvest_refuses_external_host(tmp_path, capsys):
     )
     assert code == 1
     assert "non-local" in capsys.readouterr().err
+
+
+def test_harvest_refuses_negative_retries(tmp_path, capsys):
+    code = run(
+        "harvest",
+        "--url-template", "http://127.0.0.1:9/{id}",
+        "--id-end", 3, "--max-retries", -1, "--out", tmp_path / "h.bib",
+    )
+    assert code == 1
+    assert "max_retries" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("port", [99999, -1])
+def test_serve_fixture_refuses_a_port_out_of_range(port, capsys):
+    assert run("serve-fixture", "--port", port) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --port {port}:") and "Traceback" not in err
 
 
 # --- typed flags from the environment and the config file ---------------

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,73 @@ def test_write_json_lines_of_no_rows_is_an_empty_file(tmp_path):
     assert write_json_lines(path, []) == 0
     assert path.read_bytes() == b""
 
+
+
+# --- outputs appear only when complete ------------------------------------
+
+
+def rows_then_fail(count):
+    for n in range(count):
+        yield {"n": n}
+    raise ValueError("row generator failed")
+
+
+def test_a_failed_write_keeps_the_old_bytes(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"old": true}\n')
+    with pytest.raises(ValueError, match="row generator failed"):
+        write_json_lines(path, rows_then_fail(50))
+    assert path.read_bytes() == b'{"old": true}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+
+def test_a_failed_write_leaves_an_absent_path_absent(tmp_path):
+    with pytest.raises(ValueError, match="row generator failed"):
+        write_json_lines(tmp_path / "rows.jsonl", rows_then_fail(50))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer never blocks
+    try:
+        write_json(fifo, [1])
+        received = os.read(reader, 1024)
+    finally:
+        os.close(reader)
+    assert received == b"[\n  1\n]\n"
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_a_symlink_is_written_through_to_its_target(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "doc.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json(link, {"a": 1})
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == b'{\n  "a": 1\n}\n'
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["doc.json"]
+
+
+def test_files_are_written_only_in_jsonfile():
+    """The way out stays one door: under the package only `jsonfile` opens a
+    file for writing or renames one into place, bar the harvester's two
+    binary appends at its checkpoint's offsets."""
+    writers = re.compile(
+        r"""\bopen\([^)]*["'][rbt]*[wax+][rbt+]*["']|\.write_(?:text|bytes)\(|\bos\.replace\b"""
+    )
+    src = Path(citeforge.__file__).parent
+    found = sorted(
+        (p.name, match)
+        for p in src.glob("*.py")
+        if p.name != "jsonfile.py"
+        for match in writers.findall(p.read_text())
+    )
+    assert found == [
+        ("harvest.py", 'open(log_path, "ab"'),
+        ("harvest.py", 'open(out_path, "ab"'),
+    ]
