@@ -5,10 +5,17 @@ whitespace, ampersands); each prediction is classified as recognized /
 superstring / substring / near / miss, with only recognized matches (and
 optionally near ones) counting as correct.  Precision, recall and F1 come
 out per label and micro-averaged.
+
+Near means an edit distance within `tau` of the longer length.  No edit
+sequence is shorter than the length gap |len(a) - len(b)|, so a pair
+whose gap already exceeds that share is a miss without computing the
+distance; the shortcut never changes a class (see `classify_match`).
+Each distinct raw value is normalized once per scoring call.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from collections import Counter
@@ -39,6 +46,10 @@ class ExtractedField:
 class EvalPolicy:
     tau: float = 0.15
     count_near_as_correct: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be a finite number >= 0, got {self.tau!r}")
 
 
 _DASHES = re.compile(r"(?:--|[‐‑‒–—―−])")
@@ -108,17 +119,31 @@ def levenshtein(a: str, b: str) -> int:
 
 def classify_match(pred: str, truth: str, tau: float = EvalPolicy.tau) -> MatchClass:
     """One class per pair, by precedence: equality, containment either way,
-    then edit distance within `tau` of the longer length."""
+    then edit distance within `tau` of the longer length.
+
+    The distance is at least the length gap, and dividing both by the same
+    `longest` keeps their order (correctly rounded division is monotone),
+    so a gap share above `tau` is a miss whatever the distance: the
+    distance is computed only for pairs within the length bound.  A NaN
+    `tau` fails both tests, as it always did.
+    """
     if pred == truth:
         return MatchClass.RECOGNIZED
     if truth and truth in pred:
         return MatchClass.SUPERSTRING
     if pred and pred in truth:
         return MatchClass.SUBSTRING
+    # Unequal, so at least one is non-empty and `longest` is positive.
     longest = max(len(pred), len(truth))
-    if longest and levenshtein(pred, truth) / longest <= tau:
+    if abs(len(pred) - len(truth)) / longest > tau:
+        return MatchClass.MISS
+    if levenshtein(pred, truth) / longest <= tau:
         return MatchClass.NEAR
     return MatchClass.MISS
+
+
+# Precedence of the classes: a lower rank is a better match.
+_RANK = {cls: rank for rank, cls in enumerate(MatchClass)}
 
 
 @dataclass
@@ -183,17 +208,25 @@ class EvalReport:
         }
 
 
-def _resolve(fields: Iterable[ExtractedField], report: EvalReport) -> list[ExtractedField]:
-    """Canonical labels and normalized values; empties are discarded with a
-    count, unresolvable labels likewise."""
+def _resolve(
+    pairs: Iterable[tuple[str, str]], report: EvalReport, normalized: dict[str, str]
+) -> list[tuple[str, str]]:
+    """Canonical labels and normalized values of (label, value) pairs;
+    empties are discarded with a count, unresolvable labels likewise.
+    `normalized` maps each raw value seen so far to its `normalize`."""
     out = []
-    for f in fields:
-        label = to_canonical(f.label)
-        value = normalize(f.value)
-        if label is None or label == "other" or not value:
+    for label, value in pairs:
+        label = to_canonical(label)
+        if label is None or label == "other":
             report.discarded_empty += 1
             continue
-        out.append(ExtractedField(label, value))
+        norm = normalized.get(value)
+        if norm is None:
+            norm = normalized[value] = normalize(value)
+        if norm:
+            out.append((label, norm))
+        else:
+            report.discarded_empty += 1
     return out
 
 
@@ -211,47 +244,63 @@ def score(
     class it reached, for the diagnostics table.
     """
     report = EvalReport()
-    _score_into(report, predictions, truth, policy or EvalPolicy())
+    _score_into(
+        report,
+        [(f.label, f.value) for f in predictions],
+        [(f.label, f.value) for f in truth],
+        policy or EvalPolicy(),
+        {},
+    )
     return report
 
 
-def _score_into(report: EvalReport, predictions, truth, policy: EvalPolicy) -> None:
+def _score_into(
+    report: EvalReport,
+    predictions: list[tuple[str, str]],
+    truth: list[tuple[str, str]],
+    policy: EvalPolicy,
+    normalized: dict[str, str],
+) -> None:
     """Add one reference's scores, as `score` defines them, to `report`."""
     report.references += 1
-    preds = _resolve(predictions, report)
-    truths = _resolve(truth, report)
+    per_label = report.per_label
+    open_truths: dict[str, list[str]] = {}
+    for label, value in _resolve(truth, report, normalized):
+        open_truths.setdefault(label, []).append(value)
+        if label not in per_label:
+            per_label[label] = LabelScore()
+        per_label[label].support += 1
 
-    open_truths: dict[str, list[ExtractedField]] = {}
-    for t in truths:
-        open_truths.setdefault(t.label, []).append(t)
-        report.per_label.setdefault(t.label, LabelScore()).support += 1
-
-    precedence = list(MatchClass)
-    for pred in preds:
-        stats = report.per_label.setdefault(pred.label, LabelScore())
-        pool = open_truths.get(pred.label, [])
+    tau, near_ok = policy.tau, policy.count_near_as_correct
+    for label, value in _resolve(predictions, report, normalized):
+        if label not in per_label:
+            per_label[label] = LabelScore()
+        stats = per_label[label]
+        pool = open_truths.get(label, ())
         best_class, best_at = MatchClass.MISS, None
         for i, t in enumerate(pool):
-            cls = classify_match(pred.value, t.value, policy.tau)
-            if precedence.index(cls) < precedence.index(best_class):
+            cls = classify_match(value, t, tau)
+            if _RANK[cls] < _RANK[best_class]:
                 best_class, best_at = cls, i
-        correct = best_class is MatchClass.RECOGNIZED or (
-            policy.count_near_as_correct and best_class is MatchClass.NEAR
-        )
         stats.match_classes[best_class.value] += 1
-        if correct:
+        if best_class is MatchClass.RECOGNIZED or (near_ok and best_class is MatchClass.NEAR):
             pool.pop(best_at)
             stats.tp += 1
         else:
             stats.fp += 1
     for label, pool in open_truths.items():
-        report.per_label[label].fn += len(pool)
+        per_label[label].fn += len(pool)
+
+
+def _truth_pairs(anno_ref: str) -> list[tuple[str, str]]:
+    """(label, value) of each top-level span of an annotated reference."""
+    plain, spans = parse_annotation(anno_ref)
+    return [(s.label, plain[s.start : s.end]) for s in spans]
 
 
 def ground_truth_fields(anno_ref: str) -> list[ExtractedField]:
     """Truth fields of an annotated reference: one field per top-level span."""
-    plain, spans = parse_annotation(anno_ref)
-    return [ExtractedField(s.label, plain[s.start : s.end]) for s in spans]
+    return [ExtractedField(label, value) for label, value in _truth_pairs(anno_ref)]
 
 
 def evaluate_dataset(
@@ -274,6 +323,7 @@ def evaluate_dataset(
             truth_index[(record.id, cit["style"])] = cit["annoRef"]
 
     total = EvalReport()
+    normalized: dict[str, str] = {}
     for row in tagged:
         rid, style = row.get("id"), row.get("style")
         if eval_ids is not None and rid not in eval_ids:
@@ -283,12 +333,12 @@ def evaluate_dataset(
             total.missing_ground_truth += 1
             continue
         try:
-            truth = ground_truth_fields(anno)
+            truth = _truth_pairs(anno)
         except MalformedAnnotation:
             total.missing_ground_truth += 1
             continue
-        preds = [ExtractedField(f["label"], f["value"]) for f in row.get("fields", [])]
-        _score_into(total, preds, truth, policy)
+        preds = [(f["label"], f["value"]) for f in row.get("fields", [])]
+        _score_into(total, preds, truth, policy, normalized)
     return total
 
 

@@ -127,6 +127,7 @@ class HmmModel:
             raise ValueError(
                 "probability tables are not rectangular numeric arrays"
             ) from exc
+        _check_alpha(data["alpha"])
         n, v = len(states), len(vocab)
         expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
         for name, (shape, table) in tables.items():
@@ -238,6 +239,15 @@ def pairwise_sum(xs: list[float]) -> float:
     return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
 
 
+def _check_alpha(alpha) -> None:
+    """ValueError unless the smoothing `alpha` is a finite number >= 0: a
+    NaN row total falls back to uniform and an infinite one to NaN."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not (
+        math.isfinite(alpha) and alpha >= 0
+    ):
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
+
+
 def _normalize_row(counts: list[float], alpha: float) -> list[float]:
     """Smoothed counts scaled to sum to 1; a row with no mass at all falls
     back to uniform (only reachable with alpha=0)."""
@@ -257,8 +267,7 @@ def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
     """
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_alpha(alpha)
 
     states = sorted({label for seq in corpus for label in seq.labels})
     if not states:

@@ -810,3 +810,38 @@ def test_version_has_one_home():
         warnings.simplefilter("ignore")  # `[tool.setuptools]` support is marked beta
         assert read_configuration(pyproject, expand=False)["project"]["dynamic"] == ["version"]
         assert read_configuration(pyproject)["project"]["version"] == citeforge.__version__
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_train_refuses_an_alpha_that_is_not_finite(tmp_path, chain_files, capsys, alpha):
+    ds = chain_files[0]
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    code = run("train", "--in", ds, "--out", model, "--alpha", alpha)
+    assert_domain_error(code, capsys, "alpha")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("alpha", ["x", None, -1, float("nan")])
+def test_tag_refuses_a_model_whose_alpha_is_not_a_finite_nonnegative_number(
+    tmp_path, chain_files, capsys, alpha
+):
+    ds, _, model = chain_files
+    data = json.loads(model.read_text())
+    data["alpha"] = alpha
+    model.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run("tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl")
+    assert_domain_error(code, capsys, model, "alpha")
+
+
+@pytest.mark.parametrize("tau", ["nan", "-1", "inf"])
+def test_evaluate_refuses_a_tau_that_is_not_finite_and_nonnegative(
+    tmp_path, chain_files, capsys, tau
+):
+    ds, _, model = chain_files
+    tagged = tmp_path / "t.jsonl"
+    assert run("tag", "--in", ds, "--model", model, "--out", tagged) == 0
+    capsys.readouterr()
+    code = run("evaluate", "--in", tagged, "--dataset", ds, "--tau", tau)
+    assert_domain_error(code, capsys, "tau")

@@ -7,28 +7,44 @@ its tables on every call, HMM training, saving and loading on numpy
 arrays, the renderer that made the plain and the
 annotated string in two separate passes (parsing and formatting each
 author list once per string), the statistics tables that the corpus
-and the dataset side each drew with their own code, and the label-run
-grouping that flushed its last run in a second copy of the loop body.
+and the dataset side each drew with their own code, the label-run
+grouping that flushed its last run in a second copy of the loop body,
+and the scorer that normalized every value it met and measured the edit
+distance of every pair it could not settle by equality or containment.
 The new code must agree with them exactly.
 """
 
 import json
+import math
 import random
 import re
 import tempfile
 import unicodedata
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from citeforge.annotation import escape, parse_annotation, strip_tags
+from citeforge.annotation import MalformedAnnotation, escape, parse_annotation, strip_tags
 from citeforge.bibtex import BibEntry, field_histogram, histogram_table, type_histogram
 from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
-from citeforge.evaluate import ExtractedField, normalize
+from citeforge.evaluate import (
+    EvalPolicy,
+    EvalReport,
+    ExtractedField,
+    LabelScore,
+    MatchClass,
+    classify_match,
+    evaluate_dataset,
+    format_report,
+    levenshtein,
+    normalize,
+    score,
+)
 from citeforge.hmm import (
     MIN_SURFACE_FREQ,
     HmmModel,
@@ -39,7 +55,13 @@ from citeforge.hmm import (
     train_hmm,
     viterbi,
 )
-from citeforge.labels import CANONICAL_LABELS, LABEL_SET, entry_value, field_for_label
+from citeforge.labels import (
+    CANONICAL_LABELS,
+    LABEL_SET,
+    entry_value,
+    field_for_label,
+    to_canonical,
+)
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
 from citeforge.tokens import BACKOFF_CLASSES, Token, extract_features, tokenize
@@ -450,6 +472,100 @@ def reference_fields_from_labels(tokens, labels):
     return fields
 
 
+def reference_classify_match(pred, truth, tau=EvalPolicy.tau):
+    if pred == truth:
+        return MatchClass.RECOGNIZED
+    if truth and truth in pred:
+        return MatchClass.SUPERSTRING
+    if pred and pred in truth:
+        return MatchClass.SUBSTRING
+    longest = max(len(pred), len(truth))
+    if longest and levenshtein(pred, truth) / longest <= tau:
+        return MatchClass.NEAR
+    return MatchClass.MISS
+
+
+def reference_resolve(fields, report):
+    out = []
+    for f in fields:
+        label = to_canonical(f.label)
+        value = normalize(f.value)
+        if label is None or label == "other" or not value:
+            report.discarded_empty += 1
+            continue
+        out.append(ExtractedField(label, value))
+    return out
+
+
+def reference_score(predictions, truth, policy=None):
+    report = EvalReport()
+    reference_score_into(report, predictions, truth, policy or EvalPolicy())
+    return report
+
+
+def reference_score_into(report, predictions, truth, policy):
+    report.references += 1
+    preds = reference_resolve(predictions, report)
+    truths = reference_resolve(truth, report)
+
+    open_truths = {}
+    for t in truths:
+        open_truths.setdefault(t.label, []).append(t)
+        report.per_label.setdefault(t.label, LabelScore()).support += 1
+
+    precedence = list(MatchClass)
+    for pred in preds:
+        stats = report.per_label.setdefault(pred.label, LabelScore())
+        pool = open_truths.get(pred.label, [])
+        best_class, best_at = MatchClass.MISS, None
+        for i, t in enumerate(pool):
+            cls = reference_classify_match(pred.value, t.value, policy.tau)
+            if precedence.index(cls) < precedence.index(best_class):
+                best_class, best_at = cls, i
+        correct = best_class is MatchClass.RECOGNIZED or (
+            policy.count_near_as_correct and best_class is MatchClass.NEAR
+        )
+        stats.match_classes[best_class.value] += 1
+        if correct:
+            pool.pop(best_at)
+            stats.tp += 1
+        else:
+            stats.fp += 1
+    for label, pool in open_truths.items():
+        report.per_label[label].fn += len(pool)
+
+
+def reference_ground_truth_fields(anno_ref):
+    plain, spans = parse_annotation(anno_ref)
+    return [ExtractedField(s.label, plain[s.start : s.end]) for s in spans]
+
+
+def reference_evaluate_dataset(tagged, records, policy=None, eval_ids=None):
+    policy = policy or EvalPolicy()
+    truth_index = {}
+    for record in records:
+        for cit in record.citations:
+            truth_index[(record.id, cit["style"])] = cit["annoRef"]
+
+    total = EvalReport()
+    for row in tagged:
+        rid, style = row.get("id"), row.get("style")
+        if eval_ids is not None and rid not in eval_ids:
+            continue
+        anno = truth_index.get((rid, style))
+        if anno is None:
+            total.missing_ground_truth += 1
+            continue
+        try:
+            truth = reference_ground_truth_fields(anno)
+        except MalformedAnnotation:
+            total.missing_ground_truth += 1
+            continue
+        preds = [ExtractedField(f["label"], f["value"]) for f in row.get("fields", [])]
+        reference_score_into(total, preds, truth, policy)
+    return total
+
+
 # --- normalize ----------------------------------------------------------
 
 # Control, format (soft hyphen, zero-width space), escape, ampersand, the
@@ -822,3 +938,142 @@ def test_fields_from_labels_matches_two_flush_grouping(surfaces, labels):
 )
 def test_fields_from_labels_edge_cases_match_reference(surfaces, labels):
     assert_fields_as_reference(surfaces, labels)
+
+
+# --- scoring ------------------------------------------------------------
+
+# Few letters: containment, equal lengths and small distances come up often.
+_PAIR_TEXT = st.text("ab -", max_size=10)
+
+
+@st.composite
+def _pair_and_tau(draw):
+    """Two strings and a tau, often exactly on (or one float beside) a
+    boundary k / longest, the length gap's own share included."""
+    pred, truth = draw(_PAIR_TEXT), draw(_PAIR_TEXT)
+    longest = max(len(pred), len(truth)) or 1
+    k = draw(st.one_of(st.just(abs(len(pred) - len(truth))), st.integers(0, longest)))
+    at = k / longest
+    tau = draw(
+        st.one_of(
+            st.sampled_from(
+                [at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf), 0.0, 1.0, 1.5]
+            ),
+            st.floats(),
+        )
+    )
+    return pred, truth, tau
+
+
+@settings(PROPERTY, max_examples=500)
+@given(_pair_and_tau())
+@example(("ab", "a b", 1 / 3))  # distance == gap == tau * longest: near
+@example(("ab", "a b", math.nan))
+def test_classify_match_matches_full_distance_reference(case):
+    pred, truth, tau = case
+    assert classify_match(pred, truth, tau) is reference_classify_match(pred, truth, tau)
+
+
+# Labels as taggers and callers give them: canonical, `other`, BibTeX
+# field names, another case, unknown.  Values with the characters that
+# normalize rewrites or drops, drawn from a small pool so they repeat.
+_SCORE_LABELS = st.sampled_from(list(CANONICAL_LABELS) + ["Title", "journal", "year", "bogus", ""])
+_SPAN_LABELS = st.sampled_from([label for label in CANONICAL_LABELS if label != "other"])
+_SCORE_TEXT = st.one_of(
+    st.text("abc", min_size=1, max_size=3),
+    st.lists(
+        st.sampled_from(list("aAbB -\u2013\u2014&\\\x01\x7f.,") + [" & ", "--", "\\-"]),
+        max_size=8,
+    ).map("".join),
+)
+_POLICY = st.builds(
+    EvalPolicy,
+    tau=st.one_of(st.sampled_from([0.0, 0.15, 0.5, 1.0, 1.5]), st.floats(0, 2)),
+    count_near_as_correct=st.booleans(),
+)
+
+
+def _fields(draw, labels, values):
+    """(label, value) pairs over a few labels and values of this case, so
+    that one label's pool often holds several truths."""
+    labels = draw(st.lists(labels, min_size=1, max_size=3))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(values))
+    return draw(st.lists(pairs, max_size=6))
+
+
+def assert_same_report(got, want):
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert format_report(got) == format_report(want)
+
+
+@st.composite
+def _score_case(draw):
+    values = draw(st.lists(_SCORE_TEXT, min_size=1, max_size=6))
+    preds, truth = (
+        [ExtractedField(*pair) for pair in _fields(draw, _SCORE_LABELS, values)]
+        for _ in range(2)
+    )
+    return preds, truth, draw(_POLICY)
+
+
+@PROPERTY
+@given(_score_case())
+def test_score_matches_reference_scorer(case):
+    preds, truth, policy = case
+    assert_same_report(score(preds, truth, policy), reference_score(preds, truth, policy))
+
+
+# Two-letter values of one label: no two distinct ones contain each other,
+# so at tau 0.5 or 1 a prediction is often near several open truths, and
+# which of them it takes shows in how the later predictions match.
+_TIED = st.lists(st.sampled_from(["aa", "ab", "ba", "bb"]).map(
+    lambda value: ExtractedField("title", value)), max_size=5)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(_TIED, _TIED, st.sampled_from([0.5, 1.0]))
+@example(  # "ab" is near both truths and takes the first, "aa"
+    [ExtractedField("title", "ab"), ExtractedField("title", "aa")],
+    [ExtractedField("title", "aa"), ExtractedField("title", "bb")],
+    1.0,
+)
+def test_score_takes_the_first_of_tied_truths_like_reference(preds, truth, tau):
+    policy = EvalPolicy(tau=tau, count_near_as_correct=True)
+    assert_same_report(score(preds, truth, policy), reference_score(preds, truth, policy))
+
+
+@st.composite
+def _dataset_case(draw):
+    """Records with one annotated citation each (now and then a malformed
+    one), tagged rows for them in any order, rows with an unknown id or
+    none, and an eval-id filter or none."""
+    values = draw(st.lists(_SCORE_TEXT, min_size=1, max_size=6))
+    ids = [f"r{i}" for i in range(draw(st.integers(0, 4)))]
+    records = []
+    for rid in ids:
+        spans = _fields(draw, _SPAN_LABELS, values)
+        anno = " ".join(f"<{label}>{escape(value)}</{label}>" for label, value in spans)
+        if draw(st.integers(0, 9)) == 0:
+            anno += "<title>unclosed"
+        records.append(SimpleNamespace(id=rid, citations=[{"style": "s", "annoRef": anno}]))
+    keys = st.sampled_from([{"id": rid, "style": "s"} for rid in ids + ["unknown"]] + [{}])
+    tagged = [
+        dict(
+            draw(keys),
+            fields=[{"label": label, "value": value}
+                    for label, value in _fields(draw, _SCORE_LABELS, values)],
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    eval_ids = draw(st.one_of(st.none(), st.sets(st.sampled_from(ids + ["unknown"]))))
+    return tagged, records, draw(_POLICY), eval_ids
+
+
+@PROPERTY
+@given(_dataset_case())
+def test_evaluate_dataset_matches_reference_scorer(case):
+    tagged, records, policy, eval_ids = case
+    assert_same_report(
+        evaluate_dataset(tagged, records, policy, eval_ids),
+        reference_evaluate_dataset(tagged, records, policy, eval_ids),
+    )

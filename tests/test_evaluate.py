@@ -195,6 +195,44 @@ def test_score_near_counts_only_with_policy():
     assert lenient.per_label["title"].tp == 1
 
 
+def test_edit_distance_only_within_the_length_bound(monkeypatch):
+    """A pair whose length gap alone exceeds tau * longest is a miss without
+    an edit distance; the pairs within the bound still get one."""
+    import citeforge.evaluate as evaluate
+
+    measured = []
+
+    def counting(a, b):
+        measured.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(evaluate, "levenshtein", counting)
+    tau = 0.15
+    truth = [
+        F("title", "a theory of everything"),
+        F("title", "deep nets"),
+        F("publisher", "addison-wesley professional"),
+        F("volume", "13"),
+        F("page", "101-109"),
+    ]
+    preds = [
+        F("title", "a theory of everthing"),
+        F("publisher", "springer"),
+        F("volume", "12"),
+        F("page", "1-9"),
+    ]
+    report = score(preds, truth, EvalPolicy(tau=tau))
+    assert measured == [("a theory of everthing", "a theory of everything"), ("12", "13")]
+    assert all(abs(len(a) - len(b)) <= tau * max(len(a), len(b)) for a, b in measured)
+    classes = {label: dict(s.match_classes) for label, s in report.per_label.items()}
+    assert classes == {
+        "title": {"near": 1},
+        "publisher": {"miss": 1},
+        "volume": {"miss": 1},
+        "page": {"miss": 1},
+    }
+
+
 def test_score_resolves_bibtex_field_names():
     truth = [F("issued", "2002"), F("page", "70-72")]
     preds = [F("year", "2002"), F("pages", "70-72")]
