@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -22,7 +23,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .annotation import MalformedAnnotation
 from .bibtex import (
     CleanPolicy,
     clean_corpus,
@@ -44,8 +44,6 @@ from .dataset import (
 )
 from .evaluate import EvalPolicy, evaluate_dataset, format_report, write_report
 from .harvest import (
-    ConfigError,
-    CorruptCheckpoint,
     HarvestConfig,
     efficiency_series,
     harvest as run_harvest,
@@ -54,25 +52,10 @@ from .harvest import (
 )
 from .hmm import EmptyInput, HmmModel, align_training, tag_reference, train_hmm
 from .jsonfile import read_json, read_json_lines, write_json, write_json_lines, write_text
-from .styles import (
-    DuplicateStyle,
-    MissingVariable,
-    SchemaError,
-    builtin_styles_dir,
-    load_styles,
-    render,
-)
+from .styles import MissingVariable, builtin_styles_dir, load_styles, render
 
-DOMAIN_ERRORS = (
-    ValueError,
-    OSError,
-    MalformedAnnotation,
-    SchemaError,
-    DuplicateStyle,
-    MissingVariable,
-    ConfigError,
-    CorruptCheckpoint,
-)
+# Every domain error class of the package subclasses ValueError.
+DOMAIN_ERRORS = (ValueError, OSError)
 
 ENV_PREFIX = "CITEFORGE_"
 TRUE_WORDS = ("1", "true", "yes", "on")
@@ -360,7 +343,7 @@ def cmd_build(settings: Settings, run: Run) -> None:
 
 def cmd_split(settings: Settings, run: Run) -> None:
     records = load_jsonl(run.read(settings.require("in")))
-    manifest = split_dataset(list(records), settings.get("seed", 42))
+    manifest = split_dataset((r.id for r in records), settings.get("seed", 42))
     write_json(run.wrote(settings.require("out")), manifest.to_json_dict())
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
 
@@ -376,18 +359,22 @@ def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
 
 
 def cmd_train(settings: Settings, run: Run) -> None:
-    records = list(load_jsonl(run.read(settings.require("in"))))
+    records = load_jsonl(run.read(settings.require("in")))
     train_ids = _split_ids(settings, run, "train")
-    if train_ids is not None:
-        records = [r for r in records if r.id in train_ids]
-    corpus = [
-        align_training(cit["annoRef"]) for record in records for cit in record.citations
-    ]
+    # zip draws from `counted` only after it got a citation, so `counted`
+    # advances once per reference that train_hmm reads.
+    counted = itertools.count()
+    corpus = (
+        align_training(cit["annoRef"])
+        for record in records
+        if train_ids is None or record.id in train_ids
+        for cit, _ in zip(record.citations, counted)
+    )
     model = train_hmm(corpus, **_resolved(alpha=settings.get("alpha")))
     out = run.wrote(settings.require("out"))
     model.save(out)
     print(
-        f"trained on {len(corpus)} references: "
+        f"trained on {next(counted)} references: "
         f"{len(model.states)} states, vocabulary {len(model.vocab)}"
     )
 
@@ -444,7 +431,7 @@ def cmd_tag(settings: Settings, run: Run) -> None:
 
 def cmd_evaluate(settings: Settings, run: Run) -> None:
     tagged_path = Path(run.read(settings.require("in")))
-    records = list(load_jsonl(run.read(settings.require("dataset"))))
+    records = load_jsonl(run.read(settings.require("dataset")))
     eval_ids = _split_ids(settings, run, "eval")
     policy = EvalPolicy(
         **_resolved(

@@ -143,14 +143,15 @@ def build_dataset(
 
 
 def split_dataset(records: Iterable[DatasetRecord | str], seed: int) -> SplitManifest:
-    """Seeded 66/33 split of record ids.
+    """Seeded 66/33 split of the distinct record ids, in first-seen order.
 
     The train side takes floor(0.66*N) ids of a seed-shuffled order; the
-    rest are the evaluation side.  Same seed, same manifest.
+    rest are the evaluation side, so a repeated id lands on one side only.
+    Same seed, same manifest.
     """
-    ids = [r if isinstance(r, str) else r.id for r in records]
+    ids = list(dict.fromkeys(r if isinstance(r, str) else r.id for r in records))
     if len(ids) < 2:
-        raise TooSmall(f"need at least 2 records, got {len(ids)}")
+        raise TooSmall(f"need at least 2 distinct record ids, got {len(ids)}")
     rng = random.Random(seed)
     shuffled = list(ids)
     rng.shuffle(shuffled)

@@ -314,13 +314,15 @@ def evaluate_dataset(
     `tagged` holds dicts with id, style and fields (the tagger's JSON Lines
     rows); ground truth comes from the matching record's annoRef.  Rows
     whose (id, style) has no record are counted, not fatal.  When
-    `eval_ids` is given, rows outside it are ignored.
+    `eval_ids` is given, rows outside it are ignored, and only records
+    inside it are indexed.
     """
     policy = policy or EvalPolicy()
     truth_index: dict[tuple[str, str], str] = {}
     for record in records:
-        for cit in record.citations:
-            truth_index[(record.id, cit["style"])] = cit["annoRef"]
+        if eval_ids is None or record.id in eval_ids:
+            for cit in record.citations:
+                truth_index[(record.id, cit["style"])] = cit["annoRef"]
 
     total = EvalReport()
     normalized: dict[str, str] = {}

@@ -6,6 +6,10 @@ surfaces seen at least twice in training, everything rarer backing off to
 its orthographic class).  Decoding is log-space Viterbi, O(T*N^2), with
 ties broken toward the lower state index so output is reproducible.
 
+`train_hmm` reads its corpus in one pass, from any iterable (a generator
+will do), and keeps only counts keyed by label and token features, so
+its memory follows the model, not the corpus.
+
 Training and loading are pure Python: `train_hmm` and `HmmModel.load`
 give the initial, transition and emission tables as nested lists of
 floats.  Each row is normalized by a total summed in numpy's pairwise
@@ -27,10 +31,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import groupby, islice
-from operator import add, itemgetter
+from itertools import chain, groupby, islice
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .annotation import parse_annotation
 from .evaluate import ExtractedField
@@ -258,46 +262,51 @@ def _normalize_row(counts: list[float], alpha: float) -> list[float]:
     return [1.0 / len(row)] * len(row)
 
 
-def train_hmm(corpus: list[LabelSequence], alpha: float = 0.1) -> HmmModel:
+def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     """Count-based HMM estimation with Laplace smoothing `alpha`.
 
-    The emission vocabulary is every lowercased surface with corpus
-    frequency >= 2 plus the full set of backoff classes, so any token maps
-    to some column at decode time.
+    One pass over any iterable of sequences (a generator will do) counts
+    first labels, label steps and (label, features) emissions; the model
+    is derived from those counts alone, so memory follows the model's
+    size, not the corpus's.  The emission vocabulary is every lowercased
+    surface with corpus frequency >= 2 plus the full set of backoff
+    classes, so any token maps to some column at decode time.
     """
-    if not corpus:
+    sequences = iter(corpus)
+    first = next(sequences, None)
+    if first is None:
         raise EmptyCorpus("training corpus is empty")
     _check_alpha(alpha)
 
-    states = sorted({label for seq in corpus for label in seq.labels})
+    starts, steps, emits = Counter(), Counter(), Counter()
+    for seq in chain([first], sequences):
+        starts.update(seq.labels[:1])
+        steps.update(zip(seq.labels, seq.labels[1:]))
+        emits.update(zip(seq.labels, map(attrgetter("features"), seq.tokens)))
+    states = sorted({label for label, _ in emits})
     if not states:
         raise EmptyCorpus("training corpus has no tokens")
-    surface_freq = Counter(
-        tok.features.lower for seq in corpus for tok in seq.tokens
-    )
+    surface_freq = Counter()
+    for (_, features), count in emits.items():
+        surface_freq[features.lower] += count
     kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
     vocab = kept + list(BACKOFF_CLASSES)
     sym_index = {sym: i for i, sym in enumerate(vocab)}
     state_index = {s: i for i, s in enumerate(states)}
 
-    n, v = len(states), len(vocab)
-    initial = [0.0] * n
-    transition = [[0.0] * n for _ in range(n)]
-    emission = [[0.0] * v for _ in range(n)]
-    for seq in corpus:
-        if not seq.labels:
-            continue
-        initial[state_index[seq.labels[0]]] += 1
-        for prev, cur in zip(seq.labels, seq.labels[1:]):
-            transition[state_index[prev]][state_index[cur]] += 1
-        for tok, label in zip(seq.tokens, seq.labels):
-            emission[state_index[label]][_symbol_column(sym_index, tok.features)] += 1
-
+    # Counts are integers held in floats, so the order of the additions
+    # cannot change a row.
+    emission = [[0.0] * len(vocab) for _ in states]
+    for (label, features), count in emits.items():
+        emission[state_index[label]][_symbol_column(sym_index, features)] += count
     return HmmModel(
         states=states,
         vocab=vocab,
-        initial=_normalize_row(initial, alpha),
-        transition=[_normalize_row(row, alpha) for row in transition],
+        initial=_normalize_row([float(starts[s]) for s in states], alpha),
+        transition=[
+            _normalize_row([float(steps[prev, cur]) for cur in states], alpha)
+            for prev in states
+        ],
         emission=[_normalize_row(row, alpha) for row in emission],
         smoothing_alpha=alpha,
     )

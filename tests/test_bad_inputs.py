@@ -8,8 +8,10 @@ no traceback, or for the harvest log a domain exception.
 """
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import random
 import shutil
 import tempfile
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citeforge
 from citeforge import cli
 from citeforge.bibtex import serialize
 from citeforge.fixture import bibtex_for_id
@@ -160,3 +163,18 @@ def test_a_damaged_input_is_a_domain_error(chain, data):
                 code = cli.main([str(a) for a in stage])
             assert code in (0, 1), (target, where, stage[0], err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+def test_every_public_exception_class_is_a_value_error():
+    """`cli.main` reports ValueError and OSError as domain errors (exit 1),
+    so a public exception class of the package outside ValueError would
+    end a run in a traceback."""
+    classes = {
+        cls.__name__: cls
+        for info in pkgutil.iter_modules(citeforge.__path__)
+        for cls in vars(importlib.import_module(f"citeforge.{info.name}")).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+        and cls.__module__ == f"citeforge.{info.name}" and not cls.__name__.startswith("_")
+    }
+    assert {"MalformedAnnotation", "CorruptCheckpoint", "EmptyCorpus"} <= set(classes)
+    assert [name for name, cls in classes.items() if not issubclass(cls, ValueError)] == []

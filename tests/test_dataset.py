@@ -119,8 +119,17 @@ def test_split_3_gives_1_2():
 
 
 def test_split_too_small():
-    with pytest.raises(TooSmall):
-        split_dataset(["only"], seed=1)
+    for ids in (["only"], ["only", "only"]):
+        with pytest.raises(TooSmall):
+            split_dataset(ids, seed=1)
+
+
+def test_split_puts_a_repeated_id_on_one_side():
+    # two BibTeX entries with one key build two records with one id
+    for seed in range(1, 8):
+        manifest = split_dataset(["same", "other", "same", "more"], seed=seed)
+        assert sorted(manifest.train_ids + manifest.eval_ids) == ["more", "other", "same"]
+        assert len(manifest.train_ids) == (66 * 3) // 100
 
 
 def test_split_deterministic():

@@ -780,9 +780,12 @@ def assert_saved_as_reference(model, reference):
 
 
 @PROPERTY
-@given(_labelled_corpus(), st.sampled_from([0, 0.0, 0.05, 0.1, 1e6]))
-def test_train_matches_numpy_training_byte_for_byte(corpus, alpha):
-    assert_saved_as_reference(train_hmm(corpus, alpha=alpha), reference_train_hmm(corpus, alpha))
+@given(_labelled_corpus(), st.sampled_from([0, 0.0, 0.05, 0.1, 1e6]),
+       st.sampled_from([list, lambda corpus: (seq for seq in corpus)]))
+def test_train_matches_numpy_training_byte_for_byte(corpus, alpha, feed):
+    """Trained from a list or from a generator, read once."""
+    assert_saved_as_reference(
+        train_hmm(feed(corpus), alpha=alpha), reference_train_hmm(corpus, alpha))
 
 
 def _annotated_corpus(seed, n_entries):

@@ -3,11 +3,13 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from citeforge.annotation import strip_tags
+from citeforge.dataset import build_dataset
 from citeforge.labels import CANONICAL_LABELS
 from citeforge.hmm import (
     EmptyCorpus,
@@ -21,7 +23,7 @@ from citeforge.hmm import (
     viterbi,
 )
 from citeforge.styles import annotate, load_builtin_styles
-from citeforge.synth import random_corpus
+from citeforge.synth import random_corpus, random_entry
 from citeforge.tokens import BACKOFF_CLASSES, extract_features, tokenize
 
 
@@ -161,13 +163,52 @@ def test_train_large_alpha_approaches_uniform():
 
 
 def test_train_empty_corpus_raises():
-    with pytest.raises(EmptyCorpus):
-        train_hmm([], alpha=0.1)
+    for corpus in ([], iter([])):
+        with pytest.raises(EmptyCorpus, match="corpus is empty"):
+            train_hmm(corpus, alpha=0.1)
+        # an empty corpus is reported before a bad alpha
+        with pytest.raises(EmptyCorpus, match="corpus is empty"):
+            train_hmm(corpus, alpha=float("nan"))
 
 
 def test_train_corpus_of_empty_references_raises():
-    with pytest.raises(EmptyCorpus, match="no tokens"):
-        train_hmm([LabelSequence([], []), LabelSequence([], [])], alpha=0.0)
+    empties = [LabelSequence([], []), LabelSequence([], [])]
+    for corpus in (empties, iter(empties)):
+        with pytest.raises(EmptyCorpus, match="no tokens"):
+            train_hmm(corpus, alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be"):
+        train_hmm(iter(empties), alpha=float("nan"))
+
+
+def _traced_training_peak(n_entries, styles):
+    """tracemalloc peak (bytes) of training on `n_entries` random entries in
+    every style, each reference generated only when train_hmm reads it; the
+    feature cache starts empty, so its growth counts too."""
+    rng = random.Random(5)
+    entries = (random_entry(rng) for _ in range(n_entries))
+    corpus = (
+        align_training(cit["annoRef"])
+        for record in build_dataset(entries, styles)
+        for cit in record.citations
+    )
+    extract_features.cache_clear()
+    tracemalloc.start()
+    try:
+        model = train_hmm(corpus, alpha=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.vocab) > len(BACKOFF_CLASSES)  # the corpus was counted
+    return peak
+
+
+def test_train_memory_follows_the_model_not_the_corpus(styles):
+    # 50 -> 200 entries x 10 styles: streamed, the peak grows about 2.0x
+    # (counts, vocabulary and feature cache); a corpus held in a list
+    # grows it about 3.3x.
+    small = _traced_training_peak(50, styles)
+    large = _traced_training_peak(200, styles)
+    assert large <= 2.7 * small, (small, large)
 
 
 def test_rare_surfaces_back_off_to_class():
