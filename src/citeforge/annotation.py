@@ -9,7 +9,6 @@ overlap and never nest apart from the name parts inside author.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .labels import LABEL_SET, NAME_PART_TAGS
 
@@ -32,39 +31,24 @@ def unescape(text: str) -> str:
     return text.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
 
 
-@dataclass(frozen=True)
-class Span:
-    """A labeled character range over the plain (tag-free) text."""
-
-    label: str
-    start: int
-    end: int
-
-
-def parse_annotation(anno: str) -> tuple[str, list[Span]]:
+def parse_annotation(anno: str) -> tuple[str, list[tuple[str, int, int]]]:
     """Split an annotated reference into plain text and top-level spans.
 
-    Span offsets index the returned plain text.  Name-part tags are checked
-    for well-formedness but collapse into their enclosing author span.
-    Raises MalformedAnnotation on unknown, unbalanced or improperly nested
-    tags.
+    Each span is a `(label, start, end)` tuple; its offsets index the
+    returned plain text.  Name-part tags are checked for well-formedness
+    but collapse into their enclosing author span.  Raises
+    MalformedAnnotation on unknown, unbalanced or improperly nested tags.
     """
-    plain_parts: list[str] = []
-    plain_len = 0
-    spans: list[Span] = []
+    # Leading text, then (slash, name, following text) per tag.
+    parts = _TAG.split(anno)
+    plain_parts = [unescape(parts[0])]
+    plain_len = len(plain_parts[0])
+    spans: list[tuple[str, int, int]] = []
     stack: list[tuple[str, int]] = []
-    pos = 0
-    for m in _TAG.finditer(anno):
-        text = anno[pos : m.start()]
-        if text:
-            unescaped = unescape(text)
-            plain_parts.append(unescaped)
-            plain_len += len(unescaped)
-        pos = m.end()
-        closing, name = m.group(1) == "/", m.group(2)
+    for slash, name, text in zip(parts[1::3], parts[2::3], parts[3::3]):
         if name not in _VALID_TAGS:
             raise MalformedAnnotation(f"unknown tag <{name}>")
-        if not closing:
+        if not slash:
             if name in NAME_PART_TAGS:
                 if not stack or stack[-1][0] != "author":
                     raise MalformedAnnotation(f"<{name}> outside <author>")
@@ -76,14 +60,15 @@ def parse_annotation(anno: str) -> tuple[str, list[Span]]:
         else:
             if not stack or stack[-1][0] != name:
                 raise MalformedAnnotation(f"unbalanced </{name}>")
-            opened, start = stack.pop()
-            if opened not in NAME_PART_TAGS:
-                spans.append(Span(opened, start, plain_len))
+            _, start = stack.pop()
+            if name not in NAME_PART_TAGS:
+                spans.append((name, start, plain_len))
+        if text:
+            text = unescape(text)
+            plain_parts.append(text)
+            plain_len += len(text)
     if stack:
         raise MalformedAnnotation(f"unclosed <{stack[-1][0]}>")
-    tail = anno[pos:]
-    if tail:
-        plain_parts.append(unescape(tail))
     return "".join(plain_parts), spans
 
 

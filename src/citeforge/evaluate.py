@@ -295,7 +295,7 @@ def _score_into(
 def _truth_pairs(anno_ref: str) -> list[tuple[str, str]]:
     """(label, value) of each top-level span of an annotated reference."""
     plain, spans = parse_annotation(anno_ref)
-    return [(s.label, plain[s.start : s.end]) for s in spans]
+    return [(label, plain[start:end]) for label, start, end in spans]
 
 
 def ground_truth_fields(anno_ref: str) -> list[ExtractedField]:
@@ -315,14 +315,21 @@ def evaluate_dataset(
     rows); ground truth comes from the matching record's annoRef.  Rows
     whose (id, style) has no record are counted, not fatal.  When
     `eval_ids` is given, rows outside it are ignored, and only records
-    inside it are indexed.
+    inside it are indexed.  ValueError if two indexed records give one
+    (id, style) different annoRefs, since a row could not tell which is
+    its ground truth; an exact repeat is harmless.
     """
     policy = policy or EvalPolicy()
     truth_index: dict[tuple[str, str], str] = {}
     for record in records:
         if eval_ids is None or record.id in eval_ids:
             for cit in record.citations:
-                truth_index[(record.id, cit["style"])] = cit["annoRef"]
+                anno = cit["annoRef"]
+                if truth_index.setdefault((record.id, cit["style"]), anno) != anno:
+                    raise ValueError(
+                        f"ground truth is ambiguous: id {record.id!r}, style "
+                        f"{cit['style']!r} has two different annoRefs"
+                    )
 
     total = EvalReport()
     normalized: dict[str, str] = {}

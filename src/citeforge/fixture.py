@@ -57,7 +57,8 @@ class _Handler(BaseHTTPRequestHandler):
         monotonic = time.monotonic()
         server: FixtureServer = self.server.fixture  # type: ignore[attr-defined]
         if self.path == "/log":
-            payload = json.dumps(server.request_log).encode()
+            with server.lock:
+                payload = json.dumps(server.request_log).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -73,6 +74,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_error(404)
             return
 
+        script = server.script
+        status = script.fail_status.get(fixture_id)
+        # Fail-or-serve and the decrement share one critical section, so
+        # concurrent requests for an id fail exactly `fail_times` times.
         with server.lock:
             server.request_log.append(
                 {
@@ -83,13 +88,10 @@ class _Handler(BaseHTTPRequestHandler):
                 }
             )
             fails_left = server._fails_left.get(fixture_id)
-
-        script = server.script
-        status = script.fail_status.get(fixture_id)
-        if status is not None and (fails_left is None or fails_left > 0):
-            if fails_left is not None:
-                with server.lock:
-                    server._fails_left[fixture_id] = fails_left - 1
+            fail = status is not None and (fails_left is None or fails_left > 0)
+            if fail and fails_left is not None:
+                server._fails_left[fixture_id] = fails_left - 1
+        if fail:
             self.send_error(status)
             return
 

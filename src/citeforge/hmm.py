@@ -1,13 +1,14 @@
 """Label-sequence HMM: training from annotated references and Viterbi
 decoding of new ones.
 
-States are field labels; observations are token classes (lowercased
-surfaces seen at least twice in training, everything rarer backing off to
-its orthographic class).  Decoding is log-space Viterbi, O(T*N^2), with
-ties broken toward the lower state index so output is reproducible.
+States are field labels; a token's observation is one of the two symbols
+of its `FeatureVector`: the lowercased surface when seen at least twice
+in training, else its orthographic backoff symbol.  Decoding is
+log-space Viterbi, O(T*N^2), with ties broken toward the lower state
+index so output is reproducible.
 
 `train_hmm` reads its corpus in one pass, from any iterable (a generator
-will do), and keeps only counts keyed by label and token features, so
+will do), and keeps only counts keyed by label and feature vector, so
 its memory follows the model, not the corpus.
 
 Training and loading are pure Python: `train_hmm` and `HmmModel.load`
@@ -180,15 +181,15 @@ def align_training(anno_ref: str) -> LabelSequence:
     # or before a token's start covers no later token either.
     first = 0
     for tok in tokens:
-        while first < len(spans) and spans[first].end <= tok.start:
+        while first < len(spans) and spans[first][2] <= tok.start:
             first += 1
         best, best_cover = "other", 0
-        for span in islice(spans, first, None):
-            if span.start >= tok.end:
+        for label, start, end in islice(spans, first, None):
+            if start >= tok.end:
                 break
-            cover = min(tok.end, span.end) - max(tok.start, span.start)
+            cover = min(tok.end, end) - max(tok.start, start)
             if cover > best_cover:
-                best, best_cover = span.label, cover
+                best, best_cover = label, cover
         labels.append(best)
     return LabelSequence(tokens, labels)
 
@@ -198,7 +199,7 @@ def _symbol_column(sym_index: dict[str, int], features: FeatureVector) -> int:
     the vocabulary, else (rare or unseen) its orthographic backoff class."""
     idx = sym_index.get(features.lower)
     if idx is None:
-        idx = sym_index[features.backoff_class()]
+        idx = sym_index[features.backoff]
     return idx
 
 
@@ -266,11 +267,11 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     """Count-based HMM estimation with Laplace smoothing `alpha`.
 
     One pass over any iterable of sequences (a generator will do) counts
-    first labels, label steps and (label, features) emissions; the model
-    is derived from those counts alone, so memory follows the model's
-    size, not the corpus's.  The emission vocabulary is every lowercased
-    surface with corpus frequency >= 2 plus the full set of backoff
-    classes, so any token maps to some column at decode time.
+    first labels, label steps and (label, feature vector) emissions; the
+    model is derived from those counts alone, so memory follows the
+    model's size, not the corpus's.  The emission vocabulary is every
+    lowercased surface with corpus frequency >= 2 plus the full set of
+    backoff classes, so any token maps to some column at decode time.
     """
     sequences = iter(corpus)
     first = next(sequences, None)

@@ -20,6 +20,7 @@ from .labels import LABEL_SET, entry_value
 NAME_FORMATS = ("surname_initials", "surname_first_full", "initials_dotted")
 
 _DASH_RUN = re.compile(r"[-‐‑‒–—]{1,2}")
+_MARKUP = re.compile(r"[<>&]")
 
 
 class StyleError(ValueError):
@@ -62,9 +63,13 @@ class StyleTemplate:
         for seg in self.segments:
             if seg.variable not in LABEL_SET or seg.variable == "other":
                 raise SchemaError(f"{self.style_id}: unknown variable {seg.variable!r}")
-            if "<" in seg.prefix + seg.suffix or ">" in seg.prefix + seg.suffix:
+        # Literals go into the annotated string unescaped, where these
+        # characters would read as tags or entities.
+        literals = [text for seg in self.segments for text in (seg.prefix, seg.suffix)]
+        for literal in literals + [self.final_punct]:
+            if _MARKUP.search(literal):
                 raise SchemaError(
-                    f"{self.style_id}: prefix/suffix may not contain tag delimiters"
+                    f"{self.style_id}: literal {literal!r} may not contain <, > or &"
                 )
         if not variables & {"author", "editor"}:
             raise SchemaError(f"{self.style_id}: no author or editor segment")

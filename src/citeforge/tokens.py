@@ -1,16 +1,18 @@
 """Tokenization and per-token orthographic features for reference strings.
 
-Tokens are whitespace-separated runs with punctuation left attached.  The
-feature vector holds exactly what the HMM reads: the lowercased surface
-(its emission symbol when frequent enough) and the coarse case,
-punctuation and last-character classes that make up its backoff symbol.
+Tokens are whitespace-separated runs with punctuation left attached.  A
+token's `FeatureVector` holds exactly the two symbols the HMM reads: the
+lowercased surface (its emission symbol when frequent enough) and the
+backoff symbol built from its coarse case, punctuation and
+last-character classes.  The 128 backoff symbols are built once, and
+every vector shares those strings.
 
 Features depend on the surface alone, so `extract_features` is memoized
 per surface in an LRU cache bounded at FEATURE_CACHE_SIZE (32,768)
-entries.  An entry costs about 260 bytes on CPython 3.11 for a 3-12
-character surface (the surface key, its lowercased copy, the slotted
-vector and the cache's own link), so the cache holds at most about 9 MB
-however long the input.
+entries.  An entry costs about 250 bytes on CPython 3.11 for a 3-12
+character surface (the surface key, its lowercased copy, the vector and
+the cache's own link), so the cache holds at most about 8 MB however
+long the input.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 CASE_CLASSES = ("Initialcaps", "MixedCaps", "ALLCAPS", "others")
 PUNCT_CLASSES = (
@@ -41,27 +44,23 @@ _PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
 FEATURE_CACHE_SIZE = 1 << 15
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """The two emission symbols the HMM reads for a surface."""
+
     lower: str
-    last_char_class: str
-    case_class: str
-    punct_class: str
-
-    def backoff_class(self) -> str:
-        """Coarse emission symbol for surfaces too rare to stand alone.
-
-        The C=/P=/L= markers keep these distinct from any lowercased
-        surface form.
-        """
-        return f"C={self.case_class}|P={self.punct_class}|L={self.last_char_class}"
+    # Case x punctuation x last-character class, the symbol of surfaces
+    # too rare to stand alone; the C=/P=/L= markers keep it distinct from
+    # any lowercased surface.
+    backoff: str
 
 
-# Every backoff symbol, case x punctuation x last character.
-BACKOFF_CLASSES = tuple(
-    FeatureVector("", last, case, punct).backoff_class()
+# Every backoff symbol, keyed by its (case, punctuation, last character)
+# classes.
+_BACKOFF = {
+    (case, punct, last): f"C={case}|P={punct}|L={last}"
     for case in CASE_CLASSES for punct in PUNCT_CLASSES for last in LAST_CHAR_CLASSES
-)
+}
+BACKOFF_CLASSES = tuple(_BACKOFF.values())
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,8 @@ def extract_features(surface: str) -> FeatureVector:
     always give equal vectors, and the frozen result is shared between
     them."""
     return FeatureVector(
-        lower=surface.lower(),
-        last_char_class=_last_char_class(surface),
-        case_class=_case_class(surface),
-        punct_class=_punct_class(surface),
+        surface.lower(),
+        _BACKOFF[_case_class(surface), _punct_class(surface), _last_char_class(surface)],
     )
 
 

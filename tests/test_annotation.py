@@ -2,7 +2,6 @@ import pytest
 
 from citeforge.annotation import (
     MalformedAnnotation,
-    Span,
     escape,
     parse_annotation,
     strip_tags,
@@ -34,20 +33,20 @@ def test_bare_ampersand_passes_through():
 def test_parse_spans_offsets():
     plain, spans = parse_annotation("<author>A B</author>, <issued>1990</issued>.")
     assert plain == "A B, 1990."
-    assert spans == [Span("author", 0, 3), Span("issued", 5, 9)]
+    assert spans == [("author", 0, 3), ("issued", 5, 9)]
 
 
 def test_name_parts_collapse_into_author_span():
     anno = "<author><surname>Doe</surname> <firstname>J.</firstname></author>"
     plain, spans = parse_annotation(anno)
     assert plain == "Doe J."
-    assert spans == [Span("author", 0, 6)]
+    assert spans == [("author", 0, 6)]
 
 
 def test_spaces_inside_tags_are_kept():
     plain, spans = parse_annotation("<issued> 1990. </issued>next")
     assert plain == " 1990. next"
-    assert spans == [Span("issued", 0, 7)]
+    assert spans == [("issued", 0, 7)]
 
 
 @pytest.mark.parametrize(
@@ -69,4 +68,4 @@ def test_malformed_annotations_raise(bad):
 def test_adjacent_tags_without_separator():
     plain, spans = parse_annotation("<edition>E</edition><publisher>P</publisher> .")
     assert plain == "EP ."
-    assert [s.label for s in spans] == ["edition", "publisher"]
+    assert [label for label, _, _ in spans] == ["edition", "publisher"]

@@ -184,14 +184,11 @@ def test_full_chain_and_manifests(tmp_path, corpus_file, capsys):
         assert manifest["output_digests"]
 
 
-def test_evaluate_perfect_tags_score_one(tmp_path, corpus_file, capsys):
-    # tag the dataset with the ground-truth fields and expect F1 = 1
+def _write_perfect_tags(ds, tagged):
+    """Tag every citation of the dataset `ds` with its own ground truth."""
     from citeforge.dataset import load_jsonl
     from citeforge.evaluate import ground_truth_fields
 
-    ds = tmp_path / "ds.jsonl"
-    assert run("build", "--in", corpus_file, "--out", ds) == 0
-    tagged = tmp_path / "tagged.jsonl"
     with open(tagged, "w", encoding="utf-8") as fh:
         for record in load_jsonl(ds):
             for cit in record.citations:
@@ -208,11 +205,52 @@ def test_evaluate_perfect_tags_score_one(tmp_path, corpus_file, capsys):
                     )
                     + "\n"
                 )
+
+
+def test_evaluate_perfect_tags_score_one(tmp_path, corpus_file, capsys):
+    # tag the dataset with the ground-truth fields and expect F1 = 1
+    ds = tmp_path / "ds.jsonl"
+    assert run("build", "--in", corpus_file, "--out", ds) == 0
+    tagged = tmp_path / "tagged.jsonl"
+    _write_perfect_tags(ds, tagged)
     report = tmp_path / "report.json"
     capsys.readouterr()
     assert run("evaluate", "--in", tagged, "--dataset", ds, "--out", report) == 0
     data = json.loads(report.read_text())
     assert data["overall"]["f1"] == pytest.approx(1.0)
+
+
+def test_evaluate_refuses_ambiguous_ground_truth(tmp_path, capsys):
+    # Two different entries under one key give one id two annoRefs per
+    # style, and no tagged row could tell which is its ground truth.
+    entries = random_corpus(random.Random(8), 4)
+    entries[0].key = entries[2].key = "same"
+    bib = tmp_path / "dup.bib"
+    bib.write_text(serialize(entries), encoding="utf-8")
+    ds, tagged = tmp_path / "ds.jsonl", tmp_path / "tagged.jsonl"
+    assert run("build", "--in", bib, "--out", ds) == 0
+    assert len(ds.read_text(encoding="utf-8").splitlines()) == 4
+    _write_perfect_tags(ds, tagged)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run("evaluate", "--in", tagged, "--dataset", ds, "--out", report) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'same'" in err
+    assert not report.exists()
+
+    # An exact repeat of a record is harmless: it scores as the record alone.
+    entries[2].key = "unique"
+    bib.write_text(serialize(entries), encoding="utf-8")
+    assert run("build", "--in", bib, "--out", ds) == 0
+    _write_perfect_tags(ds, tagged)
+    assert run("evaluate", "--in", tagged, "--dataset", ds, "--out", report) == 0
+    once = json.loads(report.read_text())
+    repeated = tmp_path / "repeated.jsonl"
+    lines = ds.read_text(encoding="utf-8").splitlines(keepends=True)
+    repeated.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    assert run("evaluate", "--in", tagged, "--dataset", repeated, "--out", report) == 0
+    assert json.loads(report.read_text()) == once
+    assert once["overall"]["f1"] == pytest.approx(1.0)
 
 
 def test_tag_plain_text_references(tmp_path, corpus_file):

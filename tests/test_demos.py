@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the public API."""
+"""Every demo script, and the README's library quick start, runs to
+completion against the public API."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,19 @@ def test_demo_runs(demo, tmp_path, child_env):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(tmp_path, child_env):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, "README should hold one python quick-start block"
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        cwd=tmp_path,
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip(), "the quick start prints the fields it tagged"

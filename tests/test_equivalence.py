@@ -2,6 +2,7 @@
 
 Each reference below is the earlier implementation kept verbatim in
 logic: the per-character `normalize`, the full feature extractor, the
+annotation parser that sliced the text between tag matches, the
 tokens x spans alignment scan, the Viterbi decoder that took the logs of
 its tables on every call, HMM training, saving and loading on numpy
 arrays, the renderer that made the plain and the
@@ -29,7 +30,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from citeforge.annotation import MalformedAnnotation, escape, parse_annotation, strip_tags
+from citeforge.annotation import (
+    MalformedAnnotation,
+    escape,
+    parse_annotation,
+    strip_tags,
+    unescape,
+)
 from citeforge.bibtex import BibEntry, field_histogram, histogram_table, type_histogram
 from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
 from citeforge.evaluate import (
@@ -58,13 +65,22 @@ from citeforge.hmm import (
 from citeforge.labels import (
     CANONICAL_LABELS,
     LABEL_SET,
+    NAME_PART_TAGS,
     entry_value,
     field_for_label,
     to_canonical,
 )
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
 from citeforge.synth import random_corpus
-from citeforge.tokens import BACKOFF_CLASSES, Token, extract_features, tokenize
+from citeforge.tokens import (
+    BACKOFF_CLASSES,
+    Token,
+    _case_class,
+    _last_char_class,
+    _punct_class,
+    extract_features,
+    tokenize,
+)
 
 STYLES = load_builtin_styles()
 PROPERTY = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,16 +157,61 @@ def reference_features(surface):
     return surface.lower(), case, punct, last, f"C={case}|P={punct}|L={last}"
 
 
+_REF_TAG = re.compile(r"<(/?)([a-zA-Z-]+)>")
+_REF_VALID_TAGS = (LABEL_SET | set(NAME_PART_TAGS)) - {"other"}
+
+
+def reference_parse_annotation(anno):
+    """The parser that tracked match positions and sliced the text between
+    tags; spans as (label, start, end)."""
+    plain_parts = []
+    plain_len = 0
+    spans = []
+    stack = []
+    pos = 0
+    for m in _REF_TAG.finditer(anno):
+        text = anno[pos : m.start()]
+        if text:
+            unescaped = unescape(text)
+            plain_parts.append(unescaped)
+            plain_len += len(unescaped)
+        pos = m.end()
+        closing, name = m.group(1) == "/", m.group(2)
+        if name not in _REF_VALID_TAGS:
+            raise MalformedAnnotation(f"unknown tag <{name}>")
+        if not closing:
+            if name in NAME_PART_TAGS:
+                if not stack or stack[-1][0] != "author":
+                    raise MalformedAnnotation(f"<{name}> outside <author>")
+            elif stack:
+                raise MalformedAnnotation(
+                    f"<{name}> nested inside <{stack[-1][0]}>"
+                )
+            stack.append((name, plain_len))
+        else:
+            if not stack or stack[-1][0] != name:
+                raise MalformedAnnotation(f"unbalanced </{name}>")
+            opened, start = stack.pop()
+            if opened not in NAME_PART_TAGS:
+                spans.append((opened, start, plain_len))
+    if stack:
+        raise MalformedAnnotation(f"unclosed <{stack[-1][0]}>")
+    tail = anno[pos:]
+    if tail:
+        plain_parts.append(unescape(tail))
+    return "".join(plain_parts), spans
+
+
 def reference_align(anno_ref):
     plain, spans = parse_annotation(anno_ref)
     tokens = tokenize(plain)
     labels = []
     for tok in tokens:
         best, best_cover = "other", 0
-        for span in spans:
-            cover = min(tok.end, span.end) - max(tok.start, span.start)
+        for label, start, end in spans:
+            cover = min(tok.end, end) - max(tok.start, start)
             if cover > best_cover:
-                best, best_cover = span.label, cover
+                best, best_cover = label, cover
         labels.append(best)
     return labels
 
@@ -207,7 +268,7 @@ def reference_train_hmm(corpus, alpha):
             transition[state_index[prev], state_index[cur]] += 1
         for tok, label in zip(seq.tokens, seq.labels):
             lower = tok.features.lower
-            sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else tok.features.backoff_class()
+            sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else tok.features.backoff
             emission[state_index[label], sym_index[sym]] += 1
     return HmmModel(
         states=states,
@@ -537,7 +598,7 @@ def reference_score_into(report, predictions, truth, policy):
 
 def reference_ground_truth_fields(anno_ref):
     plain, spans = parse_annotation(anno_ref)
-    return [ExtractedField(s.label, plain[s.start : s.end]) for s in spans]
+    return [ExtractedField(label, plain[start:end]) for label, start, end in spans]
 
 
 def reference_evaluate_dataset(tagged, records, policy=None, eval_ids=None):
@@ -618,8 +679,65 @@ _SURFACE = st.lists(
 @given(_SURFACE)
 def test_features_match_full_extractor(surface):
     fv = extract_features(surface)
-    got = (fv.lower, fv.case_class, fv.punct_class, fv.last_char_class, fv.backoff_class())
-    assert got == reference_features(surface)
+    lower, case, punct, last, backoff = reference_features(surface)
+    assert (fv.lower, fv.backoff) == (lower, backoff)
+    assert fv == (lower, backoff)  # and nothing else
+    assert any(fv.backoff is shared for shared in BACKOFF_CLASSES)
+    classes = (_case_class(surface), _punct_class(surface), _last_char_class(surface))
+    assert classes == (case, punct, last)
+
+
+# --- annotation parsing -------------------------------------------------
+
+
+def _parsed(parse, anno):
+    """(plain, spans) of `anno`, or the MalformedAnnotation message."""
+    try:
+        return parse(anno)
+    except MalformedAnnotation as exc:
+        return str(exc)
+
+
+def test_parse_annotation_matches_reference_on_synthetic_corpus():
+    annos = 0
+    for entry in random_corpus(random.Random(12), 300):
+        for style in STYLES:
+            try:
+                anno = annotate(entry, style).anno_ref
+            except MissingVariable:
+                continue
+            annos += 1
+            assert parse_annotation(anno) == reference_parse_annotation(anno)
+    assert annos > 2_000
+
+
+_ANNO_TEXT = st.text(alphabet=" .,;-aZ1é<>/&", max_size=6)
+# entities, bare and double-escaped
+_ENTITY = st.sampled_from(["&lt;", "&gt;", "&amp;", "&", "&amp;lt;", "&lt", "&#60;"])
+_NAME_PART = st.sampled_from(
+    ["<surname>Doe</surname>", "<surname>A</surname> <firstname>B.</firstname>",
+     "<firstname>J</firstname>"]
+)
+# a labeled span around text, entities and name parts (valid only in author)
+_SPAN = st.builds(
+    lambda label, inner: f"<{label}>{''.join(inner)}</{label}>",
+    st.sampled_from(CANONICAL_LABELS),
+    st.lists(st.one_of(_ANNO_TEXT, _ENTITY, _NAME_PART), max_size=4),
+)
+# valid, unknown, name-part and broken tags on their own
+_LONE_TAG = st.sampled_from(
+    [f"<{label}>" for label in CANONICAL_LABELS]
+    + [f"</{label}>" for label in CANONICAL_LABELS]
+    + ["<surname>", "</surname>", "<firstname>", "</firstname>", "<bogus>",
+       "</x-y>", "<Title>", "<>", "< title>", "<1>", "</>"]
+)
+_ANNO_PIECE = st.one_of(_SPAN, _SPAN, _ANNO_TEXT, _ENTITY, _LONE_TAG)
+
+
+@PROPERTY
+@given(st.lists(_ANNO_PIECE, max_size=16).map("".join))
+def test_parse_annotation_matches_reference_on_arbitrary_markup(anno):
+    assert _parsed(parse_annotation, anno) == _parsed(reference_parse_annotation, anno)
 
 
 # --- alignment ----------------------------------------------------------

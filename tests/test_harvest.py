@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,53 @@ def test_fixture_log_route_serves_receive_timestamps(server, tmp_path):
     assert all("ts" in e and "user_agent" in e for e in bib_events)
     timestamps = [e["ts"] for e in bib_events]
     assert timestamps == sorted(timestamps)
+
+
+class _SlowLookup(dict):
+    """A status map whose lookups sleep, so other requests run meanwhile: a
+    server that reads an id's failure budget and decrements it in two
+    critical sections then loses decrements."""
+
+    def get(self, key, default=None):
+        time.sleep(0.01)
+        return super().get(key, default)
+
+
+def test_fixture_fails_an_id_exactly_fail_times_under_concurrent_requests():
+    import sys
+    import threading
+    import urllib.error
+    import urllib.request
+
+    clients, times = 8, 3
+    script = FixtureScript(fail_status=_SlowLookup({4: 503}), fail_times={4: times})
+    statuses, log = [], None
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with FixtureServer(script) as srv:
+            barrier = threading.Barrier(clients, timeout=10)
+
+            def fetch():
+                barrier.wait()
+                try:
+                    with urllib.request.urlopen(srv.base_url + "/bib/4", timeout=10) as resp:
+                        statuses.append(resp.status)
+                except urllib.error.HTTPError as exc:
+                    statuses.append(exc.code)
+
+            threads = [threading.Thread(target=fetch) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert not any(thread.is_alive() for thread in threads)
+            with urllib.request.urlopen(srv.base_url + "/log", timeout=10) as resp:
+                log = json.loads(resp.read())
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(statuses) == [200] * (clients - times) + [503] * times
+    assert [e["id"] for e in log] == [4] * clients
 
 
 # --- harvesting ----------------------------------------------------------

@@ -216,7 +216,7 @@ def test_rare_surfaces_back_off_to_class():
     model = train_hmm([seq], alpha=0.1)
     assert "common" in model.vocab
     assert "rare" not in model.vocab
-    backoff = extract_features("rare").backoff_class()
+    backoff = extract_features("rare").backoff
     assert backoff in model.vocab
 
 

@@ -228,7 +228,7 @@ def test_annotate_spans_match_emitted_segments(styles):
                 cursor += len(seg.prefix)
                 expected.append((seg.variable, cursor, cursor + len(value)))
                 cursor += len(value) + len(seg.suffix)
-            assert [(s.label, s.start, s.end) for s in spans] == expected
+            assert spans == expected
 
 
 def test_every_tagged_label_resolves_to_a_present_field(styles):
@@ -236,9 +236,9 @@ def test_every_tagged_label_resolves_to_a_present_field(styles):
     for entry in random_corpus(rng, 30):
         for style in styles:
             _, spans = parse_annotation(annotate(entry, style).anno_ref)
-            for span in spans:
-                names = CONSISTENCY_MAP[span.label]
-                assert any(n in entry.fields for n in names), span.label
+            for label, _, _ in spans:
+                names = CONSISTENCY_MAP[label]
+                assert any(n in entry.fields for n in names), label
 
 
 def test_editor_values_get_no_name_part_tags():
@@ -299,7 +299,29 @@ def test_load_styles_missing_key_is_schema_error(tmp_path):
 
 
 def test_prefix_with_tag_delimiter_rejected():
-    with pytest.raises(SchemaError):
-        StyleTemplate(
-            "angled", (Segment("author"), Segment("title"), Segment("url", " <", ">"))
-        )
+    # Each literal written outside a tag: a prefix, a suffix, final_punct.
+    for prefix, suffix, final_punct, bad in [
+        (" <", ">", "", " <"),
+        ("", ">", "", ">"),
+        ("&amp; ", "", "", "&amp; "),
+        ("&lt;", "", "", "&lt;"),
+        ("", " & ", "", " & "),
+        ("", "", " <note>x</note>", " <note>x</note>"),
+        ("", "", "<note>", "<note>"),
+        ("", "", "&", "&"),
+    ]:
+        with pytest.raises(SchemaError) as excinfo:
+            StyleTemplate(
+                "angled",
+                (Segment("author"), Segment("title"), Segment("url", prefix, suffix)),
+                final_punct=final_punct,
+            )
+        assert str(excinfo.value).startswith("angled: ")
+        assert repr(bad) in str(excinfo.value)
+    # The name delimiter is escaped where it is written, so it may hold them.
+    style = StyleTemplate(
+        "amp", (Segment("author"), Segment("title", ". ")), name_delimiter=" <&> "
+    )
+    ref = annotate(BibEntry("misc", "m", {"author": "A, B and C, D", "title": "T"}), style)
+    assert ref.bib_ref == "A B <&> C D. T"
+    assert strip_tags(ref.anno_ref) == ref.bib_ref

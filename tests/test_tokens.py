@@ -1,6 +1,14 @@
 import pytest
 
-from citeforge.tokens import FEATURE_CACHE_SIZE, extract_features, tokenize
+from citeforge.tokens import (
+    BACKOFF_CLASSES,
+    FEATURE_CACHE_SIZE,
+    _case_class,
+    _last_char_class,
+    _punct_class,
+    extract_features,
+    tokenize,
+)
 
 
 def test_tokenize_keeps_punctuation_attached():
@@ -31,8 +39,8 @@ def test_identity_forms():
 
 
 def test_prefixes_and_suffixes_short_token():
-    fv = extract_features("pp.")
-    assert fv.punct_class == "stopPunctuation"
+    assert _punct_class("pp.") == "stopPunctuation"
+    assert extract_features("pp.").backoff == "C=others|P=stopPunctuation|L=other"
 
 
 @pytest.mark.parametrize(
@@ -47,7 +55,7 @@ def test_prefixes_and_suffixes_short_token():
     ],
 )
 def test_case_classes(surface, expected):
-    assert extract_features(surface).case_class == expected
+    assert _case_class(surface) == expected
 
 
 @pytest.mark.parametrize(
@@ -68,7 +76,7 @@ def test_case_classes(surface, expected):
     ],
 )
 def test_punct_classes(surface, expected):
-    assert extract_features(surface).punct_class == expected
+    assert _punct_class(surface) == expected
 
 
 @pytest.mark.parametrize(
@@ -76,7 +84,7 @@ def test_punct_classes(surface, expected):
     [("IEEE", "upper"), ("word", "lower"), ("2002", "numeric"), ("end.", "other")],
 )
 def test_last_char_classes(surface, expected):
-    assert extract_features(surface).last_char_class == expected
+    assert _last_char_class(surface) == expected
 
 
 def test_features_are_deterministic():
@@ -84,8 +92,8 @@ def test_features_are_deterministic():
 
 
 def test_backoff_class_never_collides_with_lowercased_surface():
-    fv = extract_features("anything")
-    assert fv.backoff_class() != fv.backoff_class().lower()
+    for backoff in BACKOFF_CLASSES:
+        assert backoff != backoff.lower()
 
 
 def test_tokens_cover_all_nonspace_runs():
