@@ -4,6 +4,8 @@ The parser is deliberately forgiving: a malformed entry is reported and
 skipped, never aborting the rest of the file, because harvested corpora
 reliably contain a few broken blocks.  String macros and `#` concatenation
 are out of scope and surface as syntax issues on the affected entry only.
+Values are scanned by regular expressions that jump from one brace, quote
+or separator to the next, so no Python loop visits every character.
 """
 
 from __future__ import annotations
@@ -116,55 +118,45 @@ class CleanStats:
 
 
 _ENTRY_START = re.compile(r"@\s*([A-Za-z]+)\s*\{", re.ASCII)
-_FIELD_NAME = re.compile(r"\s*([A-Za-z][\w.:-]*)\s*=\s*")
+_FIELD_NAME = re.compile(r"([A-Za-z][\w.:-]*)\s*=\s*")
 _BARE_VALUE = re.compile(r"[^,{}\s#\"]+")
+_SEPARATORS = re.compile(r"[\s,]*")
+_CONCATENATION = re.compile(r"\s*#")
+_WHITESPACE = re.compile(r"\s+")
+_BRACES = re.compile(r"[{}]")
+_QUOTED_STOPS = re.compile(r'[{}"]')
 
 
 class _EntrySyntaxError(Exception):
     pass
 
 
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
-
-
 def _read_braced(text: str, i: int) -> tuple[str, int]:
     """Read a {...} group starting at text[i] == '{'; returns inner value."""
     depth = 0
-    start = i + 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "{":
+    for m in _BRACES.finditer(text, i):
+        if m[0] == "{":
             depth += 1
-        elif c == "}":
+        else:
             depth -= 1
             if depth == 0:
-                return text[start:i], i + 1
-        i += 1
+                return text[i + 1 : m.start()], m.end()
     raise _EntrySyntaxError("unbalanced braces in value")
 
 
 def _read_quoted(text: str, i: int) -> tuple[str, int]:
     """Read a "..." value starting at text[i] == '"'; braces may nest inside."""
-    i += 1
-    start = i
     depth = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
+    for m in _QUOTED_STOPS.finditer(text, i + 1):
+        c = m[0]
         if c == "{":
             depth += 1
         elif c == "}":
             depth -= 1
             if depth < 0:
                 raise _EntrySyntaxError("unbalanced braces in quoted value")
-        elif c == '"' and depth == 0:
-            return text[start:i], i + 1
-        i += 1
+        elif depth == 0:
+            return text[i + 1 : m.start()], m.end()
     raise _EntrySyntaxError("unterminated quoted value")
 
 
@@ -172,22 +164,13 @@ def _parse_fields(body: str) -> dict[str, str]:
     """Parse the `name = value, ...` tail of an entry body."""
     fields: dict[str, str] = {}
     i = 0
-    n = len(body)
-    while True:
-        i = _skip_ws(body, i)
-        if i >= n:
-            break
-        if body[i] == ",":
-            i += 1
-            continue
+    while (i := _SEPARATORS.match(body, i).end()) < len(body):
         m = _FIELD_NAME.match(body, i)
         if not m:
             raise _EntrySyntaxError(f"expected `name =` near offset {i}")
         name = m.group(1).lower()
         i = m.end()
-        if i >= n:
-            raise _EntrySyntaxError(f"field {name} has no value")
-        c = body[i]
+        c = body[i : i + 1]  # empty at the end of the body: no value
         if c == "{":
             value, i = _read_braced(body, i)
         elif c == '"':
@@ -198,11 +181,10 @@ def _parse_fields(body: str) -> dict[str, str]:
                 raise _EntrySyntaxError(f"field {name} has no value")
             value = m.group(0)
             i = m.end()
-        i = _skip_ws(body, i)
-        if i < n and body[i] == "#":
+        if _CONCATENATION.match(body, i):
             raise _EntrySyntaxError(f"string concatenation in field {name}")
         # Collapse the line-wrapping whitespace exports insert inside values.
-        value = re.sub(r"\s+", " ", value).strip()
+        value = _WHITESPACE.sub(" ", value).strip()
         fields.setdefault(name, value)  # first occurrence wins, as in BibTeX
     return fields
 
@@ -239,7 +221,7 @@ def parse_bibtex(
 
         key, _, rest = body.partition(",")
         key = key.strip()
-        if not key or any(c.isspace() for c in key):
+        if not key or _WHITESPACE.search(key):
             issues.append(ValidationIssue(
                 key or "?", IssueKind.SYNTAX_ERROR, "missing or malformed citation key"
             ))

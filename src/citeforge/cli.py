@@ -127,8 +127,9 @@ class Settings:
     flags (append or nargs="+") wrap a single value in a list, and typed
     flags go through their `type`.  A config value that is not a string
     must have the flag's JSON type: an integer for an `int` flag, a number
-    for a `float` flag, never a boolean.  A value that does not fit is a
-    ValueError naming where it came from.
+    for a `float` flag, never a boolean; a list for an nargs="+" flag must
+    not be empty.  A value that does not fit is a ValueError naming where it
+    came from.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -151,6 +152,8 @@ class Settings:
                     f"{'/'.join(FALSE_WORDS)}, got {value!r}"
                 )
             return word in TRUE_WORDS
+        if action.nargs == "+" and value == []:
+            raise ValueError(f"{source}: expected at least one value, got []")
         kinds = (str, *JSON_TYPES.get(action.type, ()))
 
         def convert(item):
@@ -210,10 +213,18 @@ def _resolved(**values) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file, with universal newlines; text that is not UTF-8
+    is a ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_entries(run: Run, path: str):
     """Entries and issues of a BibTeX file, tagged with the file's stem."""
-    text = Path(run.read(path)).read_text(encoding="utf-8")
-    return parse_bibtex(text, source_tag=Path(path).stem)
+    return parse_bibtex(_read_text(run.read(path)), source_tag=Path(path).stem)
 
 
 def _styles(settings: Settings, run: Run):
@@ -397,7 +408,7 @@ def _tagged_row(row: dict) -> dict:
 def _references(settings: Settings, run: Run, in_path: Path):
     """(keys, reference) of each reference `tag` decodes: the citations of a
     dataset, on the --split eval side when a split is given, or each
-    non-blank line of a text file."""
+    non-blank line of a text file, where only a line feed ends a line."""
     if is_dataset(in_path):
         keep = _split_ids(settings, run, "eval")
         for record in load_jsonl(in_path):
@@ -405,8 +416,8 @@ def _references(settings: Settings, run: Run, in_path: Path):
                 for cit in record.citations:
                     yield {"id": record.id, "style": cit["style"]}, cit["bibRef"]
     else:
-        text = in_path.read_text(encoding="utf-8")
-        yield from (({}, line.strip()) for line in text.splitlines() if line.strip())
+        lines = _read_text(in_path).split("\n")
+        yield from (({}, line.strip()) for line in lines if line.strip())
 
 
 def cmd_tag(settings: Settings, run: Run) -> None:

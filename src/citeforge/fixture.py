@@ -21,6 +21,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .bibtex import serialize
 from .synth import random_entry
 
+# How often the serving loop checks for `stop()`, which waits for that check.
+POLL_INTERVAL_S = 0.01
+
 
 @dataclass
 class FixtureScript:
@@ -115,7 +118,9 @@ class FixtureServer:
         }
         self._httpd = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
         self._httpd.fixture = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+        )
 
     @property
     def base_url(self) -> str:

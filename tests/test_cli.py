@@ -290,6 +290,39 @@ def test_tag_rows_of_a_text_file_follow_its_lines(tmp_path, chain_files):
     assert [list(row) for row in rows] == [["reference"]] * 2
 
 
+def test_tag_splits_text_on_line_feeds_only(tmp_path, chain_files):
+    model = chain_files[2]
+    refs = tmp_path / "refs.txt"
+    lines = ["Argon C. A title\x0cwith form feed. 2002", "Doe J.\x85Über\u2028alles\x1e\x0b1999."]
+    refs.write_text(f"{lines[0]}\r\n{lines[1]}\n", encoding="utf-8")
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
+    # JSON keeps U+0085 and U+2028 unescaped, so rows end at "\n" only
+    *rows, tail = tagged.read_text(encoding="utf-8").split("\n")
+    assert tail == ""
+    assert [json.loads(row)["reference"] for row in rows] == lines
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["parse", "clean", "stats", "render", "annotate", "build", "tag"]
+)
+def test_text_input_that_is_not_utf8_is_named(tmp_path, request, capsys, subcommand):
+    bad = tmp_path / ("bad.txt" if subcommand == "tag" else "bad.bib")
+    bad.write_bytes("@article{k, author = {Müller, J.}}\n".encode("latin-1"))
+    out = tmp_path / "out"
+    argv = [subcommand, "--in", bad]
+    if subcommand != "stats":
+        argv += ["--out", out]
+    if subcommand == "tag":
+        argv += ["--model", request.getfixturevalue("chain_files")[2]]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xfc in position 23: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
 def test_tag_rows_of_a_dataset_follow_its_eval_citations(tmp_path, chain_files):
     ds, split, model = chain_files
     tagged = tmp_path / "tagged.jsonl"
@@ -563,6 +596,14 @@ def test_append_flag_from_config_keeps_list(tmp_path):
     settings = settings_for("serve-fixture", "--config", config)
     assert settings.get("fail") == ["5:500", "6:404:2"]
     assert settings.get("multi") == ["3:2"]
+
+
+def test_config_empty_list_for_a_list_flag(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"in": []}))
+    assert run("stats", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config key 'in': expected at least one value, got []\n"
 
 
 def test_config_must_be_object(tmp_path, capsys):

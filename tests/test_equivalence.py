@@ -2,7 +2,8 @@
 
 Each reference below is the earlier implementation kept verbatim in
 logic: the per-character `normalize`, the full feature extractor, the
-annotation parser that sliced the text between tag matches, the
+annotation parser that sliced the text between tag matches, the BibTeX
+scanner that stepped through every character of a value, the
 tokens x spans alignment scan, the Viterbi decoder that took the logs of
 its tables on every call, HMM training, saving and loading on numpy
 arrays, the renderer that made the plain and the
@@ -37,7 +38,16 @@ from citeforge.annotation import (
     strip_tags,
     unescape,
 )
-from citeforge.bibtex import BibEntry, field_histogram, histogram_table, type_histogram
+from citeforge.bibtex import (
+    ENTRY_TYPES,
+    BibEntry,
+    IssueKind,
+    ValidationIssue,
+    field_histogram,
+    histogram_table,
+    parse_bibtex,
+    type_histogram,
+)
 from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
 from citeforge.evaluate import (
     EvalPolicy,
@@ -71,7 +81,7 @@ from citeforge.labels import (
     to_canonical,
 )
 from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
-from citeforge.synth import random_corpus
+from citeforge.synth import random_bibtex_file, random_corpus
 from citeforge.tokens import (
     BACKOFF_CLASSES,
     Token,
@@ -200,6 +210,136 @@ def reference_parse_annotation(anno):
     if tail:
         plain_parts.append(unescape(tail))
     return "".join(plain_parts), spans
+
+
+_REF_ENTRY_START = re.compile(r"@\s*([A-Za-z]+)\s*\{", re.ASCII)
+_REF_FIELD_NAME = re.compile(r"\s*([A-Za-z][\w.:-]*)\s*=\s*")
+_REF_BARE_VALUE = re.compile(r"[^,{}\s#\"]+")
+
+
+class _RefEntrySyntaxError(Exception):
+    pass
+
+
+def _ref_skip_ws(text, i):
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    return i
+
+
+def _ref_read_braced(text, i):
+    depth = 0
+    start = i + 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start:i], i + 1
+        i += 1
+    raise _RefEntrySyntaxError("unbalanced braces in value")
+
+
+def _ref_read_quoted(text, i):
+    i += 1
+    start = i
+    depth = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth < 0:
+                raise _RefEntrySyntaxError("unbalanced braces in quoted value")
+        elif c == '"' and depth == 0:
+            return text[start:i], i + 1
+        i += 1
+    raise _RefEntrySyntaxError("unterminated quoted value")
+
+
+def _ref_parse_fields(body):
+    fields = {}
+    i = 0
+    n = len(body)
+    while True:
+        i = _ref_skip_ws(body, i)
+        if i >= n:
+            break
+        if body[i] == ",":
+            i += 1
+            continue
+        m = _REF_FIELD_NAME.match(body, i)
+        if not m:
+            raise _RefEntrySyntaxError(f"expected `name =` near offset {i}")
+        name = m.group(1).lower()
+        i = m.end()
+        if i >= n:
+            raise _RefEntrySyntaxError(f"field {name} has no value")
+        c = body[i]
+        if c == "{":
+            value, i = _ref_read_braced(body, i)
+        elif c == '"':
+            value, i = _ref_read_quoted(body, i)
+        else:
+            m = _REF_BARE_VALUE.match(body, i)
+            if not m:
+                raise _RefEntrySyntaxError(f"field {name} has no value")
+            value = m.group(0)
+            i = m.end()
+        i = _ref_skip_ws(body, i)
+        if i < n and body[i] == "#":
+            raise _RefEntrySyntaxError(f"string concatenation in field {name}")
+        value = re.sub(r"\s+", " ", value).strip()
+        fields.setdefault(name, value)
+    return fields
+
+
+def reference_parse_bibtex(text, source_tag=None):
+    """The scanner that stepped through every character of a value, and
+    skipped whitespace one `isspace` call at a time."""
+    entries = []
+    issues = []
+    pos = 0
+    while m := _REF_ENTRY_START.search(text, pos):
+        entry_type = m.group(1).lower()
+        try:
+            body, pos = _ref_read_braced(text, m.end() - 1)
+        except _RefEntrySyntaxError as exc:
+            issues.append(ValidationIssue("?", IssueKind.SYNTAX_ERROR, str(exc)))
+            pos = m.end()
+            continue
+        if entry_type == "comment":
+            continue
+        if entry_type in ("string", "preamble"):
+            issues.append(ValidationIssue(
+                "?", IssueKind.SYNTAX_ERROR, f"@{entry_type} is not supported"
+            ))
+            continue
+        key, _, rest = body.partition(",")
+        key = key.strip()
+        if not key or any(c.isspace() for c in key):
+            issues.append(ValidationIssue(
+                key or "?", IssueKind.SYNTAX_ERROR, "missing or malformed citation key"
+            ))
+            continue
+        if entry_type not in ENTRY_TYPES:
+            issues.append(ValidationIssue(
+                key, IssueKind.UNKNOWN_TYPE, f"unknown entry type @{entry_type}"
+            ))
+            continue
+        try:
+            fields = _ref_parse_fields(rest)
+        except _RefEntrySyntaxError as exc:
+            issues.append(ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc)))
+            continue
+        entries.append(BibEntry(entry_type, key, fields, source_tag))
+    return entries, issues
 
 
 def reference_align(anno_ref):
@@ -738,6 +878,71 @@ _ANNO_PIECE = st.one_of(_SPAN, _SPAN, _ANNO_TEXT, _ENTITY, _LONE_TAG)
 @given(st.lists(_ANNO_PIECE, max_size=16).map("".join))
 def test_parse_annotation_matches_reference_on_arbitrary_markup(anno):
     assert _parsed(parse_annotation, anno) == _parsed(reference_parse_annotation, anno)
+
+
+# --- bibtex scanning ----------------------------------------------------
+
+
+def _bibtex_outcome(parse, text):
+    """Entries (with their source tags) and issues of one parse."""
+    entries, issues = parse(text, source_tag="src")
+    return (
+        [(e.entry_type, e.key, e.fields, e.source_tag) for e in entries],
+        [(i.citation_key, i.kind, i.detail) for i in issues],
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_bibtex_matches_reference_on_synthetic_corpus(seed):
+    text = random_bibtex_file(random.Random(seed), 300)
+    outcome = _bibtex_outcome(parse_bibtex, text)
+    assert outcome == _bibtex_outcome(reference_parse_bibtex, text)
+    assert len(outcome[0]) > 250
+
+
+# whitespace that `str.isspace` and the regex `\s` both accept, ASCII and not
+_BIB_SPACE = st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f",
+                              "\x85", "\xa0", "\u2028", "\u3000"])
+_BIB_WORD = st.text(alphabet="aZ1.:-_", min_size=1, max_size=4)
+# a braced value with inner whitespace, a quoted one with a stray brace, a bare one
+_BIB_VALUE = st.one_of(
+    st.builds("{{{}{}{}}}".format, _BIB_WORD, _BIB_SPACE, _BIB_WORD),
+    st.builds('"{}{}{}"'.format, _BIB_WORD, st.sampled_from(["{", "}", "{x}", "}{"]), _BIB_WORD),
+    _BIB_WORD,
+)
+_BIB_FIELD = st.builds(
+    "{}{}={}{}{},".format,
+    st.sampled_from(["title", "Year", "x.y:z", "1x"]),
+    _BIB_SPACE,
+    _BIB_SPACE,
+    _BIB_VALUE,
+    _BIB_SPACE,
+)
+_BIB_NOISE = st.one_of(
+    _BIB_SPACE,
+    st.sampled_from(["@", "@article", "@misc", "{", "}", '"', ",", "=", "#", "Doe, J.", "é"]),
+    _BIB_WORD,
+)
+# an entry head, fields mixed with noise, and a closing brace or none; a
+# brace in the key lets a quoted value meet a `}` it cannot match
+_BIB_ENTRY = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["@article{k,", "@book {k1,", "@misc{a b,", "@bogus{k,", "@string{",
+                     "@comment{", "@ARTICLE{k", "@misc{k{,"]),
+    st.lists(st.one_of(_BIB_FIELD, _BIB_FIELD, _BIB_NOISE), max_size=6).map("".join),
+    st.sampled_from(["}", "}\n", "", "}}"]),
+)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.lists(st.one_of(_BIB_ENTRY, _BIB_NOISE), max_size=12).map("".join))
+@example("@article{k, title = {A\x85B}\x1c#\u3000x}")
+@example("@book{k,\xa0\u2028,, title\x0b=\x0c\"a {\"} b\" , year = 2002 }")
+@example("@article{k, title = {A\x85\u3000B\xa0}, year = a#b}")
+@example('@misc{k{, title = "a}b",}')
+@example("@article{a\u2028b, title = x}")
+def test_parse_bibtex_matches_reference_on_arbitrary_text(text):
+    assert _bibtex_outcome(parse_bibtex, text) == _bibtex_outcome(reference_parse_bibtex, text)
 
 
 # --- alignment ----------------------------------------------------------

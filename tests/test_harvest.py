@@ -111,6 +111,13 @@ def test_fixture_log_route_serves_receive_timestamps(server, tmp_path):
     assert timestamps == sorted(timestamps)
 
 
+def test_fixture_stops_promptly():
+    server = FixtureServer().start()
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 0.25
+
+
 class _SlowLookup(dict):
     """A status map whose lookups sleep, so other requests run meanwhile: a
     server that reads an id's failure budget and decrements it in two
