@@ -2,10 +2,12 @@
 
 One subcommand per pipeline stage; `build`, `split`, `train`, `tag` and
 `evaluate` chained together reproduce the whole workflow on any corpus.
-Every flag can also come from a JSON config file (--config) or from a
-CITEFORGE_<FLAG> environment variable; explicit flags win, then the
-environment, then the config file.  Each run leaves a manifest with
-checksums of everything it read and wrote.
+One table, `SUBCOMMANDS`, declares each subcommand's handler, required
+flags and flags.  Every flag can also come from a JSON config file
+(--config) or from a CITEFORGE_<FLAG> environment variable; explicit flags
+win, then the environment, then the config file.  A required flag that no
+source gives exits 2 before the stage reads any input.  Each run leaves a
+manifest with checksums of everything it read and wrote.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -120,85 +122,77 @@ class Run:
 
 
 class Settings:
-    """Flag resolution: command line, then environment, then config file.
+    """Every flag of a subcommand, resolved once: command line, then
+    environment, then config file.
 
-    Values from the environment and the config file are typed the way
-    argparse types the flag: store-const flags take a yes/no word, list
-    flags (append or nargs="+") wrap a single value in a list, and typed
-    flags go through their `type`.  A config value that is not a string
-    must have the flag's JSON type: an integer for an `int` flag, a number
-    for a `float` flag, never a boolean; a list for an nargs="+" flag must
-    not be empty.  A value that does not fit is a ValueError naming where it
-    came from.
+    Values from the environment and the config file are typed from the
+    flag's `add_argument` keywords: store-const flags take a yes/no word,
+    list flags (append or nargs="+") wrap a single value in a list, and
+    typed flags go through their `type`.  A config value that is not a
+    string must have the flag's JSON type: an integer for an `int` flag, a
+    number for a `float` flag, never a boolean; a list for an nargs="+" flag
+    must not be empty.  A value that does not fit is a ValueError naming
+    where it came from.
     """
 
     def __init__(self, args: argparse.Namespace):
-        self.cli = dict(vars(args))
-        self.actions = self.cli.pop("actions", {})
-        config_path = self._lookup("config")
-        self.config = {}
-        if config_path:
-            self.config = read_json(config_path, _config_object)
+        given = vars(args)
+        config = {}
 
-    def _typed(self, name: str, value, source: str):
-        action = self.actions.get(name)
-        if action is None:
-            return value
-        if action.nargs == 0:
-            word = str(value).strip().lower()
-            if word not in TRUE_WORDS + FALSE_WORDS:
-                raise ValueError(
-                    f"{source}: expected one of {'/'.join(TRUE_WORDS)} or "
-                    f"{'/'.join(FALSE_WORDS)}, got {value!r}"
-                )
-            return word in TRUE_WORDS
-        if action.nargs == "+" and value == []:
-            raise ValueError(f"{source}: expected at least one value, got []")
-        kinds = (str, *JSON_TYPES.get(action.type, ()))
+        def resolve(name: str, keywords: dict):
+            env_name = ENV_PREFIX + name.upper()
+            if given.get(name) is not None:
+                return given[name]
+            if os.environ.get(env_name) is not None:
+                return _typed(keywords, os.environ[env_name], f"environment variable {env_name}")
+            if config.get(name) is not None:
+                return _typed(keywords, config[name], f"config key {name!r}")
+            return None
 
-        def convert(item):
-            if isinstance(item, bool) or not isinstance(item, kinds):
-                raise TypeError(item)
-            return (action.type or str)(item)
-
-        try:
-            if action.nargs == "+" or isinstance(action, argparse._AppendAction):
-                return [convert(v) for v in (value if isinstance(value, list) else [value])]
-            return convert(value)
-        except (TypeError, ValueError):
-            kind = action.type.__name__ if action.type else "string"
-            raise ValueError(f"{source}: invalid {kind} value {value!r}") from None
-
-    def _lookup(self, name: str):
-        value = self.cli.get(name)
-        if value is not None:
-            return value
-        env_name = ENV_PREFIX + name.upper()
-        value = os.environ.get(env_name)
-        if value is not None:
-            return self._typed(name, value, f"environment variable {env_name}")
-        return None
+        self.values = {"config": resolve("config", {})}
+        if self.values["config"]:
+            config.update(read_json(self.values["config"], _config_object))
+        for flag, keywords in SUBCOMMANDS[args.subcommand][2].items():
+            name = flag[2:].replace("-", "_")
+            self.values[name] = resolve(name, keywords)
 
     def get(self, name: str, default=None):
-        value = self._lookup(name)
-        if value is not None:
-            return value
-        if self.config.get(name) is not None:
-            return self._typed(name, self.config[name], f"config key {name!r}")
-        return default
-
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
-            flag = name.replace("_", "-")
-            print(f"error: missing required flag --{flag}", file=sys.stderr)
-            raise SystemExit(2)
-        return value
+        value = self.values.get(name)
+        return default if value is None else value
 
     def resolved(self) -> dict:
-        """The value `get` resolves for every flag of the subcommand, from
-        whichever source it came: what the manifest's config digest covers."""
-        return {name: self.get(name) for name in self.actions if name != "help"}
+        """The value of every flag of the subcommand, from whichever source
+        it came: what the manifest's config digest covers."""
+        return self.values
+
+
+def _typed(keywords: dict, value, source: str):
+    """An environment or config value typed like the flag `keywords` declare."""
+    action, nargs, kind = (keywords.get(k) for k in ("action", "nargs", "type"))
+    if action == "store_const":
+        word = str(value).strip().lower()
+        if word not in TRUE_WORDS + FALSE_WORDS:
+            raise ValueError(
+                f"{source}: expected one of {'/'.join(TRUE_WORDS)} or "
+                f"{'/'.join(FALSE_WORDS)}, got {value!r}"
+            )
+        return word in TRUE_WORDS
+    if nargs == "+" and value == []:
+        raise ValueError(f"{source}: expected at least one value, got []")
+    kinds = (str, *JSON_TYPES.get(kind, ()))
+
+    def convert(item):
+        if isinstance(item, bool) or not isinstance(item, kinds):
+            raise TypeError(item)
+        return (kind or str)(item)
+
+    try:
+        if nargs == "+" or action == "append":
+            return [convert(v) for v in (value if isinstance(value, list) else [value])]
+        return convert(value)
+    except (TypeError, ValueError):
+        name = kind.__name__ if kind else "string"
+        raise ValueError(f"{source}: invalid {name} value {value!r}") from None
 
 
 def _config_object(data) -> dict:
@@ -242,10 +236,10 @@ def _styles(settings: Settings, run: Run):
 
 
 def cmd_parse(settings: Settings, run: Run) -> None:
-    entries, issues = _load_entries(run, settings.require("in"))
+    entries, issues = _load_entries(run, settings.get("in"))
     for entry in entries:
         issues.extend(validate_entry(entry))
-    out = run.wrote(settings.require("out"))
+    out = run.wrote(settings.get("out"))
     write_text(out, serialize(entries))
     write_json(
         run.wrote(settings.get("issues") or str(out) + ".issues.json"),
@@ -258,7 +252,7 @@ def cmd_parse(settings: Settings, run: Run) -> None:
 
 
 def cmd_clean(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.require("in"))
+    entries, _ = _load_entries(run, settings.get("in"))
     strip = tuple(
         f.strip() for f in (settings.get("strip_fields") or "").split(",") if f.strip()
     )
@@ -267,7 +261,7 @@ def cmd_clean(settings: Settings, run: Run) -> None:
         fields_to_strip=strip,
     )
     cleaned, stats = clean_corpus(entries, policy)
-    out = run.wrote(settings.require("out"))
+    out = run.wrote(settings.get("out"))
     write_text(out, serialize(cleaned))
     print(
         json.dumps(
@@ -282,7 +276,7 @@ def cmd_clean(settings: Settings, run: Run) -> None:
 
 
 def cmd_stats(settings: Settings, run: Run) -> None:
-    paths = settings.require("in")
+    paths = settings.get("in")
     datasets = [is_dataset(path) for path in paths]
     if any(datasets) and not all(datasets):
         odd = paths[datasets.index(not datasets[0])]
@@ -306,7 +300,7 @@ def cmd_stats(settings: Settings, run: Run) -> None:
 
 
 def cmd_render(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.require("in"))
+    entries, _ = _load_entries(run, settings.get("in"))
     styles = _styles(settings, run)
     lines = []
     for entry in entries:
@@ -315,28 +309,28 @@ def cmd_render(settings: Settings, run: Run) -> None:
                 lines.append(render(entry, style))
             except MissingVariable as exc:
                 print(f"skip: {exc}", file=sys.stderr)
-    out = run.wrote(settings.require("out"))
+    out = run.wrote(settings.get("out"))
     write_text(out, "\n".join(lines) + "\n")
     print(f"rendered {len(lines)} references")
 
 
 def cmd_annotate(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.require("in"))
+    entries, _ = _load_entries(run, settings.get("in"))
     stats = BuildStats()
     records = build_dataset(entries, _styles(settings, run), stats=stats)
     rows = ({"id": record.id, **cit} for record in records for cit in record.citations)
-    write_json_lines(run.wrote(settings.require("out")), rows)
+    write_json_lines(run.wrote(settings.get("out")), rows)
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
     print(f"annotated {stats.citations} references")
 
 
 def cmd_build(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.require("in"))
+    entries, _ = _load_entries(run, settings.get("in"))
     styles = _styles(settings, run)
     stats = BuildStats()
     records = build_dataset(entries, styles, stats=stats)
-    out = run.wrote(settings.require("out"))
+    out = run.wrote(settings.get("out"))
     checksum = export(records, settings.get("format", "jsonl"), out)
     print(
         json.dumps(
@@ -353,9 +347,9 @@ def cmd_build(settings: Settings, run: Run) -> None:
 
 
 def cmd_split(settings: Settings, run: Run) -> None:
-    records = load_jsonl(run.read(settings.require("in")))
+    records = load_jsonl(run.read(settings.get("in")))
     manifest = split_dataset((r.id for r in records), settings.get("seed", 42))
-    write_json(run.wrote(settings.require("out")), manifest.to_json_dict())
+    write_json(run.wrote(settings.get("out")), manifest.to_json_dict())
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
 
 
@@ -370,7 +364,7 @@ def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
 
 
 def cmd_train(settings: Settings, run: Run) -> None:
-    records = load_jsonl(run.read(settings.require("in")))
+    records = load_jsonl(run.read(settings.get("in")))
     train_ids = _split_ids(settings, run, "train")
     # zip draws from `counted` only after it got a citation, so `counted`
     # advances once per reference that train_hmm reads.
@@ -382,7 +376,7 @@ def cmd_train(settings: Settings, run: Run) -> None:
         for cit, _ in zip(record.citations, counted)
     )
     model = train_hmm(corpus, **_resolved(alpha=settings.get("alpha")))
-    out = run.wrote(settings.require("out"))
+    out = run.wrote(settings.get("out"))
     model.save(out)
     print(
         f"trained on {next(counted)} references: "
@@ -421,8 +415,8 @@ def _references(settings: Settings, run: Run, in_path: Path):
 
 
 def cmd_tag(settings: Settings, run: Run) -> None:
-    model = HmmModel.load(run.read(settings.require("model")))
-    in_path = Path(run.read(settings.require("in")))
+    model = HmmModel.load(run.read(settings.get("model")))
+    in_path = Path(run.read(settings.get("in")))
 
     def rows():
         for keys, reference in _references(settings, run, in_path):
@@ -436,13 +430,13 @@ def cmd_tag(settings: Settings, run: Run) -> None:
             fields = [{"label": f.label, "value": f.value} for f in extracted]
             yield dict(keys, reference=reference, fields=fields, log_prob=log_prob)
 
-    count = write_json_lines(run.wrote(settings.require("out")), rows())
+    count = write_json_lines(run.wrote(settings.get("out")), rows())
     print(f"tagged {count} references")
 
 
 def cmd_evaluate(settings: Settings, run: Run) -> None:
-    tagged_path = Path(run.read(settings.require("in")))
-    records = load_jsonl(run.read(settings.require("dataset")))
+    tagged_path = Path(run.read(settings.get("in")))
+    records = load_jsonl(run.read(settings.get("dataset")))
     eval_ids = _split_ids(settings, run, "eval")
     policy = EvalPolicy(
         **_resolved(
@@ -462,10 +456,10 @@ def cmd_evaluate(settings: Settings, run: Run) -> None:
 def cmd_harvest(settings: Settings, run: Run) -> None:
     agents = settings.get("user_agent")
     config = HarvestConfig(
-        url_template=settings.require("url_template"),
+        url_template=settings.get("url_template"),
         id_start=settings.get("id_start", 1),
-        id_end=settings.require("id_end"),
-        output_path=settings.require("out"),
+        id_end=settings.get("id_end"),
+        output_path=settings.get("out"),
         **_resolved(
             td_millis=settings.get("td"),
             rid_millis=settings.get("rid"),
@@ -501,17 +495,17 @@ def cmd_harvest(settings: Settings, run: Run) -> None:
 
 
 def _rules(settings: Settings, flag: str, shape: str, sizes) -> list[list[int]]:
-    """The colon-separated integers of each --`flag` rule, `sizes` of them;
-    a rule of another shape is a ValueError naming the flag and the rule."""
+    """The colon-separated integers of each --`flag` rule, `sizes` of them and
+    none negative; any other rule is a ValueError naming the flag and the rule."""
     rules = []
     for rule in settings.get(flag) or []:
-        parts = rule.split(":")
         try:
-            if len(parts) not in sizes:
-                raise ValueError
-            rules.append([int(part) for part in parts])
+            numbers = [int(part) for part in rule.split(":")]
         except ValueError:
-            raise ValueError(f"--{flag} {rule!r}: expected {shape}") from None
+            numbers = []
+        if len(numbers) not in sizes or min(numbers) < 0:
+            raise ValueError(f"--{flag} {rule!r}: expected {shape}")
+        rules.append(numbers)
     return rules
 
 
@@ -538,6 +532,48 @@ def cmd_serve_fixture(settings: Settings, run: Run) -> None:
         server.stop()
 
 
+IN, OUT = {"--in": {}}, {"--out": {}}
+STYLES = {
+    "--styles": {"help": "style directory (default: builtin styles)"},
+    "--style": {"help": "restrict to one style id"},
+}
+INT, SWITCH = {"type": int}, {"action": "store_const", "const": True}
+
+# Each subcommand's handler, the flags it cannot run without (checked in
+# this order), and its flags as `add_argument` keywords, in --help order.
+# Every subcommand also takes --config.
+SUBCOMMANDS = {
+    "parse": (cmd_parse, ("in", "out"), {**IN, **OUT, "--issues": {}}),
+    "clean": (cmd_clean, ("in", "out"), {
+        **IN, **OUT, "--strip-fields": {}, "--keep-homepage-misc": SWITCH,
+    }),
+    "stats": (cmd_stats, ("in",), {"--in": {"nargs": "+"}, **OUT}),
+    "render": (cmd_render, ("in", "out"), {**IN, **OUT, **STYLES}),
+    "annotate": (cmd_annotate, ("in", "out"), {**IN, **OUT, **STYLES}),
+    "build": (cmd_build, ("in", "out"), {
+        **IN, **OUT, **STYLES, "--format": {"choices": ("jsonl", "csv")},
+    }),
+    "split": (cmd_split, ("in", "out"), {**IN, **OUT, "--seed": INT}),
+    "train": (cmd_train, ("in", "out"), {
+        **IN, **OUT, "--split": {}, "--alpha": {"type": float},
+    }),
+    "tag": (cmd_tag, ("model", "in", "out"), {**IN, **OUT, "--model": {}, "--split": {}}),
+    "evaluate": (cmd_evaluate, ("in", "dataset"), {
+        **IN, **OUT, "--dataset": {}, "--split": {}, "--tau": {"type": float},
+        "--near-as-correct": SWITCH,
+    }),
+    "harvest": (cmd_harvest, ("url_template", "id_end", "out"), {
+        **OUT, "--url-template": {}, "--id-start": INT, "--id-end": INT,
+        "--td": INT, "--rid": INT, "--user-agent": {"action": "append"},
+        "--max-retries": INT, "--checkpoint": {}, "--resume": SWITCH,
+        "--allow-external": SWITCH, "--seed": INT, "--efficiency-csv": {},
+    }),
+    "serve-fixture": (cmd_serve_fixture, (), {
+        "--port": INT, "--fail": {"action": "append"}, "--multi": {"action": "append"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citeforge",
@@ -545,78 +581,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, func, *flags):
+    for name, (_, _, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON file mirroring flags")
-        for flag in flags:
-            flag(p)
-        # Settings types environment and config values after these actions.
-        p.set_defaults(func=func, actions={a.dest: a for a in p._actions})
-        return p
-
-    def f_in(p, multiple=False):
-        p.add_argument("--in", nargs="+" if multiple else None)
-
-    def f_out(p):
-        p.add_argument("--out")
-
-    def f_styles(p):
-        p.add_argument("--styles", help="style directory (default: builtin styles)")
-        p.add_argument("--style", help="restrict to one style id")
-
-    add("parse", cmd_parse, f_in, f_out,
-        lambda p: p.add_argument("--issues"))
-    add("clean", cmd_clean, f_in, f_out,
-        lambda p: p.add_argument("--strip-fields", dest="strip_fields"),
-        lambda p: p.add_argument("--keep-homepage-misc", dest="keep_homepage_misc",
-                                 action="store_const", const=True))
-    add("stats", cmd_stats, lambda p: f_in(p, multiple=True), f_out)
-    add("render", cmd_render, f_in, f_out, f_styles)
-    add("annotate", cmd_annotate, f_in, f_out, f_styles)
-    add("build", cmd_build, f_in, f_out, f_styles,
-        lambda p: p.add_argument("--format", choices=("jsonl", "csv")))
-    add("split", cmd_split, f_in, f_out,
-        lambda p: p.add_argument("--seed", type=int))
-    add("train", cmd_train, f_in, f_out,
-        lambda p: p.add_argument("--split"),
-        lambda p: p.add_argument("--alpha", type=float))
-    add("tag", cmd_tag, f_in, f_out,
-        lambda p: p.add_argument("--model"),
-        lambda p: p.add_argument("--split"))
-    add("evaluate", cmd_evaluate, f_in, f_out,
-        lambda p: p.add_argument("--dataset"),
-        lambda p: p.add_argument("--split"),
-        lambda p: p.add_argument("--tau", type=float),
-        lambda p: p.add_argument("--near-as-correct", dest="near_as_correct",
-                                 action="store_const", const=True))
-    add("harvest", cmd_harvest, f_out,
-        lambda p: p.add_argument("--url-template", dest="url_template"),
-        lambda p: p.add_argument("--id-start", dest="id_start", type=int),
-        lambda p: p.add_argument("--id-end", dest="id_end", type=int),
-        lambda p: p.add_argument("--td", type=int),
-        lambda p: p.add_argument("--rid", type=int),
-        lambda p: p.add_argument("--user-agent", dest="user_agent", action="append"),
-        lambda p: p.add_argument("--max-retries", dest="max_retries", type=int),
-        lambda p: p.add_argument("--checkpoint"),
-        lambda p: p.add_argument("--resume", action="store_const", const=True),
-        lambda p: p.add_argument("--allow-external", dest="allow_external",
-                                 action="store_const", const=True),
-        lambda p: p.add_argument("--seed", type=int),
-        lambda p: p.add_argument("--efficiency-csv", dest="efficiency_csv"))
-    add("serve-fixture", cmd_serve_fixture,
-        lambda p: p.add_argument("--port", type=int),
-        lambda p: p.add_argument("--fail", action="append"),
-        lambda p: p.add_argument("--multi", action="append"))
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler, required, _ = SUBCOMMANDS[args.subcommand]
     try:
         settings = Settings(args)
+        for name in required:
+            if settings.get(name) is None:
+                flag = name.replace("_", "-")
+                print(f"error: missing required flag --{flag}", file=sys.stderr)
+                raise SystemExit(2)
         run = Run(args.subcommand, settings.resolved())
-        args.func(settings, run)
+        handler(settings, run)
         run.finish()
         return 0
     except DOMAIN_ERRORS as exc:

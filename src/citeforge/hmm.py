@@ -124,6 +124,10 @@ class HmmModel:
             for x in (states, vocab)
         ):
             raise ValueError("states and vocab must be lists of strings")
+        for name, symbols in (("states", states), ("vocab", vocab)):
+            repeats = [s for s, count in Counter(symbols).items() if count > 1]
+            if repeats:
+                raise ValueError(f"{name} repeats {repeats[0]!r}")
         try:
             tables = {
                 k: _numeric_table(data[k]) for k in ("initial", "transition", "emission")

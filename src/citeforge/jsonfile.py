@@ -18,6 +18,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 BAD_DOCUMENT = (ValueError, KeyError, TypeError, RecursionError)
+# The line breaks of `str.splitlines()` that JSON keeps raw inside a string
+# (it escapes every one below U+0020), with their JSON escapes.
+LINE_BREAK_ESCAPES = [(c, f"\\u{ord(c):04x}") for c in "\x85\u2028\u2029"]
 
 
 def _reason(exc: Exception) -> str:
@@ -87,9 +90,14 @@ def write_json(path: str | Path, document) -> None:
 
 
 def write_json_lines(path: str | Path, rows: Iterable) -> int:
-    """One compact row per line, non-ASCII kept, LF endings; returns the row count."""
+    """One compact row per line, LF endings; returns the row count.  Non-ASCII
+    text is kept, except U+0085, U+2028 and U+2029, which are escaped so that
+    a row is one line to `str.splitlines()` readers too."""
     count = 0
     with replacing(path) as fh:
         for count, row in enumerate(rows, 1):
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            line = json.dumps(row, ensure_ascii=False)
+            for char, escape in LINE_BREAK_ESCAPES:
+                line = line.replace(char, escape)
+            fh.write(line + "\n")
     return count

@@ -9,8 +9,9 @@ import pytest
 
 import citeforge
 from citeforge.bibtex import serialize
-from citeforge.cli import Settings, build_parser, main
+from citeforge.cli import SUBCOMMANDS, Settings, build_parser, main
 from citeforge.hmm import HmmModel, tag_reference
+from citeforge.jsonfile import read_json_lines
 from citeforge.synth import homepage_misc_entry, random_corpus
 
 
@@ -47,6 +48,29 @@ def test_missing_required_flag_exits_2(tmp_path, corpus_file, capsys):
     asser = capsys.readouterr().err
     assert excinfo.value.code == 2
     assert "--out" in asser
+
+
+@pytest.mark.parametrize(
+    "subcommand,missing", [("train", "missing.jsonl"), ("parse", "missing.bib")]
+)
+def test_a_missing_flag_exits_2_before_any_input_is_read(tmp_path, capsys, subcommand, missing):
+    with pytest.raises(SystemExit) as excinfo:
+        run(subcommand, "--in", tmp_path / missing)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: missing required flag --out\n"
+
+
+def test_a_required_flag_can_come_from_the_environment(tmp_path, corpus_file, monkeypatch):
+    out = tmp_path / "canonical.bib"
+    monkeypatch.setenv("CITEFORGE_OUT", str(out))
+    assert run("parse", "--in", corpus_file) == 0
+    assert out.exists()
+
+
+def test_a_bad_environment_value_exits_1_before_a_missing_flag(monkeypatch, capsys):
+    monkeypatch.setenv("CITEFORGE_SEED", "forty")
+    assert run("split") == 1
+    assert "CITEFORGE_SEED" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(corpus_file):
@@ -115,7 +139,7 @@ def test_render_and_annotate(tmp_path, corpus_file):
     assert len(refs.read_text().splitlines()) == 20
     annos = tmp_path / "annos.jsonl"
     assert run("annotate", "--in", corpus_file, "--out", annos) == 0
-    rows = [json.loads(l) for l in annos.read_text().splitlines()]
+    rows = list(read_json_lines(annos, dict))
     assert len(rows) == 20 * 10
     assert set(rows[0]) == {"id", "style", "bibRef", "annoRef"}
 
@@ -130,10 +154,10 @@ def test_annotate_writes_the_citations_of_build(tmp_path, corpus_file, capsys):
     assert run("build", "--in", corpus_file, "--out", ds) == 0
     want = [
         {"id": record["id"], **cit}
-        for record in map(json.loads, ds.read_text().splitlines())
+        for record in read_json_lines(ds, dict)
         for cit in record["citations"]
     ]
-    rows = [json.loads(line) for line in annos.read_text().splitlines()]
+    rows = list(read_json_lines(annos, dict))
     assert rows == want
     assert all(list(row) == ["id", "style", "bibRef", "annoRef"] for row in rows)
 
@@ -262,7 +286,7 @@ def test_tag_plain_text_references(tmp_path, corpus_file):
     refs.write_text("Argon C, McLaughlin SW. 2002. A parallel decoder. IEEE.\n")
     tagged = tmp_path / "tagged.jsonl"
     assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
-    row = json.loads(tagged.read_text().splitlines()[0])
+    row = list(read_json_lines(tagged, dict))[0]
     assert set(row) == {"reference", "fields", "log_prob"}
 
 
@@ -270,7 +294,7 @@ def tagged_rows(path, model_path, references):
     """The rows of a tagged.jsonl, checked against `tag_reference` of each
     reference in input order; returns the rows without their decode."""
     model = HmmModel.load(model_path)
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows = list(read_json_lines(path, dict))
     assert [row["reference"] for row in rows] == references
     for row in rows:
         fields, log_prob = tag_reference(model, row["reference"])
@@ -297,7 +321,7 @@ def test_tag_splits_text_on_line_feeds_only(tmp_path, chain_files):
     refs.write_text(f"{lines[0]}\r\n{lines[1]}\n", encoding="utf-8")
     tagged = tmp_path / "tagged.jsonl"
     assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
-    # JSON keeps U+0085 and U+2028 unescaped, so rows end at "\n" only
+    # the rows escape U+0085 and U+2028, so "\n" alone ends each one
     *rows, tail = tagged.read_text(encoding="utf-8").split("\n")
     assert tail == ""
     assert [json.loads(row)["reference"] for row in rows] == lines
@@ -330,7 +354,7 @@ def test_tag_rows_of_a_dataset_follow_its_eval_citations(tmp_path, chain_files):
     eval_ids = set(json.loads(split.read_text())["eval_ids"])
     want = [
         {"id": record["id"], "style": cit["style"], "reference": cit["bibRef"]}
-        for record in map(json.loads, ds.read_text(encoding="utf-8").splitlines())
+        for record in read_json_lines(ds, dict)
         if record["id"] in eval_ids
         for cit in record["citations"]
     ]
@@ -359,7 +383,7 @@ def test_tag_names_the_row_with_an_empty_reference(tmp_path, corpus_file, capsys
     model = tmp_path / "model.json"
     assert run("build", "--in", corpus_file, "--out", ds) == 0
     assert run("train", "--in", ds, "--out", model) == 0
-    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    rows = list(read_json_lines(ds, dict))
     rows[1]["citations"][2]["bibRef"] = " "
     ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
     capsys.readouterr()
@@ -372,7 +396,7 @@ def test_tag_names_the_row_with_an_empty_reference(tmp_path, corpus_file, capsys
 
 def test_a_failed_tag_leaves_nothing_for_evaluate_to_score(tmp_path, chain_files, capsys):
     ds, _, model = chain_files
-    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    rows = list(read_json_lines(ds, dict))
     rows[5]["citations"][0]["bibRef"] = ""
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -528,6 +552,53 @@ def settings_for(*argv):
     return Settings(build_parser().parse_args([str(a) for a in argv]))
 
 
+def declared(key=None, *values):
+    """(subcommand, flag, keywords) of each flag in the declaration, or of
+    those whose `add_argument` keyword `key` is one of `values`."""
+    return [
+        pytest.param(subcommand, flag, keywords, id=subcommand + flag)
+        for subcommand, (_, _, flags) in SUBCOMMANDS.items()
+        for flag, keywords in flags.items()
+        if key is None or keywords.get(key) in values
+    ]
+
+
+@pytest.mark.parametrize("subcommand,flag,keywords", declared())
+def test_every_declared_flag_is_in_its_help(capsys, subcommand, flag, keywords):
+    with pytest.raises(SystemExit) as excinfo:
+        run(subcommand, "--help")
+    assert excinfo.value.code == 0
+    assert f" {flag}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subcommand,flag,keywords", declared("type", int, float))
+def test_a_number_flag_resolves_alike_from_every_source(
+    tmp_path, monkeypatch, subcommand, flag, keywords
+):
+    name, value = flag[2:].replace("-", "_"), keywords["type"](7)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({name: value}))
+    from_config = settings_for(subcommand, "--config", config).get(name)
+    from_flag = settings_for(subcommand, flag, value).get(name)
+    monkeypatch.setenv("CITEFORGE_" + name.upper(), str(value))
+    from_env = settings_for(subcommand).get(name)
+    assert from_flag == from_env == from_config == value
+    assert type(from_flag) is type(from_env) is type(from_config) is keywords["type"]
+
+
+@pytest.mark.parametrize("subcommand,flag,keywords", declared("action", "store_const"))
+def test_a_switch_is_true_from_the_flag_and_from_1(monkeypatch, subcommand, flag, keywords):
+    name = flag[2:].replace("-", "_")
+    assert settings_for(subcommand, flag).get(name) is True
+    monkeypatch.setenv("CITEFORGE_" + name.upper(), "1")
+    assert settings_for(subcommand).get(name) is True
+
+
+@pytest.mark.parametrize("subcommand,flag,keywords", declared("action", "append"))
+def test_an_append_flag_given_once_is_a_one_item_list(subcommand, flag, keywords):
+    assert settings_for(subcommand, flag, "5:2").get(flag[2:].replace("-", "_")) == ["5:2"]
+
+
 @pytest.mark.parametrize(
     "subcommand,name",
     [
@@ -669,7 +740,7 @@ def test_evaluate_names_a_tagged_line_that_is_not_an_object(tmp_path, chain_file
 @pytest.mark.parametrize("subcommand", ["tag", "evaluate"])
 def test_dataset_row_without_bib_fields(tmp_path, chain_files, capsys, subcommand):
     ds, _, model = chain_files
-    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    rows = list(read_json_lines(ds, dict))
     del rows[2]["bib_fields"]
     ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
     tagged = tmp_path / "tagged.jsonl"
@@ -693,7 +764,7 @@ def test_train_split_without_seed(tmp_path, chain_files, capsys):
 
 
 def _edit_rows(path, edit):
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows = list(read_json_lines(path, dict))
     edit(rows)
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
@@ -833,7 +904,9 @@ def test_build_names_a_bad_style_file(tmp_path, corpus_file, capsys, edit):
 
 
 @pytest.mark.parametrize(
-    "flag,rule", [("fail", "3"), ("fail", "3:x"), ("multi", "3"), ("multi", "3:2:1")]
+    "flag,rule",
+    [("fail", "3"), ("fail", "3:x"), ("fail", "5:500:-2"),
+     ("multi", "3"), ("multi", "3:2:1"), ("multi", "7:-1")],
 )
 def test_serve_fixture_names_a_bad_rule(capsys, flag, rule):
     code = run("serve-fixture", "--port", 0, f"--{flag}", rule)

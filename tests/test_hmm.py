@@ -369,6 +369,8 @@ def _nested(depth):
         pytest.param(lambda d: _corrupt(d, "states", 1, "s1"), "not canonical labels: ['s1']", id="unknown-state"),
         pytest.param(lambda d: _corrupt(d, "states", 1, 7), "lists of strings", id="non-string-state"),
         pytest.param(lambda d: _corrupt(d, "vocab", -1, "renamed"), "lacks 1 backoff", id="backoff-missing"),
+        pytest.param(lambda d: _corrupt(d, "states", 1, d["states"][0]), "states repeats 'author'", id="repeated-state"),
+        pytest.param(lambda d: _corrupt(d, "vocab", 1, d["vocab"][0]), "vocab repeats 'w0'", id="repeated-symbol"),
         pytest.param(lambda d: d.pop("alpha"), "needs the keys", id="missing-key"),
         pytest.param(lambda d: d.update(transition=[[True, 0.0, 0.0]] + d["transition"][1:]), "rectangular numeric", id="bool"),
         pytest.param(lambda d: d.update(transition=[["0.5", 0.5, 0.0]] + d["transition"][1:]), "rectangular numeric", id="numeric-string"),

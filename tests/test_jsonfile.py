@@ -79,6 +79,17 @@ def test_write_json_lines_keeps_text_and_counts_rows(tmp_path):
     assert list(read_json_lines(path, lambda row: row)) == rows
 
 
+def test_write_json_lines_escapes_the_line_breaks_json_keeps_raw(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"reference": "a\x85b\u2028c\u2029d é"}, {"reference": "e"}]
+    assert write_json_lines(path, rows) == 2
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        '{"reference": "a\\u0085b\\u2028c\\u2029d é"}',
+        '{"reference": "e"}',
+    ]
+    assert list(read_json_lines(path, lambda row: row)) == rows
+
+
 def test_write_json_lines_of_no_rows_is_an_empty_file(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text("old\n")
