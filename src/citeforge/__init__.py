@@ -53,6 +53,7 @@ from .hmm import (
     LabelSequence,
     align_training,
     tag_reference,
+    tag_references,
     train_hmm,
     viterbi,
 )

@@ -52,7 +52,14 @@ from .harvest import (
     resume as run_resume,
     write_efficiency_csv,
 )
-from .hmm import EmptyInput, HmmModel, align_training, tag_reference, train_hmm
+from .hmm import (
+    EmptyInput,
+    HmmModel,
+    align_training,
+    tag_reference,  # unused; perfbench's --trace 1 wraps it here, AttributeError without
+    tag_references,
+    train_hmm,
+)
 from .jsonfile import read_json, read_json_lines, write_json, write_json_lines, write_text
 from .styles import MissingVariable, builtin_styles_dir, load_styles, render
 
@@ -414,21 +421,37 @@ def _references(settings: Settings, run: Run, in_path: Path):
         yield from (({}, line.strip()) for line in lines if line.strip())
 
 
+# References `tag` decodes per `tag_references` call: enough to amortize
+# numpy's per-step overhead, few enough that the batch's rows and back
+# pointers stay small next to the model.
+TAG_BATCH = 64
+
+
 def cmd_tag(settings: Settings, run: Run) -> None:
     model = HmmModel.load(run.read(settings.get("model")))
     in_path = Path(run.read(settings.get("in")))
 
     def rows():
-        for keys, reference in _references(settings, run, in_path):
+        nonlocal model
+        decoder = None
+        references = _references(settings, run, in_path)
+        while batch := list(itertools.islice(references, TAG_BATCH)):
+            if decoder is None:
+                # Built at the first batch, so an input with no reference
+                # never imports numpy.  Only the decoder is kept: the
+                # model's nested-list tables are freed here.
+                decoder, model = model.decoder, None
             try:
-                extracted, log_prob = tag_reference(model, reference)
-            except EmptyInput:  # only a dataset row: a text line has a token
+                tagged = tag_references(decoder, [reference for _, reference in batch])
+            except EmptyInput as exc:  # only a dataset row: a text line has a token
+                keys = batch[exc.index][0]
                 raise EmptyInput(
                     f"{in_path}: row id {keys['id']!r}, style "
                     f"{keys['style']!r} has a bibRef with no tokens to decode"
                 ) from None
-            fields = [{"label": f.label, "value": f.value} for f in extracted]
-            yield dict(keys, reference=reference, fields=fields, log_prob=log_prob)
+            for (keys, reference), (extracted, log_prob) in zip(batch, tagged):
+                fields = [{"label": f.label, "value": f.value} for f in extracted]
+                yield dict(keys, reference=reference, fields=fields, log_prob=log_prob)
 
     count = write_json_lines(run.wrote(settings.get("out")), rows())
     print(f"tagged {count} references")

@@ -17,12 +17,20 @@ floats.  Each row is normalized by a total summed in numpy's pairwise
 order (`pairwise_sum`), so the saved model is the same, byte for byte,
 as one estimated with numpy.  A model also accepts ndarray tables and
 keeps whatever it is given; the tables are treated as fixed after
-construction.  numpy is imported only when a model decodes: its log
-tables are built once, on the first `viterbi` call, so `train` and
-`load` never pay that import.  `HmmModel.load` validates a model file
-(shapes, finite numeric probabilities, rows summing to 1, canonical
-states, every backoff class in the vocabulary) and raises ValueError on a
-bad one.
+construction.  numpy is imported only when a model decodes: its
+`decoder`, the states, the symbol index and the three log tables, is
+built once, on the first decode, so `train` and `load` never pay that
+import.  `tag` holds only that decoder, so the nested lists a model
+file loads into are freed before the first reference is decoded.
+`HmmModel.load` validates a model file (shapes, finite numeric
+probabilities, rows summing to 1, canonical states, every backoff class
+in the vocabulary) and raises ValueError on a bad one.
+
+Decoding is batched: `decode_batch` runs the max-plus Viterbi recursion
+(Rabiner 1989) over many sequences at once, one numpy step per position
+for the whole batch, and `viterbi`, `tag_reference` and `tag_references`
+are all calls of it.  `tag_references` builds no `Token`: it maps each
+surface straight to its symbol column.
 """
 
 from __future__ import annotations
@@ -35,13 +43,13 @@ from functools import cached_property, reduce
 from itertools import chain, groupby, islice
 from operator import add, attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .annotation import parse_annotation
 from .evaluate import ExtractedField
 from .jsonfile import read_json, write_text
 from .labels import LABEL_SET, field_for_label
-from .tokens import BACKOFF_CLASSES, FeatureVector, Token, tokenize
+from .tokens import BACKOFF_CLASSES, WORD, FeatureVector, Token, extract_features, tokenize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,7 +64,12 @@ class EmptyCorpus(ValueError):
 
 
 class EmptyInput(ValueError):
-    pass
+    """A reference with no token to decode; `index` is its place in the
+    batch given to `tag_references`."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -82,16 +95,23 @@ class HmmModel:
         self._sym_index = {sym: i for i, sym in enumerate(self.vocab)}
 
     @cached_property
-    def _log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Logs of the initial, transition and emission tables, taken on
-        the first decode and read by every later one."""
+    def decoder(self) -> Decoder:
+        """What decoding reads of this model, built on the first decode
+        and read by every later one."""
         import numpy as np
 
         with np.errstate(divide="ignore"):
-            return tuple(
+            log_init, log_trans, log_emis = (
                 np.log(np.asarray(t, dtype=float))
                 for t in (self.initial, self.transition, self.emission)
             )
+        return Decoder(
+            self.states,
+            self._sym_index,
+            log_init,
+            np.ascontiguousarray(log_trans.T),
+            np.ascontiguousarray(log_emis.T),
+        )
 
     def symbol_index(self, token: Token) -> int:
         return _symbol_column(self._sym_index, token.features)
@@ -168,6 +188,18 @@ class HmmModel:
             emission=tables["emission"][1],
             smoothing_alpha=data["alpha"],
         )
+
+
+class Decoder(NamedTuple):
+    """A model's states, symbol index and log tables: all that decoding
+    reads.  The transition and emission logs are stored transposed, so one
+    row holds what a step reads for one target state or one symbol."""
+
+    states: list[str]
+    sym_index: dict[str, int]
+    log_init: np.ndarray  # (N,)
+    log_trans_t: np.ndarray  # (N to, N from)
+    log_emis_t: np.ndarray  # (V, N)
 
 
 def align_training(anno_ref: str) -> LabelSequence:
@@ -317,35 +349,73 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     )
 
 
-def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]:
-    """Most probable state sequence and its log-probability.
+def decode_batch(
+    dec: Decoder, columns: list[list[int]]
+) -> list[tuple[list[int], float]]:
+    """Most probable state path (state indices) and its log-probability for
+    each non-empty sequence of emission columns, in input order.
 
-    Log-space dynamic program over T observations and N states; at every
+    Log-space Viterbi over the whole batch at once.  The sequences are
+    decoded longest first, so those still running at step t are a prefix
+    of the batch; each keeps the `delta` of its own last step.  At every
     argmax, equal scores resolve to the lower state index.
     """
     import numpy as np
 
+    if not columns:
+        return []
+    order = sorted(range(len(columns)), key=lambda i: -len(columns[i]))
+    lengths = [len(columns[i]) for i in order]
+    t_len, n = lengths[0], len(dec.states)
+    obs = np.zeros((len(order), t_len), dtype=np.intp)
+    for row, i in enumerate(order):
+        obs[row, : lengths[row]] = columns[i]
+
+    delta = dec.log_init + dec.log_emis_t[obs[:, 0]]  # (B, N)
+    back_type = np.min_scalar_type(n - 1)
+    back = []  # back[t - 1]: best predecessor of each state at step t
+    b = len(order)  # sequences longer than t: the first b
+    for t in range(1, t_len):
+        while lengths[b - 1] <= t:
+            b -= 1
+        scores = delta[:b, None, :] + dec.log_trans_t  # (b, to, from)
+        back.append(scores.argmax(axis=2).astype(back_type))  # first max = lowest
+        np.add(scores.max(axis=2), dec.log_emis_t[obs[:b, t]], out=delta[:b])
+
+    last = delta.argmax(axis=1)
+    log_probs = delta[np.arange(len(order)), last].tolist()
+    paths = np.empty((len(order), t_len), dtype=back_type)
+    state = last.astype(back_type)
+    for t in range(t_len - 1, 0, -1):
+        b = len(back[t - 1])
+        paths[:b, t] = state[:b]
+        state[:b] = back[t - 1][np.arange(b), state[:b]]
+    paths[:, 0] = state
+
+    decoded = [None] * len(order)
+    for row, (i, path) in enumerate(zip(order, paths.tolist())):
+        decoded[i] = path[: lengths[row]], log_probs[row]
+    return decoded
+
+
+def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]:
+    """Most probable state sequence and its log-probability: `decode_batch`
+    of one sequence."""
     if not tokens:
         raise EmptyInput("no tokens to decode")
-    log_init, log_trans, log_emis = model._log_tables
-    obs = [model.symbol_index(tok) for tok in tokens]
-    emis = log_emis[:, obs].T  # (T, N): row t scores obs[t]
-    t_len, n = len(obs), len(model.states)
-    delta = log_init + emis[0]
-    back = np.zeros((t_len, n), dtype=int)
-    for t in range(1, t_len):
-        scores = delta[:, None] + log_trans  # (from, to)
-        back[t] = scores.argmax(axis=0)  # first max = lowest index
-        delta = scores.max(axis=0) + emis[t]
+    dec = model.decoder
+    [(path, log_prob)] = decode_batch(
+        dec, [[_symbol_column(dec.sym_index, tok.features) for tok in tokens]]
+    )
+    return LabelSequence(list(tokens), [dec.states[i] for i in path]), log_prob
 
-    last = int(delta.argmax())
-    log_prob = float(delta[last])
-    path = [last]
-    for row in back[:0:-1].tolist():  # back pointers of steps T-1 .. 1
-        path.append(row[path[-1]])
-    path.reverse()
-    labels = [model.states[i] for i in path]
-    return LabelSequence(list(tokens), labels), log_prob
+
+def _fields(surfaces: list[str], labels: Iterable[str]) -> list[ExtractedField]:
+    return [
+        ExtractedField(field_for_label(label), " ".join(surface for surface, _ in run))
+        for label, run in groupby(zip(surfaces, labels), key=itemgetter(1))
+        if label != "other"
+    ]
 
 
 def fields_from_labels(tokens: list[Token], labels: list[str]) -> list[ExtractedField]:
@@ -354,16 +424,34 @@ def fields_from_labels(tokens: list[Token], labels: list[str]) -> list[Extracted
     `other` runs are dropped; surfaces join with single spaces; labels map
     to their BibTeX field names.
     """
+    return _fields([tok.surface for tok in tokens], labels)
+
+
+def tag_references(
+    dec: Decoder, references: list[str]
+) -> list[tuple[list[ExtractedField], float]]:
+    """Decode a batch of reference strings, each into extracted fields plus
+    the decode log-probability, in input order.
+
+    Each reference splits into the surfaces `tokenize` would give, and each
+    surface maps straight to its symbol column; no `Token` is built.  A
+    reference with no token raises EmptyInput carrying its index.
+    """
+    surfaces = [WORD.findall(reference) for reference in references]
+    for i, words in enumerate(surfaces):
+        if not words:
+            raise EmptyInput("no tokens to decode", i)
+    columns = [
+        [_symbol_column(dec.sym_index, extract_features(w)) for w in words]
+        for words in surfaces
+    ]
     return [
-        ExtractedField(field_for_label(label), " ".join(tok.surface for tok, _ in run))
-        for label, run in groupby(zip(tokens, labels), key=itemgetter(1))
-        if label != "other"
+        (_fields(words, map(dec.states.__getitem__, path)), log_prob)
+        for words, (path, log_prob) in zip(surfaces, decode_batch(dec, columns))
     ]
 
 
 def tag_reference(model: HmmModel, reference: str) -> tuple[list[ExtractedField], float]:
     """Decode one reference string into extracted fields plus the decode
-    log-probability."""
-    tokens = tokenize(reference)
-    seq, log_prob = viterbi(model, tokens)
-    return fields_from_labels(seq.tokens, seq.labels), log_prob
+    log-probability: `tag_references` of one reference."""
+    return tag_references(model.decoder, [reference])[0]

@@ -126,7 +126,8 @@ def extract_features(surface: str) -> FeatureVector:
     )
 
 
-_WORD = re.compile(r"\S+")
+# A token: a maximal run of non-whitespace.
+WORD = re.compile(r"\S+")
 
 
 def tokenize(reference: str) -> list[Token]:
@@ -136,5 +137,5 @@ def tokenize(reference: str) -> list[Token]:
     """
     return [
         Token(m.group(0), m.start(), m.end(), extract_features(m.group(0)))
-        for m in _WORD.finditer(reference)
+        for m in WORD.finditer(reference)
     ]

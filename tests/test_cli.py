@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,10 +10,11 @@ import pytest
 
 import citeforge
 from citeforge.bibtex import serialize
-from citeforge.cli import SUBCOMMANDS, Settings, build_parser, main
+from citeforge.cli import SUBCOMMANDS, TAG_BATCH, Settings, build_parser, main
 from citeforge.hmm import HmmModel, tag_reference
 from citeforge.jsonfile import read_json_lines
 from citeforge.synth import homepage_misc_entry, random_corpus
+from citeforge.tokens import extract_features
 
 
 @pytest.fixture()
@@ -363,6 +365,43 @@ def test_tag_rows_of_a_dataset_follow_its_eval_citations(tmp_path, chain_files):
     assert all(list(row) == ["id", "style", "reference"] for row in rows)
 
 
+def test_tag_rows_across_batches_follow_the_input_lines(tmp_path, chain_files):
+    ds, _, model = chain_files
+    lines = [cit["bibRef"] for record in read_json_lines(ds, dict) for cit in record["citations"]]
+    lines = lines[: 2 * TAG_BATCH + 1]
+    assert len(lines) == 2 * TAG_BATCH + 1
+    refs = tmp_path / "refs.txt"
+    refs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
+    assert len(tagged_rows(tagged, model, lines)) == len(lines)
+
+
+def _tag_peak(tmp_path, ds, model, copies):
+    """tracemalloc peak (bytes) of `tag` on `copies` copies of a dataset's
+    rows; the feature cache starts empty, so its growth counts too."""
+    bigger = tmp_path / f"ds-x{copies}.jsonl"
+    bigger.write_bytes(ds.read_bytes() * copies)
+    extract_features.cache_clear()
+    tracemalloc.start()
+    try:
+        assert run("tag", "--in", bigger, "--model", model, "--out", tmp_path / "t.jsonl") == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tag_memory_does_not_follow_the_input(tmp_path, chain_files):
+    # 200 -> 800 references: decoded 64 at a time, the peak grew 1.05x
+    # (the model file's parse dominates it); with the whole input in one
+    # batch it grew 3.3x.
+    ds, _, model = chain_files
+    _tag_peak(tmp_path, ds, model, 1)  # numpy and the model path warmed up
+    small = _tag_peak(tmp_path, ds, model, 1)
+    large = _tag_peak(tmp_path, ds, model, 4)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_tag_with_corrupted_model_is_domain_error(tmp_path, corpus_file, capsys):
     ds = tmp_path / "ds.jsonl"
     model = tmp_path / "model.json"
@@ -411,6 +450,25 @@ def test_a_failed_tag_leaves_nothing_for_evaluate_to_score(tmp_path, chain_files
     capsys.readouterr()
     assert run("evaluate", "--in", fresh, "--dataset", bad) == 1
     assert str(fresh) in capsys.readouterr().err
+
+
+def test_an_empty_reference_in_a_later_batch_fails_the_whole_tag(tmp_path, chain_files, capsys):
+    ds, _, model = chain_files
+    rows = list(read_json_lines(ds, dict))
+    where = [(r, c) for r, row in enumerate(rows) for c in range(len(row["citations"]))]
+    r, c = where[TAG_BATCH + TAG_BATCH // 2]  # mid-way through the second batch
+    rows[r]["citations"][c]["bibRef"] = " "
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "t.jsonl"
+    capsys.readouterr()
+    assert run("tag", "--in", bad, "--model", model, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: row id {rows[r]['id']!r}, style "
+        f"{rows[r]['citations'][c]['style']!r} has a bibRef with no tokens to decode\n"
+    )
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_env_variable_override(tmp_path, corpus_file, monkeypatch):
@@ -927,6 +985,11 @@ seen["train_exit"] = cli.main(["train", "--in", ds, "--out", model])
 seen["train"] = loaded()
 cli.HmmModel.load(model)
 seen["load"] = loaded()
+empty = ds + ".empty.txt"
+open(empty, "w").close()
+seen["tag_empty_exit"] = cli.main(["tag", "--in", empty, "--model", model, "--out", empty + ".tagged"])
+seen["tag_missing_exit"] = cli.main(["tag", "--in", ds + ".missing", "--model", model, "--out", empty + ".tagged"])
+seen["tag_no_refs"] = loaded()
 seen["tag_exit"] = cli.main(["tag", "--in", ds, "--model", model, "--out", ds + ".tagged"])
 seen["tag"] = loaded()
 import citeforge
@@ -936,7 +999,8 @@ print(json.dumps(seen))
 
 
 def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
-    """numpy loads only when a model decodes (not to train or load one),
+    """numpy loads only when a model decodes (not to train or load one, nor
+    to tag an input with no reference),
     and the HTTP stack not at all outside harvesting."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, str(corpus_file),
@@ -949,6 +1013,8 @@ def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     assert seen["build_exit"] == 0 and seen["build"] == []
     assert seen["train_exit"] == 0 and seen["train"] == []
     assert seen["load"] == []
+    assert seen["tag_empty_exit"] == 0 and seen["tag_missing_exit"] == 1
+    assert seen["tag_no_refs"] == []
     assert seen["tag_exit"] == 0 and seen["tag"] == ["numpy"]
     # the package exports the function, not the submodule of the same name
     assert seen["harvest"] == [True, "citeforge.harvest"]

@@ -67,8 +67,10 @@ from citeforge.hmm import (
     HmmModel,
     LabelSequence,
     align_training,
+    decode_batch,
     fields_from_labels,
     pairwise_sum,
+    tag_references,
     train_hmm,
     viterbi,
 )
@@ -827,6 +829,48 @@ def test_features_match_full_extractor(surface):
     assert classes == (case, punct, last)
 
 
+# Surfaces where `str.isupper`/`islower` and the letter rule part, so a
+# case class taken from them would differ: titlecase and uncased letters,
+# combining marks, digits or punctuation alone, and ASCII mixed with any
+# of them.
+_UNICODE_SURFACE = st.one_of(
+    st.text(
+        st.one_of(
+            st.characters(whitelist_categories=("Lt", "Lo", "Lm", "Mn", "Mc", "Lu", "Ll")),
+            st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+            st.sampled_from(list("aZ-'.,(1")),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.text(st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=6),
+    st.text(st.characters(whitelist_categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")),
+            min_size=1, max_size=6),
+).filter(lambda s: s.split() == [s])
+
+
+@PROPERTY
+@given(_UNICODE_SURFACE)
+@example("ǅ")
+@example("ǅUNGLA")
+@example("Aǅ")
+@example("ABʰ")
+@example("漢字")
+@example("A漢")
+@example("é")
+@example("E\u0301")
+@example("٣٤")
+@example("--")
+@example("‐‐")
+@example("-‐")
+def test_features_match_full_extractor_on_unicode_surfaces(surface):
+    fv = extract_features(surface)
+    lower, case, punct, last, backoff = reference_features(surface)
+    assert fv == (lower, backoff)
+    classes = (_case_class(surface), _punct_class(surface), _last_char_class(surface))
+    assert classes == (case, punct, last)
+
+
 # --- annotation parsing -------------------------------------------------
 
 
@@ -1016,6 +1060,61 @@ def test_viterbi_cached_tables_match_per_call_logs(case):
     ref_labels, ref_log_prob = reference_viterbi(model, tokens)
     assert seq.labels == ref_labels
     assert log_prob == ref_log_prob
+
+
+@st.composite
+def _model_and_batch(draw):
+    """A model, with zeros (so -inf logs and exact ties) and at times more
+    than 255 states, and a ragged batch of observation sequences."""
+    n = draw(st.one_of(st.integers(1, 5), st.sampled_from([256, 300])))
+    v = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 0.5, 3.7, 1e-9])
+
+    def rows(r, c):
+        raw = rng.choice(weights, size=(r, c))
+        raw[:, 0] += 1e-3  # no all-zero row
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    model = HmmModel(
+        states=[f"s{i}" for i in range(n)],
+        vocab=[f"w{i}" for i in range(v)],
+        initial=rows(1, n)[0],
+        transition=rows(n, n),
+        emission=rows(n, v),
+        smoothing_alpha=0.0,
+    )
+    lengths = st.one_of(st.just(1), st.integers(1, 12))
+    batch = draw(st.lists(lengths.flatmap(
+        lambda t: st.lists(st.integers(0, v - 1), min_size=t, max_size=t)
+    ), min_size=1, max_size=8))
+    return model, batch
+
+
+@PROPERTY
+@given(_model_and_batch())
+def test_batched_decode_matches_per_reference_viterbi(case):
+    model, batch = case
+    decoded = decode_batch(model.decoder, batch)
+    assert len(decoded) == len(batch)
+    for obs, (path, log_prob) in zip(batch, decoded):
+        tokens = tokenize(" ".join(model.vocab[i] for i in obs))
+        ref_labels, ref_log_prob = reference_viterbi(model, tokens)
+        assert [model.states[i] for i in path] == ref_labels
+        assert log_prob == ref_log_prob
+
+
+def test_tag_references_match_per_reference_viterbi_on_trained_model():
+    refs = _annotated_corpus(15, 150)
+    model = train_hmm([align_training(r.anno_ref) for r in refs[:90]], alpha=0.1)
+    bib_refs = [r.bib_ref for r in refs[90:]]
+    tagged = tag_references(model.decoder, bib_refs)
+    assert len(tagged) == len(bib_refs)
+    for bib_ref, (fields, log_prob) in zip(bib_refs, tagged):
+        tokens = tokenize(bib_ref)
+        labels, ref_log_prob = reference_viterbi(model, tokens)
+        assert fields == reference_fields_from_labels(tokens, labels)
+        assert log_prob == ref_log_prob
 
 
 def test_viterbi_cached_tables_match_on_trained_model():

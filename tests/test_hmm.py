@@ -19,6 +19,7 @@ from citeforge.hmm import (
     align_training,
     fields_from_labels,
     tag_reference,
+    tag_references,
     train_hmm,
     viterbi,
 )
@@ -312,6 +313,16 @@ def test_viterbi_empty_input_raises():
     rng = random.Random(2)
     with pytest.raises(EmptyInput):
         viterbi(random_model(rng, 2, 2), [])
+
+
+def test_tag_references_names_the_reference_with_no_token():
+    model = train_hmm([align_like(["a", "b"], ["title", "title"])])
+    assert tag_references(model.decoder, []) == []
+    with pytest.raises(EmptyInput) as excinfo:
+        tag_references(model.decoder, ["a b", " \t", "b"])
+    assert excinfo.value.index == 1
+    with pytest.raises(EmptyInput, match="^no tokens to decode$"):
+        tag_reference(model, " ")
 
 
 # --- model io -----------------------------------------------------------
