@@ -85,6 +85,7 @@ class IssueKind(Enum):
     UNKNOWN_FIELD = "unknown_field"
     UNKNOWN_TYPE = "unknown_type"
     SYNTAX_ERROR = "syntax_error"
+    DUPLICATE_KEY = "duplicate_key"
 
 
 @dataclass(frozen=True)
@@ -198,9 +199,11 @@ def parse_bibtex(
     Nothing here is fatal: a malformed or unsupported block becomes an
     issue and parsing moves on to the next `@`.  `@comment` blocks are
     skipped silently; `@string`/`@preamble` are out of scope and reported.
+    An entry whose key an earlier entry has is kept, and reported.
     """
     entries: list[BibEntry] = []
     issues: list[ValidationIssue] = []
+    keys: set[str] = set()
     pos = 0
     while m := _ENTRY_START.search(text, pos):
         entry_type = m.group(1).lower()
@@ -236,6 +239,11 @@ def parse_bibtex(
         except _EntrySyntaxError as exc:
             issues.append(ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc)))
             continue
+        if key in keys:
+            issues.append(ValidationIssue(
+                key, IssueKind.DUPLICATE_KEY, "an earlier entry has this key"
+            ))
+        keys.add(key)
         entries.append(BibEntry(entry_type, key, fields, source_tag))
     return entries, issues
 

@@ -223,6 +223,19 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 text file, read as they are iterated, with
+    universal newlines; text that is not UTF-8 is the ValueError of
+    `_read_text`, which gives the bad byte's offset in the file rather
+    than in the chunk that failed to decode."""
+    with open(path, encoding="utf-8") as lines:
+        try:
+            yield from lines
+        except UnicodeDecodeError:
+            _read_text(path)
+            raise
+
+
 def _load_entries(run: Run, path: str):
     """Entries and issues of a BibTeX file, tagged with the file's stem."""
     return parse_bibtex(_read_text(run.read(path)), source_tag=Path(path).stem)
@@ -417,8 +430,8 @@ def _references(settings: Settings, run: Run, in_path: Path):
                 for cit in record.citations:
                     yield {"id": record.id, "style": cit["style"]}, cit["bibRef"]
     else:
-        lines = _read_text(in_path).split("\n")
-        yield from (({}, line.strip()) for line in lines if line.strip())
+        stripped = (line.strip() for line in _text_lines(in_path))
+        yield from (({}, line) for line in stripped if line)
 
 
 # References `tag` decodes per `tag_references` call: enough to amortize

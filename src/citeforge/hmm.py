@@ -1,14 +1,14 @@
 """Label-sequence HMM: training from annotated references and Viterbi
 decoding of new ones.
 
-States are field labels; a token's observation is one of the two symbols
-of its `FeatureVector`: the lowercased surface when seen at least twice
-in training, else its orthographic backoff symbol.  Decoding is
+States are field labels; a token's observation, picked from its surface
+by `_symbol_column` alone, is its lowercased surface when seen at least
+twice in training, else its orthographic backoff symbol.  Decoding is
 log-space Viterbi, O(T*N^2), with ties broken toward the lower state
 index so output is reproducible.
 
 `train_hmm` reads its corpus in one pass, from any iterable (a generator
-will do), and keeps only counts keyed by label and feature vector, so
+will do), and keeps only counts keyed by label and surface, so
 its memory follows the model, not the corpus.
 
 Training and loading are pure Python: `train_hmm` and `HmmModel.load`
@@ -49,7 +49,7 @@ from .annotation import parse_annotation
 from .evaluate import ExtractedField
 from .jsonfile import read_json, write_text
 from .labels import LABEL_SET, field_for_label
-from .tokens import BACKOFF_CLASSES, WORD, FeatureVector, Token, extract_features, tokenize
+from .tokens import BACKOFF_CLASSES, WORD, Token, backoff_symbol, tokenize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,7 +114,7 @@ class HmmModel:
         )
 
     def symbol_index(self, token: Token) -> int:
-        return _symbol_column(self._sym_index, token.features)
+        return _symbol_column(self._sym_index, token.surface)
 
     def save(self, path: str | Path) -> None:
         data = {
@@ -230,12 +230,12 @@ def align_training(anno_ref: str) -> LabelSequence:
     return LabelSequence(tokens, labels)
 
 
-def _symbol_column(sym_index: dict[str, int], features: FeatureVector) -> int:
-    """Column of a token's emission symbol: its lowercased surface when in
+def _symbol_column(sym_index: dict[str, int], surface: str) -> int:
+    """Column of a surface's emission symbol: its lowercased form when in
     the vocabulary, else (rare or unseen) its orthographic backoff class."""
-    idx = sym_index.get(features.lower)
+    idx = sym_index.get(surface.lower())
     if idx is None:
-        idx = sym_index[features.backoff]
+        idx = sym_index[backoff_symbol(surface)]
     return idx
 
 
@@ -303,7 +303,7 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     """Count-based HMM estimation with Laplace smoothing `alpha`.
 
     One pass over any iterable of sequences (a generator will do) counts
-    first labels, label steps and (label, feature vector) emissions; the
+    first labels, label steps and (label, surface) emissions; the
     model is derived from those counts alone, so memory follows the
     model's size, not the corpus's.  The emission vocabulary is every
     lowercased surface with corpus frequency >= 2 plus the full set of
@@ -319,13 +319,13 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     for seq in chain([first], sequences):
         starts.update(seq.labels[:1])
         steps.update(zip(seq.labels, seq.labels[1:]))
-        emits.update(zip(seq.labels, map(attrgetter("features"), seq.tokens)))
+        emits.update(zip(seq.labels, map(attrgetter("surface"), seq.tokens)))
     states = sorted({label for label, _ in emits})
     if not states:
         raise EmptyCorpus("training corpus has no tokens")
     surface_freq = Counter()
-    for (_, features), count in emits.items():
-        surface_freq[features.lower] += count
+    for (_, surface), count in emits.items():
+        surface_freq[surface.lower()] += count
     kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
     vocab = kept + list(BACKOFF_CLASSES)
     sym_index = {sym: i for i, sym in enumerate(vocab)}
@@ -334,8 +334,8 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     # Counts are integers held in floats, so the order of the additions
     # cannot change a row.
     emission = [[0.0] * len(vocab) for _ in states]
-    for (label, features), count in emits.items():
-        emission[state_index[label]][_symbol_column(sym_index, features)] += count
+    for (label, surface), count in emits.items():
+        emission[state_index[label]][_symbol_column(sym_index, surface)] += count
     return HmmModel(
         states=states,
         vocab=vocab,
@@ -405,7 +405,7 @@ def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]
         raise EmptyInput("no tokens to decode")
     dec = model.decoder
     [(path, log_prob)] = decode_batch(
-        dec, [[_symbol_column(dec.sym_index, tok.features) for tok in tokens]]
+        dec, [[_symbol_column(dec.sym_index, tok.surface) for tok in tokens]]
     )
     return LabelSequence(list(tokens), [dec.states[i] for i in path]), log_prob
 
@@ -441,10 +441,7 @@ def tag_references(
     for i, words in enumerate(surfaces):
         if not words:
             raise EmptyInput("no tokens to decode", i)
-    columns = [
-        [_symbol_column(dec.sym_index, extract_features(w)) for w in words]
-        for words in surfaces
-    ]
+    columns = [[_symbol_column(dec.sym_index, w) for w in words] for words in surfaces]
     return [
         (_fields(words, map(dec.states.__getitem__, path)), log_prob)
         for words, (path, log_prob) in zip(surfaces, decode_batch(dec, columns))

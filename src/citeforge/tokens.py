@@ -7,19 +7,14 @@ backoff symbol built from its coarse case, punctuation and
 last-character classes.  The 128 backoff symbols are built once, and
 every vector shares those strings.
 
-Features depend on the surface alone, so `extract_features` is memoized
-per surface in an LRU cache bounded at FEATURE_CACHE_SIZE (32,768)
-entries.  An entry costs about 250 bytes on CPython 3.11 for a 3-12
-character surface (the surface key, its lowercased copy, the vector and
-the cache's own link), so the cache holds at most about 8 MB however
-long the input.
+Features depend on the surface alone, so a `Token` stores none: its
+`features` are computed from its surface when read, and nothing is
+cached.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 CASE_CLASSES = ("Initialcaps", "MixedCaps", "ALLCAPS", "others")
@@ -41,9 +36,6 @@ _VOLUME_RE = re.compile(r"\d+\(\d+\)[.,;:]?$")
 _PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
 
 
-FEATURE_CACHE_SIZE = 1 << 15
-
-
 class FeatureVector(NamedTuple):
     """The two emission symbols the HMM reads for a surface."""
 
@@ -63,12 +55,14 @@ _BACKOFF = {
 BACKOFF_CLASSES = tuple(_BACKOFF.values())
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     start: int
     end: int
-    features: FeatureVector
+
+    @property
+    def features(self) -> FeatureVector:
+        return extract_features(self.surface)
 
 
 def _case_class(surface: str) -> str:
@@ -115,15 +109,14 @@ def _last_char_class(surface: str) -> str:
     return "other"
 
 
-@lru_cache(maxsize=FEATURE_CACHE_SIZE)
+def backoff_symbol(surface: str) -> str:
+    """The backoff symbol of a non-empty token surface."""
+    return _BACKOFF[_case_class(surface), _punct_class(surface), _last_char_class(surface)]
+
+
 def extract_features(surface: str) -> FeatureVector:
-    """Feature vector for a non-empty token surface.  Pure: equal surfaces
-    always give equal vectors, and the frozen result is shared between
-    them."""
-    return FeatureVector(
-        surface.lower(),
-        _BACKOFF[_case_class(surface), _punct_class(surface), _last_char_class(surface)],
-    )
+    """Feature vector for a non-empty token surface."""
+    return FeatureVector(surface.lower(), backoff_symbol(surface))
 
 
 # A token: a maximal run of non-whitespace.
@@ -135,7 +128,4 @@ def tokenize(reference: str) -> list[Token]:
 
     Punctuation stays attached; the feature extractor deals with it.
     """
-    return [
-        Token(m.group(0), m.start(), m.end(), extract_features(m.group(0)))
-        for m in WORD.finditer(reference)
-    ]
+    return [Token(m.group(0), m.start(), m.end()) for m in WORD.finditer(reference)]

@@ -11,6 +11,7 @@ from citeforge.bibtex import (
     BibEntry,
     CleanPolicy,
     IssueKind,
+    ValidationIssue,
     clean_corpus,
     field_histogram,
     parse_bibtex,
@@ -80,6 +81,25 @@ def test_string_macro_and_concatenation_are_syntax_errors():
     assert len(issues) == 2
 
 
+def test_repeated_key_is_reported_and_kept():
+    # Only an earlier entry's key counts, matched exactly: a block that
+    # failed to parse leaves no entry, and keys differing in case differ.
+    text = (
+        "@webpage{w, title={T}}\n@misc{a, note={1}}\n@misc{A, note={2}}\n"
+        "@misc{w, note={3}}\n@book{a, title={4}}\n@misc{a, note={5}}"
+    )
+    entries, issues = parse_bibtex(text)
+    assert [(e.key, e.fields) for e in entries] == [
+        ("a", {"note": "1"}), ("A", {"note": "2"}), ("w", {"note": "3"}),
+        ("a", {"title": "4"}), ("a", {"note": "5"}),
+    ]
+    assert [(i.citation_key, i.kind) for i in issues] == [
+        ("w", IssueKind.UNKNOWN_TYPE),
+        ("a", IssueKind.DUPLICATE_KEY),
+        ("a", IssueKind.DUPLICATE_KEY),
+    ]
+
+
 def test_comment_blocks_skipped_silently():
     entries, issues = parse_bibtex("@comment{anything goes}\n@misc{m, note={n}}")
     assert [e.key for e in entries] == ["m"]
@@ -134,7 +154,11 @@ _ENTRY = st.builds(
 @given(st.lists(_ENTRY, max_size=4))
 def test_serialize_parse_round_trip(entries):
     parsed, issues = parse_bibtex(serialize(entries))
-    assert issues == []
+    repeated = [e.key for i, e in enumerate(entries) if e.key in {f.key for f in entries[:i]}]
+    assert issues == [
+        ValidationIssue(key, IssueKind.DUPLICATE_KEY, "an earlier entry has this key")
+        for key in repeated
+    ]
     assert parsed == entries
 
 

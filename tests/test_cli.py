@@ -14,7 +14,6 @@ from citeforge.cli import SUBCOMMANDS, TAG_BATCH, Settings, build_parser, main
 from citeforge.hmm import HmmModel, tag_reference
 from citeforge.jsonfile import read_json_lines
 from citeforge.synth import homepage_misc_entry, random_corpus
-from citeforge.tokens import extract_features
 
 
 @pytest.fixture()
@@ -349,6 +348,20 @@ def test_text_input_that_is_not_utf8_is_named(tmp_path, request, capsys, subcomm
     assert not out.exists()
 
 
+def test_text_input_that_is_not_utf8_past_the_first_chunk_is_named(tmp_path, chain_files, capsys):
+    # Read line by line, the file decodes in chunks; the message still
+    # gives the bad byte's offset in the whole file.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"Argon C. A parallel decoder. 2002.\n" * 1000 + "Müller\n".encode("latin-1"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("tag", "--in", bad, "--model", chain_files[2], "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xfc in position 35001: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
 def test_tag_rows_of_a_dataset_follow_its_eval_citations(tmp_path, chain_files):
     ds, split, model = chain_files
     tagged = tmp_path / "tagged.jsonl"
@@ -377,12 +390,11 @@ def test_tag_rows_across_batches_follow_the_input_lines(tmp_path, chain_files):
     assert len(tagged_rows(tagged, model, lines)) == len(lines)
 
 
-def _tag_peak(tmp_path, ds, model, copies):
-    """tracemalloc peak (bytes) of `tag` on `copies` copies of a dataset's
-    rows; the feature cache starts empty, so its growth counts too."""
-    bigger = tmp_path / f"ds-x{copies}.jsonl"
-    bigger.write_bytes(ds.read_bytes() * copies)
-    extract_features.cache_clear()
+def _tag_peak(tmp_path, source, model, copies):
+    """tracemalloc peak (bytes) of `tag` on `copies` copies of the lines of
+    `source`, a dataset or a text file."""
+    bigger = tmp_path / f"x{copies}-{source.name}"
+    bigger.write_bytes(source.read_bytes() * copies)
     tracemalloc.start()
     try:
         assert run("tag", "--in", bigger, "--model", model, "--out", tmp_path / "t.jsonl") == 0
@@ -399,6 +411,21 @@ def test_tag_memory_does_not_follow_the_input(tmp_path, chain_files):
     _tag_peak(tmp_path, ds, model, 1)  # numpy and the model path warmed up
     small = _tag_peak(tmp_path, ds, model, 1)
     large = _tag_peak(tmp_path, ds, model, 4)
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_tag_memory_does_not_follow_a_text_input(tmp_path, chain_files):
+    # 200 -> 3,200 lines: read as they are decoded, the peak grew 1.02x;
+    # with the whole file read and split first it grew 3.1x.
+    ds, _, model = chain_files
+    refs = tmp_path / "refs.txt"
+    refs.write_text(
+        "".join(cit["bibRef"] + "\n" for row in read_json_lines(ds, dict) for cit in row["citations"]),
+        encoding="utf-8",
+    )
+    _tag_peak(tmp_path, refs, model, 1)
+    small = _tag_peak(tmp_path, refs, model, 1)
+    large = _tag_peak(tmp_path, refs, model, 16)
     assert large <= 1.5 * small, (small, large)
 
 

@@ -66,6 +66,7 @@ from citeforge.hmm import (
     MIN_SURFACE_FREQ,
     HmmModel,
     LabelSequence,
+    _symbol_column,
     align_training,
     decode_batch,
     fields_from_labels,
@@ -304,7 +305,8 @@ def _ref_parse_fields(body):
 
 def reference_parse_bibtex(text, source_tag=None):
     """The scanner that stepped through every character of a value, and
-    skipped whitespace one `isspace` call at a time."""
+    skipped whitespace one `isspace` call at a time; it now also reports an
+    entry whose key an earlier entry has."""
     entries = []
     issues = []
     pos = 0
@@ -340,6 +342,10 @@ def reference_parse_bibtex(text, source_tag=None):
         except _RefEntrySyntaxError as exc:
             issues.append(ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc)))
             continue
+        if any(e.key == key for e in entries):
+            issues.append(ValidationIssue(
+                key, IssueKind.DUPLICATE_KEY, "an earlier entry has this key"
+            ))
         entries.append(BibEntry(entry_type, key, fields, source_tag))
     return entries, issues
 
@@ -871,6 +877,33 @@ def test_features_match_full_extractor_on_unicode_surfaces(surface):
     assert classes == (case, punct, last)
 
 
+def reference_symbol_column(sym_index, surface):
+    """Column of a surface as chosen from its full feature vector: the
+    lowercased surface when in the vocabulary, else its backoff class."""
+    lower, _, _, _, backoff = reference_features(surface)
+    return sym_index[lower] if lower in sym_index else sym_index[backoff]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(_UNICODE_SURFACE, st.booleans()), min_size=1, max_size=8))
+@example([("ǅ", True), ("ǅ", False), ("DŽ", False), ("İ", True), ("ß", True), ("SS", False)])
+def test_symbol_column_matches_full_extractor_on_unicode_surfaces(surfaces):
+    # The vocabulary holds the lowercased forms of the surfaces flagged
+    # True, then every backoff class, in a model's order.
+    kept = sorted({s.lower() for s, in_vocab in surfaces if in_vocab})
+    vocab = kept + list(BACKOFF_CLASSES)
+    sym_index = {sym: i for i, sym in enumerate(vocab)}
+    model = HmmModel(["other"], vocab, [1.0], [[1.0]], [[1 / len(vocab)] * len(vocab)], 0.1)
+    assert Token._fields == ("surface", "start", "end")
+    for surface, _ in surfaces:
+        want = reference_symbol_column(sym_index, surface)
+        assert _symbol_column(sym_index, surface) == want
+        tok = Token(surface, 0, len(surface))
+        assert tok == (surface, 0, len(surface))
+        assert tok.features == extract_features(tok.surface)
+        assert model.symbol_index(tok) == want
+
+
 # --- annotation parsing -------------------------------------------------
 
 
@@ -1345,7 +1378,7 @@ _RUN_SURFACES = st.lists(st.text("ab.,&é", min_size=1, max_size=4), max_size=30
 
 
 def assert_fields_as_reference(surfaces, labels):
-    tokens = [Token(s, 0, len(s), extract_features(s)) for s in surfaces]
+    tokens = [Token(s, 0, len(s)) for s in surfaces]
     want = reference_fields_from_labels(tokens, labels)
     assert fields_from_labels(tokens, labels) == want
 

@@ -183,8 +183,7 @@ def test_train_corpus_of_empty_references_raises():
 
 def _traced_training_peak(n_entries, styles):
     """tracemalloc peak (bytes) of training on `n_entries` random entries in
-    every style, each reference generated only when train_hmm reads it; the
-    feature cache starts empty, so its growth counts too."""
+    every style, each reference generated only when train_hmm reads it."""
     rng = random.Random(5)
     entries = (random_entry(rng) for _ in range(n_entries))
     corpus = (
@@ -192,7 +191,6 @@ def _traced_training_peak(n_entries, styles):
         for record in build_dataset(entries, styles)
         for cit in record.citations
     )
-    extract_features.cache_clear()
     tracemalloc.start()
     try:
         model = train_hmm(corpus, alpha=0.1)
@@ -205,7 +203,7 @@ def _traced_training_peak(n_entries, styles):
 
 def test_train_memory_follows_the_model_not_the_corpus(styles):
     # 50 -> 200 entries x 10 styles: streamed, the peak grows about 2.0x
-    # (counts, vocabulary and feature cache); a corpus held in a list
+    # (counts and vocabulary); a corpus held in a list
     # grows it about 3.3x.
     small = _traced_training_peak(50, styles)
     large = _traced_training_peak(200, styles)

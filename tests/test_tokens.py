@@ -2,7 +2,6 @@ import pytest
 
 from citeforge.tokens import (
     BACKOFF_CLASSES,
-    FEATURE_CACHE_SIZE,
     _case_class,
     _last_char_class,
     _punct_class,
@@ -104,7 +103,3 @@ def test_tokens_cover_all_nonspace_runs():
     )
     assert rebuilt.strip() == ""
     assert [t.surface for t in tokens] == ["a", "b", "c", "d"]
-
-
-def test_feature_cache_is_bounded():
-    assert extract_features.cache_info().maxsize == FEATURE_CACHE_SIZE > 0
