@@ -5,9 +5,14 @@ One subcommand per pipeline stage; `build`, `split`, `train`, `tag` and
 One table, `SUBCOMMANDS`, declares each subcommand's handler, required
 flags and flags.  Every flag can also come from a JSON config file
 (--config) or from a CITEFORGE_<FLAG> environment variable; explicit flags
-win, then the environment, then the config file.  A required flag that no
-source gives exits 2 before the stage reads any input.  Each run leaves a
-manifest with checksums of everything it read and wrote.
+win, then the environment, then the config file.  Each handler takes one
+`Run`, which resolves every flag once, records the files the stage reads
+and writes, and leaves a manifest with their checksums.  A required flag
+that no source gives exits 2 before the stage reads any input.
+
+`tag` checks each dataset row as it reads it: a bibRef with no token
+exits 1, naming the row's id and style, before anything is decoded.
+`tag --split` selects dataset rows; with a text input it exits 1.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -62,6 +67,7 @@ from .hmm import (
 )
 from .jsonfile import read_json, read_json_lines, write_json, write_json_lines, write_text
 from .styles import MissingVariable, builtin_styles_dir, load_styles, render
+from .tokens import WORD
 
 # Every domain error class of the package subclasses ValueError.
 DOMAIN_ERRORS = (ValueError, OSError)
@@ -75,14 +81,50 @@ JSON_TYPES = {int: (int,), float: (int, float)}
 
 
 class Run:
-    """Collects inputs/outputs and writes the run manifest."""
+    """One run of a subcommand: every flag resolved once, the files read
+    and written, and the manifest written from both.
 
-    def __init__(self, subcommand: str, settings: dict):
-        self.subcommand = subcommand
-        self.settings = settings
+    A flag resolves from the command line, then the environment, then the
+    config file.  Values from the environment and the config file are
+    typed from the flag's `add_argument` keywords: store-const flags take
+    a yes/no word, list flags (append or nargs="+") wrap a single value in
+    a list, and typed flags go through their `type`.  A config value that
+    is not a string must have the flag's JSON type: an integer for an
+    `int` flag, a number for a `float` flag, never a boolean; a list for
+    an nargs="+" flag must not be empty.  A value that does not fit is a
+    ValueError naming where it came from.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.subcommand = args.subcommand
+        given = vars(args)
+        config = {}
+
+        def resolve(name: str, keywords: dict):
+            env_name = ENV_PREFIX + name.upper()
+            if given.get(name) is not None:
+                return given[name]
+            if os.environ.get(env_name) is not None:
+                return _typed(keywords, os.environ[env_name], f"environment variable {env_name}")
+            if config.get(name) is not None:
+                return _typed(keywords, config[name], f"config key {name!r}")
+            return None
+
+        # The value of every flag of the subcommand, from whichever source
+        # it came: what the manifest's config digest covers.
+        self.values = {"config": resolve("config", {})}
+        if self.values["config"]:
+            config.update(read_json(self.values["config"], _config_object))
+        for flag, keywords in SUBCOMMANDS[self.subcommand][2].items():
+            name = flag[2:].replace("-", "_")
+            self.values[name] = resolve(name, keywords)
         self.started = time.time()
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+
+    def get(self, name: str, default=None):
+        value = self.values.get(name)
+        return default if value is None else value
 
     def read(self, path) -> Path:
         path = Path(path)
@@ -111,7 +153,7 @@ class Run:
         manifest = {
             "subcommand": self.subcommand,
             "config_digest": hashlib.sha256(
-                json.dumps(self.settings, sort_keys=True, default=str).encode()
+                json.dumps(self.values, sort_keys=True, default=str).encode()
             ).hexdigest(),
             "input_digests": [
                 {"path": str(p), "sha256": sha256_file(p)}
@@ -126,51 +168,6 @@ class Run:
             "tool_version": __version__,
         }
         write_json(str(self.outputs[0]) + ".manifest.json", manifest)
-
-
-class Settings:
-    """Every flag of a subcommand, resolved once: command line, then
-    environment, then config file.
-
-    Values from the environment and the config file are typed from the
-    flag's `add_argument` keywords: store-const flags take a yes/no word,
-    list flags (append or nargs="+") wrap a single value in a list, and
-    typed flags go through their `type`.  A config value that is not a
-    string must have the flag's JSON type: an integer for an `int` flag, a
-    number for a `float` flag, never a boolean; a list for an nargs="+" flag
-    must not be empty.  A value that does not fit is a ValueError naming
-    where it came from.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        given = vars(args)
-        config = {}
-
-        def resolve(name: str, keywords: dict):
-            env_name = ENV_PREFIX + name.upper()
-            if given.get(name) is not None:
-                return given[name]
-            if os.environ.get(env_name) is not None:
-                return _typed(keywords, os.environ[env_name], f"environment variable {env_name}")
-            if config.get(name) is not None:
-                return _typed(keywords, config[name], f"config key {name!r}")
-            return None
-
-        self.values = {"config": resolve("config", {})}
-        if self.values["config"]:
-            config.update(read_json(self.values["config"], _config_object))
-        for flag, keywords in SUBCOMMANDS[args.subcommand][2].items():
-            name = flag[2:].replace("-", "_")
-            self.values[name] = resolve(name, keywords)
-
-    def get(self, name: str, default=None):
-        value = self.values.get(name)
-        return default if value is None else value
-
-    def resolved(self) -> dict:
-        """The value of every flag of the subcommand, from whichever source
-        it came: what the manifest's config digest covers."""
-        return self.values
 
 
 def _typed(keywords: dict, value, source: str):
@@ -241,13 +238,13 @@ def _load_entries(run: Run, path: str):
     return parse_bibtex(_read_text(run.read(path)), source_tag=Path(path).stem)
 
 
-def _styles(settings: Settings, run: Run):
-    styles_path = settings.get("styles")
+def _styles(run: Run):
+    styles_path = run.get("styles")
     if styles_path is None:
         styles_path = builtin_styles_dir()
     run.read(styles_path)
     styles = load_styles(styles_path)
-    only = settings.get("style")
+    only = run.get("style")
     if only:
         styles = [s for s in styles if s.style_id == only]
         if not styles:
@@ -255,14 +252,14 @@ def _styles(settings: Settings, run: Run):
     return styles
 
 
-def cmd_parse(settings: Settings, run: Run) -> None:
-    entries, issues = _load_entries(run, settings.get("in"))
+def cmd_parse(run: Run) -> None:
+    entries, issues = _load_entries(run, run.get("in"))
     for entry in entries:
         issues.extend(validate_entry(entry))
-    out = run.wrote(settings.get("out"))
+    out = run.wrote(run.get("out"))
     write_text(out, serialize(entries))
     write_json(
-        run.wrote(settings.get("issues") or str(out) + ".issues.json"),
+        run.wrote(run.get("issues") or str(out) + ".issues.json"),
         [
             {"citation_key": i.citation_key, "kind": i.kind.value, "detail": i.detail}
             for i in issues
@@ -271,17 +268,17 @@ def cmd_parse(settings: Settings, run: Run) -> None:
     print(f"parsed {len(entries)} entries, {len(issues)} issues")
 
 
-def cmd_clean(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.get("in"))
+def cmd_clean(run: Run) -> None:
+    entries, _ = _load_entries(run, run.get("in"))
     strip = tuple(
-        f.strip() for f in (settings.get("strip_fields") or "").split(",") if f.strip()
+        f.strip() for f in (run.get("strip_fields") or "").split(",") if f.strip()
     )
     policy = CleanPolicy(
-        drop_homepage_misc=not settings.get("keep_homepage_misc", False),
+        drop_homepage_misc=not run.get("keep_homepage_misc", False),
         fields_to_strip=strip,
     )
     cleaned, stats = clean_corpus(entries, policy)
-    out = run.wrote(settings.get("out"))
+    out = run.wrote(run.get("out"))
     write_text(out, serialize(cleaned))
     print(
         json.dumps(
@@ -295,8 +292,8 @@ def cmd_clean(settings: Settings, run: Run) -> None:
     )
 
 
-def cmd_stats(settings: Settings, run: Run) -> None:
-    paths = settings.get("in")
+def cmd_stats(run: Run) -> None:
+    paths = run.get("in")
     datasets = [is_dataset(path) for path in paths]
     if any(datasets) and not all(datasets):
         odd = paths[datasets.index(not datasets[0])]
@@ -313,15 +310,15 @@ def cmd_stats(settings: Settings, run: Run) -> None:
         text = histogram_table(
             [entry for path in paths for entry in _load_entries(run, path)[0]]
         )
-    out = settings.get("out")
+    out = run.get("out")
     if out:
         write_text(run.wrote(out), text + "\n")
     print(text)
 
 
-def cmd_render(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.get("in"))
-    styles = _styles(settings, run)
+def cmd_render(run: Run) -> None:
+    entries, _ = _load_entries(run, run.get("in"))
+    styles = _styles(run)
     lines = []
     for entry in entries:
         for style in styles:
@@ -329,29 +326,29 @@ def cmd_render(settings: Settings, run: Run) -> None:
                 lines.append(render(entry, style))
             except MissingVariable as exc:
                 print(f"skip: {exc}", file=sys.stderr)
-    out = run.wrote(settings.get("out"))
+    out = run.wrote(run.get("out"))
     write_text(out, "\n".join(lines) + "\n")
     print(f"rendered {len(lines)} references")
 
 
-def cmd_annotate(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.get("in"))
+def cmd_annotate(run: Run) -> None:
+    entries, _ = _load_entries(run, run.get("in"))
     stats = BuildStats()
-    records = build_dataset(entries, _styles(settings, run), stats=stats)
+    records = build_dataset(entries, _styles(run), stats=stats)
     rows = ({"id": record.id, **cit} for record in records for cit in record.citations)
-    write_json_lines(run.wrote(settings.get("out")), rows)
+    write_json_lines(run.wrote(run.get("out")), rows)
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
     print(f"annotated {stats.citations} references")
 
 
-def cmd_build(settings: Settings, run: Run) -> None:
-    entries, _ = _load_entries(run, settings.get("in"))
-    styles = _styles(settings, run)
+def cmd_build(run: Run) -> None:
+    entries, _ = _load_entries(run, run.get("in"))
+    styles = _styles(run)
     stats = BuildStats()
     records = build_dataset(entries, styles, stats=stats)
-    out = run.wrote(settings.get("out"))
-    checksum = export(records, settings.get("format", "jsonl"), out)
+    out = run.wrote(run.get("out"))
+    checksum = export(records, run.get("format", "jsonl"), out)
     print(
         json.dumps(
             {
@@ -366,26 +363,26 @@ def cmd_build(settings: Settings, run: Run) -> None:
     )
 
 
-def cmd_split(settings: Settings, run: Run) -> None:
-    records = load_jsonl(run.read(settings.get("in")))
-    manifest = split_dataset((r.id for r in records), settings.get("seed", 42))
-    write_json(run.wrote(settings.get("out")), manifest.to_json_dict())
+def cmd_split(run: Run) -> None:
+    records = load_jsonl(run.read(run.get("in")))
+    manifest = split_dataset((r.id for r in records), run.get("seed", 42))
+    write_json(run.wrote(run.get("out")), manifest.to_json_dict())
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
 
 
-def _split_ids(settings: Settings, run: Run, side: str) -> set[str] | None:
+def _split_ids(run: Run, side: str) -> set[str] | None:
     """The ids on one side ("train" or "eval") of the --split manifest;
     None when no split is given."""
-    path = settings.get("split")
+    path = run.get("split")
     if not path:
         return None
     manifest = read_json(run.read(path), SplitManifest.from_json_dict)
     return set(getattr(manifest, side + "_ids"))
 
 
-def cmd_train(settings: Settings, run: Run) -> None:
-    records = load_jsonl(run.read(settings.get("in")))
-    train_ids = _split_ids(settings, run, "train")
+def cmd_train(run: Run) -> None:
+    records = load_jsonl(run.read(run.get("in")))
+    train_ids = _split_ids(run, "train")
     # zip draws from `counted` only after it got a citation, so `counted`
     # advances once per reference that train_hmm reads.
     counted = itertools.count()
@@ -395,8 +392,8 @@ def cmd_train(settings: Settings, run: Run) -> None:
         if train_ids is None or record.id in train_ids
         for cit, _ in zip(record.citations, counted)
     )
-    model = train_hmm(corpus, **_resolved(alpha=settings.get("alpha")))
-    out = run.wrote(settings.get("out"))
+    model = train_hmm(corpus, **_resolved(alpha=run.get("alpha")))
+    out = run.wrote(run.get("out"))
     model.save(out)
     print(
         f"trained on {next(counted)} references: "
@@ -419,16 +416,24 @@ def _tagged_row(row: dict) -> dict:
     return row
 
 
-def _references(settings: Settings, run: Run, in_path: Path):
+def _references(run: Run, in_path: Path):
     """(keys, reference) of each reference `tag` decodes: the citations of a
     dataset, on the --split eval side when a split is given, or each
-    non-blank line of a text file, where only a line feed ends a line."""
+    non-blank line of a text file, where only a line feed ends a line.
+    A dataset row whose bibRef has no token is an EmptyInput naming it."""
     if is_dataset(in_path):
-        keep = _split_ids(settings, run, "eval")
+        keep = _split_ids(run, "eval")
         for record in load_jsonl(in_path):
             if keep is None or record.id in keep:
                 for cit in record.citations:
+                    if not WORD.search(cit["bibRef"]):
+                        raise EmptyInput(
+                            f"{in_path}: row id {record.id!r}, style "
+                            f"{cit['style']!r} has a bibRef with no tokens to decode"
+                        )
                     yield {"id": record.id, "style": cit["style"]}, cit["bibRef"]
+    elif run.get("split"):
+        raise ValueError(f"--split selects dataset rows, but {in_path} is a text input")
     else:
         stripped = (line.strip() for line in _text_lines(in_path))
         yield from (({}, line) for line in stripped if line)
@@ -440,80 +445,73 @@ def _references(settings: Settings, run: Run, in_path: Path):
 TAG_BATCH = 64
 
 
-def cmd_tag(settings: Settings, run: Run) -> None:
-    model = HmmModel.load(run.read(settings.get("model")))
-    in_path = Path(run.read(settings.get("in")))
+def cmd_tag(run: Run) -> None:
+    model = HmmModel.load(run.read(run.get("model")))
+    in_path = run.read(run.get("in"))
 
     def rows():
         nonlocal model
         decoder = None
-        references = _references(settings, run, in_path)
+        references = _references(run, in_path)
         while batch := list(itertools.islice(references, TAG_BATCH)):
             if decoder is None:
                 # Built at the first batch, so an input with no reference
                 # never imports numpy.  Only the decoder is kept: the
                 # model's nested-list tables are freed here.
                 decoder, model = model.decoder, None
-            try:
-                tagged = tag_references(decoder, [reference for _, reference in batch])
-            except EmptyInput as exc:  # only a dataset row: a text line has a token
-                keys = batch[exc.index][0]
-                raise EmptyInput(
-                    f"{in_path}: row id {keys['id']!r}, style "
-                    f"{keys['style']!r} has a bibRef with no tokens to decode"
-                ) from None
+            tagged = tag_references(decoder, [reference for _, reference in batch])
             for (keys, reference), (extracted, log_prob) in zip(batch, tagged):
                 fields = [{"label": f.label, "value": f.value} for f in extracted]
                 yield dict(keys, reference=reference, fields=fields, log_prob=log_prob)
 
-    count = write_json_lines(run.wrote(settings.get("out")), rows())
+    count = write_json_lines(run.wrote(run.get("out")), rows())
     print(f"tagged {count} references")
 
 
-def cmd_evaluate(settings: Settings, run: Run) -> None:
-    tagged_path = Path(run.read(settings.get("in")))
-    records = load_jsonl(run.read(settings.get("dataset")))
-    eval_ids = _split_ids(settings, run, "eval")
+def cmd_evaluate(run: Run) -> None:
+    tagged_path = run.read(run.get("in"))
+    records = load_jsonl(run.read(run.get("dataset")))
+    eval_ids = _split_ids(run, "eval")
     policy = EvalPolicy(
         **_resolved(
-            tau=settings.get("tau"),
-            count_near_as_correct=settings.get("near_as_correct"),
+            tau=run.get("tau"),
+            count_near_as_correct=run.get("near_as_correct"),
         )
     )
     report = evaluate_dataset(
         read_json_lines(tagged_path, _tagged_row), records, policy, eval_ids=eval_ids
     )
-    out = settings.get("out")
+    out = run.get("out")
     if out:
         write_report(report, run.wrote(out))
     print(format_report(report))
 
 
-def cmd_harvest(settings: Settings, run: Run) -> None:
-    agents = settings.get("user_agent")
+def cmd_harvest(run: Run) -> None:
+    agents = run.get("user_agent")
     config = HarvestConfig(
-        url_template=settings.get("url_template"),
-        id_start=settings.get("id_start", 1),
-        id_end=settings.get("id_end"),
-        output_path=settings.get("out"),
+        url_template=run.get("url_template"),
+        id_start=run.get("id_start", 1),
+        id_end=run.get("id_end"),
+        output_path=run.get("out"),
         **_resolved(
-            td_millis=settings.get("td"),
-            rid_millis=settings.get("rid"),
+            td_millis=run.get("td"),
+            rid_millis=run.get("rid"),
             user_agents=tuple(agents) if agents else None,
-            max_retries=settings.get("max_retries"),
-            checkpoint_path=settings.get("checkpoint"),
-            allow_external=settings.get("allow_external"),
+            max_retries=run.get("max_retries"),
+            checkpoint_path=run.get("checkpoint"),
+            allow_external=run.get("allow_external"),
         ),
     )
-    seed = settings.get("seed")
+    seed = run.get("seed")
     rng = random.Random(seed) if seed is not None else None
-    if settings.get("resume", False):
+    if run.get("resume", False):
         stats = run_resume(config, rng)
     else:
         stats = run_harvest(config, rng)
     run.wrote(config.output_path)
     run.wrote(config.checkpoint_path)
-    csv_out = settings.get("efficiency_csv")
+    csv_out = run.get("efficiency_csv")
     if csv_out:
         series = efficiency_series(config.log_path)
         write_efficiency_csv(series, run.wrote(csv_out))
@@ -530,11 +528,11 @@ def cmd_harvest(settings: Settings, run: Run) -> None:
     )
 
 
-def _rules(settings: Settings, flag: str, shape: str, sizes) -> list[list[int]]:
+def _rules(run: Run, flag: str, shape: str, sizes) -> list[list[int]]:
     """The colon-separated integers of each --`flag` rule, `sizes` of them and
     none negative; any other rule is a ValueError naming the flag and the rule."""
     rules = []
-    for rule in settings.get(flag) or []:
+    for rule in run.get(flag) or []:
         try:
             numbers = [int(part) for part in rule.split(":")]
         except ValueError:
@@ -545,17 +543,17 @@ def _rules(settings: Settings, flag: str, shape: str, sizes) -> list[list[int]]:
     return rules
 
 
-def cmd_serve_fixture(settings: Settings, run: Run) -> None:
+def cmd_serve_fixture(run: Run) -> None:
     from .fixture import FixtureScript, FixtureServer
 
     script = FixtureScript()
-    for fid, status, *times in _rules(settings, "fail", "id:status[:times]", (2, 3)):
+    for fid, status, *times in _rules(run, "fail", "id:status[:times]", (2, 3)):
         script.fail_status[fid] = status
         if times:
             script.fail_times[fid] = times[0]
-    for fid, count in _rules(settings, "multi", "id:count", (2,)):
+    for fid, count in _rules(run, "multi", "id:count", (2,)):
         script.entries[fid] = count
-    port = settings.get("port", 8344)
+    port = run.get("port", 8344)
     if not 0 <= port <= 65535:
         raise ValueError(f"--port {port}: expected a port number 0-65535")
     server = FixtureServer(script, port=port)
@@ -629,14 +627,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler, required, _ = SUBCOMMANDS[args.subcommand]
     try:
-        settings = Settings(args)
+        run = Run(args)
         for name in required:
-            if settings.get(name) is None:
+            if run.get(name) is None:
                 flag = name.replace("_", "-")
                 print(f"error: missing required flag --{flag}", file=sys.stderr)
                 raise SystemExit(2)
-        run = Run(args.subcommand, settings.resolved())
-        handler(settings, run)
+        handler(run)
         run.finish()
         return 0
     except DOMAIN_ERRORS as exc:

@@ -98,6 +98,10 @@ class SplitManifest:
         for ids in (train_ids, eval_ids):
             if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
                 raise ValueError("train_ids and eval_ids must be lists of strings")
+        on_train = set(train_ids)
+        for i in eval_ids:
+            if i in on_train:
+                raise ValueError(f"id {i!r} is in both train_ids and eval_ids")
         return cls(seed, tuple(train_ids), tuple(eval_ids))
 
 

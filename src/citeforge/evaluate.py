@@ -21,7 +21,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .annotation import MalformedAnnotation, parse_annotation
 from .jsonfile import write_json
@@ -36,8 +36,7 @@ class MatchClass(Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True)
-class ExtractedField:
+class ExtractedField(NamedTuple):
     label: str
     value: str
 
@@ -244,13 +243,7 @@ def score(
     class it reached, for the diagnostics table.
     """
     report = EvalReport()
-    _score_into(
-        report,
-        [(f.label, f.value) for f in predictions],
-        [(f.label, f.value) for f in truth],
-        policy or EvalPolicy(),
-        {},
-    )
+    _score_into(report, predictions, truth, policy or EvalPolicy(), {})
     return report
 
 
@@ -292,15 +285,10 @@ def _score_into(
         per_label[label].fn += len(pool)
 
 
-def _truth_pairs(anno_ref: str) -> list[tuple[str, str]]:
-    """(label, value) of each top-level span of an annotated reference."""
-    plain, spans = parse_annotation(anno_ref)
-    return [(label, plain[start:end]) for label, start, end in spans]
-
-
 def ground_truth_fields(anno_ref: str) -> list[ExtractedField]:
     """Truth fields of an annotated reference: one field per top-level span."""
-    return [ExtractedField(label, value) for label, value in _truth_pairs(anno_ref)]
+    plain, spans = parse_annotation(anno_ref)
+    return [ExtractedField(label, plain[start:end]) for label, start, end in spans]
 
 
 def evaluate_dataset(
@@ -342,7 +330,7 @@ def evaluate_dataset(
             total.missing_ground_truth += 1
             continue
         try:
-            truth = _truth_pairs(anno)
+            truth = ground_truth_fields(anno)
         except MalformedAnnotation:
             total.missing_ground_truth += 1
             continue

@@ -30,7 +30,10 @@ Decoding is batched: `decode_batch` runs the max-plus Viterbi recursion
 (Rabiner 1989) over many sequences at once, one numpy step per position
 for the whole batch, and `viterbi`, `tag_reference` and `tag_references`
 are all calls of it.  `tag_references` builds no `Token`: it maps each
-surface straight to its symbol column.
+surface straight to its symbol column.  It splits references on
+`tokens.WORD` and refuses a batch holding one with no match (EmptyInput);
+the CLI's `tag` checks each dataset row against the same pattern as it
+reads it, so it names the row before the batch reaches the decoder.
 """
 
 from __future__ import annotations
@@ -64,12 +67,7 @@ class EmptyCorpus(ValueError):
 
 
 class EmptyInput(ValueError):
-    """A reference with no token to decode; `index` is its place in the
-    batch given to `tag_references`."""
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """A reference with no token to decode."""
 
 
 @dataclass
@@ -435,12 +433,11 @@ def tag_references(
 
     Each reference splits into the surfaces `tokenize` would give, and each
     surface maps straight to its symbol column; no `Token` is built.  A
-    reference with no token raises EmptyInput carrying its index.
+    reference with no token raises EmptyInput.
     """
     surfaces = [WORD.findall(reference) for reference in references]
-    for i, words in enumerate(surfaces):
-        if not words:
-            raise EmptyInput("no tokens to decode", i)
+    if not all(surfaces):
+        raise EmptyInput("no tokens to decode")
     columns = [[_symbol_column(dec.sym_index, w) for w in words] for words in surfaces]
     return [
         (_fields(words, map(dec.states.__getitem__, path)), log_prob)

@@ -10,7 +10,7 @@ import pytest
 
 import citeforge
 from citeforge.bibtex import serialize
-from citeforge.cli import SUBCOMMANDS, TAG_BATCH, Settings, build_parser, main
+from citeforge.cli import SUBCOMMANDS, TAG_BATCH, Run, build_parser, main
 from citeforge.hmm import HmmModel, tag_reference
 from citeforge.jsonfile import read_json_lines
 from citeforge.synth import homepage_misc_entry, random_corpus
@@ -558,9 +558,9 @@ def test_config_integer_for_a_float_flag_and_string_for_an_int_flag(tmp_path, ch
     assert run("tag", "--in", ds, "--model", model, "--out", tagged) == 0
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"tau": 1, "seed": "7"}))
-    tau = settings_for("evaluate", "--config", config).get("tau")
+    tau = run_for("evaluate", "--config", config).get("tau")
     assert tau == 1.0 and isinstance(tau, float)
-    assert settings_for("split", "--config", config).get("seed") == 7
+    assert run_for("split", "--config", config).get("seed") == 7
     assert run("evaluate", "--config", config, "--in", tagged, "--dataset", ds) == 0
 
 
@@ -633,8 +633,8 @@ def test_serve_fixture_refuses_a_port_out_of_range(port, capsys):
 # --- typed flags from the environment and the config file ---------------
 
 
-def settings_for(*argv):
-    return Settings(build_parser().parse_args([str(a) for a in argv]))
+def run_for(*argv):
+    return Run(build_parser().parse_args([str(a) for a in argv]))
 
 
 def declared(key=None, *values):
@@ -663,10 +663,10 @@ def test_a_number_flag_resolves_alike_from_every_source(
     name, value = flag[2:].replace("-", "_"), keywords["type"](7)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({name: value}))
-    from_config = settings_for(subcommand, "--config", config).get(name)
-    from_flag = settings_for(subcommand, flag, value).get(name)
+    from_config = run_for(subcommand, "--config", config).get(name)
+    from_flag = run_for(subcommand, flag, value).get(name)
     monkeypatch.setenv("CITEFORGE_" + name.upper(), str(value))
-    from_env = settings_for(subcommand).get(name)
+    from_env = run_for(subcommand).get(name)
     assert from_flag == from_env == from_config == value
     assert type(from_flag) is type(from_env) is type(from_config) is keywords["type"]
 
@@ -674,14 +674,14 @@ def test_a_number_flag_resolves_alike_from_every_source(
 @pytest.mark.parametrize("subcommand,flag,keywords", declared("action", "store_const"))
 def test_a_switch_is_true_from_the_flag_and_from_1(monkeypatch, subcommand, flag, keywords):
     name = flag[2:].replace("-", "_")
-    assert settings_for(subcommand, flag).get(name) is True
+    assert run_for(subcommand, flag).get(name) is True
     monkeypatch.setenv("CITEFORGE_" + name.upper(), "1")
-    assert settings_for(subcommand).get(name) is True
+    assert run_for(subcommand).get(name) is True
 
 
 @pytest.mark.parametrize("subcommand,flag,keywords", declared("action", "append"))
 def test_an_append_flag_given_once_is_a_one_item_list(subcommand, flag, keywords):
-    assert settings_for(subcommand, flag, "5:2").get(flag[2:].replace("-", "_")) == ["5:2"]
+    assert run_for(subcommand, flag, "5:2").get(flag[2:].replace("-", "_")) == ["5:2"]
 
 
 @pytest.mark.parametrize(
@@ -700,24 +700,24 @@ def test_an_append_flag_given_once_is_a_one_item_list(subcommand, flag, keywords
 )
 def test_store_const_flag_from_env_is_typed(monkeypatch, subcommand, name, word, expected):
     monkeypatch.setenv("CITEFORGE_" + name.upper(), word)
-    assert settings_for(subcommand).get(name, False) is expected
+    assert run_for(subcommand).get(name, False) is expected
 
 
 @pytest.mark.parametrize("value,expected", [(False, False), ("off", False), (True, True)])
 def test_store_const_flag_from_config_is_typed(tmp_path, value, expected):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"near_as_correct": value}))
-    assert settings_for("evaluate", "--config", config).get("near_as_correct") is expected
+    assert run_for("evaluate", "--config", config).get("near_as_correct") is expected
 
 
 def test_allow_external_zero_keeps_localhost_guard(monkeypatch):
     monkeypatch.setenv("CITEFORGE_ALLOW_EXTERNAL", "0")
-    assert settings_for("harvest").get("allow_external", False) is False
+    assert run_for("harvest").get("allow_external", False) is False
 
 
 def test_flag_on_command_line_beats_false_env(monkeypatch):
     monkeypatch.setenv("CITEFORGE_NEAR_AS_CORRECT", "false")
-    assert settings_for("evaluate", "--near-as-correct").get("near_as_correct") is True
+    assert run_for("evaluate", "--near-as-correct").get("near_as_correct") is True
 
 
 def test_bad_boolean_env_is_domain_error(tmp_path, corpus_file, monkeypatch, capsys):
@@ -743,15 +743,15 @@ def test_bad_int_env_is_domain_error(tmp_path, corpus_file, monkeypatch, capsys)
 
 def test_append_flag_from_env_is_one_element_list(monkeypatch):
     monkeypatch.setenv("CITEFORGE_FAIL", "5:500")
-    assert settings_for("serve-fixture").get("fail") == ["5:500"]
+    assert run_for("serve-fixture").get("fail") == ["5:500"]
 
 
 def test_append_flag_from_config_keeps_list(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"fail": ["5:500", "6:404:2"], "multi": "3:2"}))
-    settings = settings_for("serve-fixture", "--config", config)
-    assert settings.get("fail") == ["5:500", "6:404:2"]
-    assert settings.get("multi") == ["3:2"]
+    resolved = run_for("serve-fixture", "--config", config)
+    assert resolved.get("fail") == ["5:500", "6:404:2"]
+    assert resolved.get("multi") == ["3:2"]
 
 
 def test_config_empty_list_for_a_list_flag(tmp_path, capsys):
@@ -846,6 +846,39 @@ def test_train_split_without_seed(tmp_path, chain_files, capsys):
     capsys.readouterr()
     code = run("train", "--in", ds, "--split", split, "--out", tmp_path / "m.json")
     assert_domain_error(code, capsys, split, "'seed'")
+
+
+@pytest.mark.parametrize("subcommand", ["train", "tag", "evaluate"])
+def test_split_with_an_id_on_both_sides(tmp_path, chain_files, capsys, subcommand):
+    ds, split, model = chain_files
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", ds, "--model", model, "--out", tagged) == 0
+    data = json.loads(split.read_text())
+    shared = data["eval_ids"][1]
+    data["train_ids"].append(shared)
+    split.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--in", ds, "--out", out],
+        "tag": ["tag", "--in", ds, "--model", model, "--out", out],
+        "evaluate": ["evaluate", "--in", tagged, "--dataset", ds, "--out", out],
+    }[subcommand]
+    capsys.readouterr()
+    code = run(*argv, "--split", split)
+    assert_domain_error(code, capsys, split, repr(shared), "train_ids and eval_ids")
+    assert not out.exists()
+
+
+def test_tag_refuses_a_split_for_a_text_input(tmp_path, chain_files, capsys):
+    _, _, model = chain_files
+    refs = tmp_path / "refs.txt"
+    refs.write_text("Smith, J. A title. 2001.\n", encoding="utf-8")
+    out = tmp_path / "tagged.jsonl"
+    capsys.readouterr()
+    code = run("tag", "--in", refs, "--split", tmp_path / "missing.json", "--model", model,
+               "--out", out)
+    assert_domain_error(code, capsys, "--split", refs)
+    assert not out.exists()
 
 
 def _edit_rows(path, edit):
@@ -1016,6 +1049,11 @@ empty = ds + ".empty.txt"
 open(empty, "w").close()
 seen["tag_empty_exit"] = cli.main(["tag", "--in", empty, "--model", model, "--out", empty + ".tagged"])
 seen["tag_missing_exit"] = cli.main(["tag", "--in", ds + ".missing", "--model", model, "--out", empty + ".tagged"])
+rows = [json.loads(line) for line in open(ds)]
+rows[0]["citations"][0]["bibRef"] = " "
+blank = ds + ".blank.jsonl"
+open(blank, "w").write("".join(json.dumps(row) + "\\n" for row in rows))
+seen["tag_blank_exit"] = cli.main(["tag", "--in", blank, "--model", model, "--out", blank + ".tagged"])
 seen["tag_no_refs"] = loaded()
 seen["tag_exit"] = cli.main(["tag", "--in", ds, "--model", model, "--out", ds + ".tagged"])
 seen["tag"] = loaded()
@@ -1027,7 +1065,7 @@ print(json.dumps(seen))
 
 def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     """numpy loads only when a model decodes (not to train or load one, nor
-    to tag an input with no reference),
+    to tag an input with no reference or whose first row has no token),
     and the HTTP stack not at all outside harvesting."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, str(corpus_file),
@@ -1041,6 +1079,7 @@ def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     assert seen["train_exit"] == 0 and seen["train"] == []
     assert seen["load"] == []
     assert seen["tag_empty_exit"] == 0 and seen["tag_missing_exit"] == 1
+    assert seen["tag_blank_exit"] == 1
     assert seen["tag_no_refs"] == []
     assert seen["tag_exit"] == 0 and seen["tag"] == ["numpy"]
     # the package exports the function, not the submodule of the same name

@@ -313,12 +313,11 @@ def test_viterbi_empty_input_raises():
         viterbi(random_model(rng, 2, 2), [])
 
 
-def test_tag_references_names_the_reference_with_no_token():
+def test_tag_references_refuses_a_batch_with_a_reference_with_no_token():
     model = train_hmm([align_like(["a", "b"], ["title", "title"])])
     assert tag_references(model.decoder, []) == []
-    with pytest.raises(EmptyInput) as excinfo:
+    with pytest.raises(EmptyInput):
         tag_references(model.decoder, ["a b", " \t", "b"])
-    assert excinfo.value.index == 1
     with pytest.raises(EmptyInput, match="^no tokens to decode$"):
         tag_reference(model, " ")
 
