@@ -66,7 +66,7 @@ from .hmm import (
     train_hmm,
 )
 from .jsonfile import read_json, read_json_lines, write_json, write_json_lines, write_text
-from .styles import MissingVariable, builtin_styles_dir, load_styles, render
+from .styles import builtin_styles_dir, load_styles
 from .tokens import WORD
 
 # Every domain error class of the package subclasses ValueError.
@@ -212,21 +212,23 @@ def _resolved(**values) -> dict:
 
 
 def _read_text(path) -> str:
-    """A UTF-8 text file, with universal newlines; text that is not UTF-8
-    is a ValueError naming the file."""
+    """A UTF-8 text file, with universal newlines and without a leading byte
+    order mark; text that is not UTF-8 is a ValueError naming the file and
+    the bad byte's offset in it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _text_lines(path):
     """The lines of a UTF-8 text file, read as they are iterated, with
-    universal newlines; text that is not UTF-8 is the ValueError of
-    `_read_text`, which gives the bad byte's offset in the file rather
-    than in the chunk that failed to decode."""
+    universal newlines and without a leading byte order mark; text that is
+    not UTF-8 is the ValueError of `_read_text`, which gives the bad byte's
+    offset in the file rather than in the chunk that failed to decode."""
     with open(path, encoding="utf-8") as lines:
         try:
+            yield lines.readline().removeprefix("\ufeff")
             yield from lines
         except UnicodeDecodeError:
             _read_text(path)
@@ -316,25 +318,25 @@ def cmd_stats(run: Run) -> None:
     print(text)
 
 
-def cmd_render(run: Run) -> None:
+def _records(run: Run, stats: BuildStats):
+    """The dataset records of the --in BibTeX file in the chosen styles;
+    `stats` counts them and logs each skipped render."""
     entries, _ = _load_entries(run, run.get("in"))
-    styles = _styles(run)
-    lines = []
-    for entry in entries:
-        for style in styles:
-            try:
-                lines.append(render(entry, style))
-            except MissingVariable as exc:
-                print(f"skip: {exc}", file=sys.stderr)
-    out = run.wrote(run.get("out"))
-    write_text(out, "\n".join(lines) + "\n")
-    print(f"rendered {len(lines)} references")
+    return build_dataset(entries, _styles(run), stats=stats)
+
+
+def cmd_render(run: Run) -> None:
+    stats = BuildStats()
+    lines = [cit["bibRef"] for record in _records(run, stats) for cit in record.citations]
+    write_text(run.wrote(run.get("out")), "\n".join(lines) + "\n")
+    for _, _, reason in stats.skip_log:
+        print(f"skip: {reason}", file=sys.stderr)
+    print(f"rendered {stats.citations} references")
 
 
 def cmd_annotate(run: Run) -> None:
-    entries, _ = _load_entries(run, run.get("in"))
     stats = BuildStats()
-    records = build_dataset(entries, _styles(run), stats=stats)
+    records = _records(run, stats)
     rows = ({"id": record.id, **cit} for record in records for cit in record.citations)
     write_json_lines(run.wrote(run.get("out")), rows)
     for _, _, reason in stats.skip_log:
@@ -343,12 +345,9 @@ def cmd_annotate(run: Run) -> None:
 
 
 def cmd_build(run: Run) -> None:
-    entries, _ = _load_entries(run, run.get("in"))
-    styles = _styles(run)
     stats = BuildStats()
-    records = build_dataset(entries, styles, stats=stats)
-    out = run.wrote(run.get("out"))
-    checksum = export(records, run.get("format", "jsonl"), out)
+    records = _records(run, stats)
+    checksum = export(records, run.get("format", "jsonl"), run.wrote(run.get("out")))
     print(
         json.dumps(
             {

@@ -8,6 +8,7 @@ one record at a time whatever the corpus size.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import random
@@ -205,15 +206,15 @@ def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
 
 def is_dataset(path: str | Path) -> bool:
     """Whether a file is a dataset rather than text: its first non-blank
-    character is `{`, or `[` followed by `{` (a row wrapped in a list).
-    `load_jsonl` then reads it strictly.  A numbered reference list
-    (`[1] ...`) stays text."""
-    head = b""
+    character, past a byte order mark, is `{`, or `[` followed by `{` (a row
+    wrapped in a list).  `load_jsonl` then reads it strictly.  A numbered
+    reference list (`[1] ...`) stays text."""
     with open(path, "rb") as fh:
+        head = b"".join(fh.readline().removeprefix(codecs.BOM_UTF8).split())
         for line in fh:
-            head += b"".join(line.split())
             if head not in (b"", b"["):
                 break
+            head += b"".join(line.split())
     return head.startswith((b"{", b"[{"))
 
 

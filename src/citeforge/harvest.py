@@ -7,6 +7,8 @@ to the output file and a row to its `.log`, and then replaces the
 checkpoint, which records the length in bytes of both files.  A crash
 costs at most one refetch: `resume` truncates both files to those
 lengths, dropping a body or row appended after the last checkpoint.
+A body that is not UTF-8 is not retried: its id is logged and counted as a
+skip, and the checkpoint's `last_error` gives the bad byte's offset.
 Only local fixture servers are allowed unless explicitly overridden.
 `urllib.request` is imported inside `_fetch`, so importing the package
 does not load the HTTP and TLS stack.
@@ -124,18 +126,19 @@ class HarvestStats:
         return self.entries / self.requests if self.requests else 0.0
 
 
-def _fetch(url: str, user_agent: str) -> tuple[int, str]:
+def _fetch(url: str, user_agent: str) -> tuple[int, bytes]:
+    """HTTP status (0 for a connection error) and body of one request."""
     import urllib.error
     import urllib.request
 
     request = urllib.request.Request(url, headers={"User-Agent": user_agent})
     try:
         with urllib.request.urlopen(request, timeout=FETCH_TIMEOUT_S) as resp:
-            return resp.status, resp.read().decode("utf-8", errors="replace")
+            return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, ""
-    except (urllib.error.URLError, OSError) as exc:
-        return 0, str(exc)
+        return exc.code, b""
+    except (urllib.error.URLError, OSError):
+        return 0, b""
 
 
 def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> HarvestStats:
@@ -165,10 +168,15 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
                 url = config.url_template.format(id=current_id)
                 stats.requests += 1
                 status, payload = _fetch(url, agent)
-                if status == 200:
-                    body = payload
-                    break
-                error = f"id {current_id}: HTTP {status or 'connection error'}"
+                if status != 200:
+                    error = f"id {current_id}: HTTP {status or 'connection error'}"
+                    continue
+                try:
+                    body = payload.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    # A refetch would bring the same bytes: skip the id.
+                    error = f"id {current_id}: body is not UTF-8 at byte {exc.start}"
+                break
             n_entries, outcome = 0, "skip"
             if body is not None:
                 n_entries = len(parse_bibtex(body)[0])

@@ -1,6 +1,7 @@
 """The one door through which the pipeline reads JSON and writes files.
 
-A converter checks the shape of each file kind read.  Text that is not
+A converter checks the shape of each file kind read.  A leading UTF-8 byte
+order mark, as Notepad and Excel write one, is read past.  Text that is not
 UTF-8 or not JSON, nesting past the recursion limit, a missing key or a
 wrong type all become one error naming the file, and for JSON Lines the
 line.  Every output is written by `replacing`, so it appears only when
@@ -11,6 +12,7 @@ appends to them at the byte offsets its checkpoint records.
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 from contextlib import contextmanager
@@ -34,15 +36,19 @@ def _reason(exc: Exception) -> str:
 def read_json(path: str | Path, convert: Callable, error: type = ValueError):
     """`convert` of the JSON document in a file."""
     try:
-        return convert(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        return convert(json.loads(text))
     except BAD_DOCUMENT as exc:
         raise error(f"{path}: {_reason(exc)}") from exc
 
 
 def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
-    """`convert` of each JSON object in a JSON Lines file; blank lines skipped."""
+    """`convert` of each JSON object in a JSON Lines file; blank lines skipped.
+    A byte order mark is read past at the start of line 1 only."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
+            if number == 1:
+                line = line.removeprefix(codecs.BOM_UTF8)
             if not line.strip():
                 continue
             try:

@@ -1,9 +1,11 @@
 """Declarative citation styles: render plain and annotated reference strings.
 
 A style is an ordered list of segments, each binding one canonical label
-with a literal prefix/suffix.  Annotation happens during rendering, so the
-tagged output is exact by construction and strip_tags(annotated) always
-equals the plain render.
+with a literal prefix/suffix.  `annotate` is the one renderer: it walks a
+style's segments once and appends each segment's plain and tagged text from
+the same formatted value, so the tagged output is exact by construction and
+strip_tags(annotated) always equals the plain string.  `render` returns
+that plain half.
 """
 
 from __future__ import annotations
@@ -105,11 +107,8 @@ def parse_names(value: str) -> list[_Name]:
             surname, _, given = raw.partition(",")
             names.append(_Name(surname.strip(), given.strip()))
         else:
-            tokens = raw.split()
-            if len(tokens) == 1:
-                names.append(_Name(tokens[0], ""))
-            else:
-                names.append(_Name(tokens[-1], " ".join(tokens[:-1])))
+            *given, surname = raw.split()
+            names.append(_Name(surname, " ".join(given)))
     return names
 
 
@@ -146,13 +145,17 @@ def _tagged_names(names: _Names, style: StyleTemplate) -> str:
     )
 
 
-def _filled_segments(
-    entry: BibEntry, style: StyleTemplate
-) -> list[tuple[Segment, str, _Names | None]]:
-    """Each segment the entry fills, with its formatted value and, for a name
-    list, the formatted names the value joins.  A missing value drops an
-    omittable segment and raises MissingVariable otherwise."""
-    filled = []
+def render(entry: BibEntry, style: StyleTemplate) -> str:
+    """Styled plain reference string for an entry: the plain half of
+    `annotate`."""
+    return annotate(entry, style).bib_ref
+
+
+def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
+    """Reference string plus its tagged twin, written in one walk over the
+    segments from one formatting of each value.  Deterministic; a missing
+    value drops an omittable segment and raises MissingVariable otherwise."""
+    plain, tagged = [], []
     for seg in style.segments:
         value = entry_value(entry.fields, seg.variable)
         if value is None:
@@ -161,43 +164,21 @@ def _filled_segments(
             raise MissingVariable(
                 f"{style.style_id}: entry {entry.key} has no {seg.variable}"
             )
-        names = None
         if seg.variable in ("author", "editor"):
             names = [format_name(n, style.name_format) for n in parse_names(value)]
             value = style.name_delimiter.join(map("".join, names))
         elif seg.variable == "page":
             # Page ranges come in as 70-72 or 70--72; references print an en dash.
             value = _DASH_RUN.sub("–", value)
-        filled.append((seg, value, names))
-    return filled
-
-
-def _plain(
-    filled: list[tuple[Segment, str, _Names | None]], style: StyleTemplate
-) -> str:
-    body = "".join(f"{seg.prefix}{value}{seg.suffix}" for seg, value, _ in filled)
-    return body + style.final_punct
-
-
-def render(entry: BibEntry, style: StyleTemplate) -> str:
-    """Styled plain reference string for an entry.  Deterministic; raises
-    MissingVariable when a non-omittable segment has no value."""
-    return _plain(_filled_segments(entry, style), style)
-
-
-def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
-    """Reference string plus its tagged twin, from one formatting of each
-    segment value."""
-    filled = _filled_segments(entry, style)
-    tagged = []
-    for seg, value, names in filled:
         if seg.variable == "author":
             inner = _tagged_names(names, style)
         else:
             inner = annotation.escape(value)
+        plain.append(f"{seg.prefix}{value}{seg.suffix}")
         tagged.append(f"{seg.prefix}<{seg.variable}>{inner}</{seg.variable}>{seg.suffix}")
+    plain.append(style.final_punct)
     tagged.append(style.final_punct)
-    return RenderedReference(style.style_id, _plain(filled, style), "".join(tagged))
+    return RenderedReference(style.style_id, "".join(plain), "".join(tagged))
 
 
 _STYLE_KEYS = {

@@ -145,6 +145,21 @@ def test_render_and_annotate(tmp_path, corpus_file):
     assert set(rows[0]) == {"id", "style", "bibRef", "annoRef"}
 
 
+def test_render_writes_the_bib_refs_and_skips_of_annotate(tmp_path, corpus_file, capsys):
+    refs, annos = tmp_path / "refs.txt", tmp_path / "annos.jsonl"
+    capsys.readouterr()
+    assert run("render", "--in", corpus_file, "--out", refs) == 0
+    rendered = capsys.readouterr()
+    assert run("annotate", "--in", corpus_file, "--out", annos) == 0
+    annotated = capsys.readouterr()
+    bib_refs = [row["bibRef"] for row in read_json_lines(annos, dict)]
+    assert refs.read_text(encoding="utf-8") == "".join(line + "\n" for line in bib_refs)
+    assert rendered.out == "rendered 200 references\n"
+    # the homepage stub has no title, so every style skips it
+    assert rendered.err == annotated.err
+    assert rendered.err.count("skip: ") == 10
+
+
 def test_annotate_writes_the_citations_of_build(tmp_path, corpus_file, capsys):
     annos, ds = tmp_path / "annos.jsonl", tmp_path / "ds.jsonl"
     assert run("annotate", "--in", corpus_file, "--out", annos) == 0
@@ -996,6 +1011,36 @@ def test_tag_reads_a_numbered_reference_list_as_text(tmp_path, chain_files, caps
     capsys.readouterr()
     assert run("tag", "--in", refs, "--model", model, "--out", out) == 0
     assert capsys.readouterr().out == "tagged 2 references\n"
+
+
+def test_a_dataset_and_model_with_a_byte_order_mark_read_as_without(tmp_path, chain_files, capsys):
+    # Notepad and Excel save UTF-8 with a leading byte order mark.
+    ds, split, model = chain_files
+    marked = []
+    for path in ds, model:
+        marked.append(tmp_path / f"bom-{path.name}")
+        marked[-1].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = []
+    for data, hmm in [(ds, model), marked]:
+        tagged, split_out = tmp_path / "tagged.jsonl", tmp_path / "split-out.json"
+        capsys.readouterr()
+        assert run("tag", "--in", data, "--model", hmm, "--out", tagged) == 0
+        assert run("split", "--in", data, "--out", split_out) == 0
+        assert run("stats", "--in", data) == 0
+        outputs.append((tagged.read_bytes(), split_out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert ["title", "20"] in [line.split() for line in outputs[1][2].out.splitlines()]
+
+
+def test_tag_reads_past_a_byte_order_mark_on_text(tmp_path, chain_files):
+    model = chain_files[2]
+    refs = tmp_path / "refs.txt"
+    lines = ["Argon C. 2002. A parallel decoder. IEEE.", "Björk B. Über alles. 1999."]
+    refs.write_text("\ufeff" + "".join(line + "\n" for line in lines), encoding="utf-8")
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
+    tagged_rows(tagged, model, lines)
+    assert "\ufeff" not in tagged.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

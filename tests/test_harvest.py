@@ -1,8 +1,11 @@
 import json
 import os
 import random
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -235,6 +238,50 @@ def test_multi_entry_body_counts_all_entries(tmp_path):
         stats = harvest(cfg, random.Random(4))
     assert stats.entries == 7  # 4 singles + 1 triple
     assert stats.efficiency > 1.0
+
+
+def test_a_body_that_is_not_utf8_is_skipped_without_retry(tmp_path):
+    latin1 = {
+        n: f"@article{{m{n}, author = {{Müller, J.}}, title = {{T}}}}\n".encode("latin-1")
+        for n in (3, 5)
+    }
+    requested = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            fixture_id = int(self.path.removeprefix("/bib/"))
+            requested.append(fixture_id)
+            body = latin1.get(fixture_id) or bibtex_for_id(fixture_id).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        template = f"http://127.0.0.1:{httpd.server_address[1]}/bib/{{id}}"
+        cfg = make_config(SimpleNamespace(url_template=lambda: template), tmp_path, max_retries=2)
+        stats = harvest(cfg, random.Random(5))
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert requested == [1, 2, 3, 4, 5]
+    assert (stats.requests, stats.fetched_ids, stats.entries) == (5, 3, 3)
+    assert (stats.skips, stats.skipped_ids) == (2, [3, 5])
+    body = cfg.output_path.read_bytes()
+    assert body == b"".join(bibtex_for_id(n).encode() for n in (1, 2, 4))
+    rows = [json.loads(line) for line in cfg.log_path.read_text().splitlines()]
+    assert [(row["id"], row["status"], row["entries"]) for row in rows] == [
+        (1, "ok", 1), (2, "ok", 1), (3, "skip", 0), (4, "ok", 1), (5, "skip", 0)
+    ]
+    offset = latin1[5].index("ü".encode("latin-1"))
+    assert Checkpoint.read(cfg.checkpoint_path).last_error == (
+        f"id 5: body is not UTF-8 at byte {offset}"
+    )
 
 
 def test_throttle_lower_bound_at_server(server, tmp_path):

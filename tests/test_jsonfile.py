@@ -58,6 +58,17 @@ def test_read_json_lines_wants_utf8_objects(tmp_path, line):
         list(read_json_lines(path, lambda row: row))
 
 
+def test_a_byte_order_mark_is_read_past_at_the_start_only(tmp_path):
+    doc, rows = tmp_path / "doc.json", tmp_path / "rows.jsonl"
+    doc.write_bytes(b'\xef\xbb\xbf{"a": 1}\n')
+    assert read_json(doc, lambda data: data) == {"a": 1}
+    rows.write_bytes(b'\xef\xbb\xbf{"a": 1}\n{"a": 2}\n')
+    assert list(read_json_lines(rows, lambda row: row["a"])) == [1, 2]
+    rows.write_bytes(b'\xef\xbb\xbf\n{"a": 1}\n\xef\xbb\xbf{"a": 2}\n')
+    with pytest.raises(ValueError, match="line 3: not readable as JSON"):
+        list(read_json_lines(rows, lambda row: row["a"]))
+
+
 # --- the way out ----------------------------------------------------------
 
 
