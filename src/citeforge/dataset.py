@@ -9,16 +9,16 @@ one record at a time whatever the corpus size.
 from __future__ import annotations
 
 import codecs
-import csv
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .bibtex import BibEntry, histogram_table
 from .jsonfile import read_json_lines, replacing, write_json_lines
-from .styles import MissingVariable, StyleTemplate, annotate
+from .styles import FormattedValues, MissingVariable, StyleTemplate, annotate
 
 
 CITATION_KEYS = ("style", "bibRef", "annoRef")
@@ -113,8 +113,9 @@ def build_dataset(
 ) -> Iterator[DatasetRecord]:
     """Yield one record per entry, each citing every style.
 
-    A render failure for one (entry, style) pair is recorded in `stats`
-    and skipped; an entry failing every style yields no record.
+    Its styles share one `FormattedValues` memo per entry.  A render failure
+    for one (entry, style) pair is recorded in `stats` and skipped; an entry
+    failing every style yields no record.
     """
     if not styles:
         raise NoStyles("at least one style is required")
@@ -122,10 +123,10 @@ def build_dataset(
         stats = BuildStats()
     for entry in entries:
         stats.entries += 1
-        citations = []
+        citations, values = [], FormattedValues(entry.fields)
         for style in styles:
             try:
-                rendered = annotate(entry, style)
+                rendered = annotate(entry, style, values)
             except MissingVariable as exc:
                 stats.skipped_renders += 1
                 stats.skip_log.append((entry.key, style.style_id, str(exc)))
@@ -173,28 +174,38 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+# `csv.writer` (excel dialect) quotes a field holding one of these.
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+
+
 def export(
     records: Iterable[DatasetRecord], format: str, path: str | Path
 ) -> str:
     """Write records to `path` as jsonl or csv; returns the file's sha256.
 
-    jsonl: one record per line, LF endings.  csv: RFC-4180, one row per
-    (id, style) with the entry's fields flattened into a single quoted
-    column of `name:value` pairs.
+    jsonl: one record per line, LF endings.  csv: the bytes `csv.writer`
+    writes (excel dialect, see README), one row per (id, style) with the
+    entry's fields flattened into one column of `name:value` pairs; each
+    record's rows are built as strings and written at once.
     """
     path = Path(path)
     if format == "jsonl":
         write_json_lines(path, (record.to_json_dict() for record in records))
     elif format == "csv":
         with replacing(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "style", "bibRef", "annoRef", "bib_fields"])
+            fh.write("id,style,bibRef,annoRef,bib_fields\r\n")
             for record in records:
                 flat = "; ".join(f"{k}:{v}" for k, v in record.bib_fields.items())
-                for cit in record.citations:
-                    writer.writerow(
-                        [record.id, cit["style"], cit["bibRef"], cit["annoRef"], flat]
-                    )
+                head, tail = _csv_field(record.id), _csv_field(flat)
+                fh.write("".join(
+                    f"{head},{_csv_field(cit['style'])},{_csv_field(cit['bibRef'])},"
+                    f"{_csv_field(cit['annoRef'])},{tail}\r\n"
+                    for cit in record.citations
+                ))
     else:
         raise ValueError(f"unknown format {format!r}")
     return sha256_file(path)

@@ -63,11 +63,11 @@ def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
 
 @contextmanager
 def replacing(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8, LF-ended text file written to `<path>.tmp` and renamed onto
-    `path` when the block ends; on an error the temporary file is deleted
-    and `path` keeps its old bytes, or stays absent.  A symlink is written
-    through to its target; a path that is not a regular file (a FIFO, a
-    terminal) is written in place, as a rename would replace the node."""
+    """A UTF-8 text file, line ends written as given (LF; CRLF in CSV rows),
+    at `<path>.tmp`, renamed onto `path` when the block ends; on an error
+    the temporary file is deleted and `path` keeps its old bytes, or stays
+    absent.  A symlink is written through to its target; a non-regular path
+    (a FIFO, a terminal) is written in place, as a rename would replace it."""
     target = Path(path)
     if target.exists() and not target.is_file():
         with open(target, "w", encoding="utf-8", newline="\n") as fh:

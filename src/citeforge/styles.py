@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import annotation
+from .annotation import escape
 from .bibtex import BibEntry
 from .jsonfile import read_json
 from .labels import LABEL_SET, entry_value
@@ -130,52 +130,61 @@ def format_name(name: _Name, name_format: str) -> tuple[str, str, str]:
     return name.surname, ", " if name_format == "surname_first_full" else " ", given
 
 
-# (surname, joiner, given) per name of a name list, as format_name gives them
-_Names = list[tuple[str, str, str]]
+class FormattedValues(dict):
+    """One entry's `(plain value, tagged inner)` per variable, or None if it
+    has none: formatted on first use, shared by all its styles.  Names are
+    keyed `(variable, name_format, name_delimiter)`, the rest by variable."""
 
+    def __init__(self, fields: dict[str, str]):
+        self.fields = fields
 
-def _tagged_names(names: _Names, style: StyleTemplate) -> str:
-    """Author value with <surname>/<firstname> wrapped around name parts;
-    delimiters and the joiner stay outside the part tags."""
-    escape = annotation.escape
-    return escape(style.name_delimiter).join(
-        f"<surname>{escape(surname)}</surname>"
-        + (f"{joiner}<firstname>{escape(given)}</firstname>" if given else "")
-        for surname, joiner, given in names
-    )
+    def __missing__(self, key):
+        variable, name_format, delimiter = key if type(key) is tuple else (key, "", "")
+        pair = value = entry_value(self.fields, variable)
+        if value is not None:
+            if name_format:
+                names = [format_name(n, name_format) for n in parse_names(value)]
+                value = delimiter.join(map("".join, names))
+            elif variable == "page":
+                # Page ranges come in as 70-72 or 70--72; references print an en dash.
+                value = _DASH_RUN.sub("–", value)
+            if variable == "author":
+                # Name parts tagged; delimiters and joiners stay outside the tags.
+                pair = value, escape(delimiter).join(
+                    f"<surname>{escape(surname)}</surname>"
+                    + (f"{joiner}<firstname>{escape(given)}</firstname>" if given else "")
+                    for surname, joiner, given in names
+                )
+            else:
+                pair = value, escape(value)
+        self[key] = pair
+        return pair
 
 
 def render(entry: BibEntry, style: StyleTemplate) -> str:
-    """Styled plain reference string for an entry: the plain half of
-    `annotate`."""
+    """Styled plain reference string: the plain half of `annotate`."""
     return annotate(entry, style).bib_ref
 
 
-def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
+def annotate(
+    entry: BibEntry, style: StyleTemplate, values: FormattedValues | None = None
+) -> RenderedReference:
     """Reference string plus its tagged twin, written in one walk over the
-    segments from one formatting of each value.  Deterministic; a missing
-    value drops an omittable segment and raises MissingVariable otherwise."""
+    segments from `values`, the entry's memo its styles share (or a fresh
+    one).  A missing value drops an omittable segment, else MissingVariable."""
+    values = FormattedValues(entry.fields) if values is None else values
+    names_key = style.name_format, style.name_delimiter
     plain, tagged = [], []
     for seg in style.segments:
-        value = entry_value(entry.fields, seg.variable)
-        if value is None:
+        variable = seg.variable
+        pair = values[(variable, *names_key) if variable in ("author", "editor") else variable]
+        if pair is None:
             if seg.omit_if_missing:
                 continue
-            raise MissingVariable(
-                f"{style.style_id}: entry {entry.key} has no {seg.variable}"
-            )
-        if seg.variable in ("author", "editor"):
-            names = [format_name(n, style.name_format) for n in parse_names(value)]
-            value = style.name_delimiter.join(map("".join, names))
-        elif seg.variable == "page":
-            # Page ranges come in as 70-72 or 70--72; references print an en dash.
-            value = _DASH_RUN.sub("–", value)
-        if seg.variable == "author":
-            inner = _tagged_names(names, style)
-        else:
-            inner = annotation.escape(value)
+            raise MissingVariable(f"{style.style_id}: entry {entry.key} has no {variable}")
+        value, inner = pair
         plain.append(f"{seg.prefix}{value}{seg.suffix}")
-        tagged.append(f"{seg.prefix}<{seg.variable}>{inner}</{seg.variable}>{seg.suffix}")
+        tagged.append(f"{seg.prefix}<{variable}>{inner}</{variable}>{seg.suffix}")
     plain.append(style.final_punct)
     tagged.append(style.final_punct)
     return RenderedReference(style.style_id, "".join(plain), "".join(tagged))

@@ -178,6 +178,27 @@ def test_annotate_writes_the_citations_of_build(tmp_path, corpus_file, capsys):
     assert all(list(row) == ["id", "style", "bibRef", "annoRef"] for row in rows)
 
 
+def test_build_csv_writes_a_nul_in_a_value_raw(tmp_path):
+    """Python 3.10's `csv.writer` raised on NUL; every version writes these
+    bytes."""
+    bib, out = tmp_path / "nul.bib", tmp_path / "ds.csv"
+    bib.write_bytes(
+        b'@article{k1,\n  author = {Ann Lee and Bo Chen},\n'
+        b'  title = {Zero\x00byte, "quoted"},\n  journal = {J},\n  year = {2001}\n}\n'
+    )
+    code = run("build", "--in", bib, "--out", out, "--format", "csv",
+               "--style", "author-year-compact")
+    assert code == 0
+    assert out.read_bytes() == (
+        b'id,style,bibRef,annoRef,bib_fields\r\n'
+        b'k1,author-year-compact,"Lee A, Chen B. 2001. Zero\x00byte, ""quoted"". J",'
+        b'"<author><surname>Lee</surname> <firstname>A</firstname>, <surname>Chen</surname>'
+        b' <firstname>B</firstname></author>. <issued>2001</issued>.'
+        b' <title>Zero\x00byte, ""quoted""</title>. <container-title>J</container-title>",'
+        b'"author:Ann Lee and Bo Chen; title:Zero\x00byte, ""quoted""; journal:J; year:2001"\r\n'
+    )
+
+
 def test_split_is_deterministic_across_runs(tmp_path, corpus_file):
     ds = tmp_path / "ds.jsonl"
     assert run("build", "--in", corpus_file, "--out", ds) == 0

@@ -185,6 +185,21 @@ def test_csv_row_count_is_total_citations(tmp_path, rng, styles):
     assert len(rows) - 1 == stats.citations
 
 
+# sha256 of the exports of random_corpus(Random(7), 40) x the built-in
+# styles, as `csv.writer` and the earlier renderer wrote them.  Pinned so
+# that every Python version the tests run under must write these bytes.
+EXPORT_DIGESTS = {
+    "jsonl": "cff50ebe22ac893f26ef0446295e5ce6f4ca8e56349f0801dc5b876566877024",
+    "csv": "7fd26ab5268c2ceb737063139d1b1d57c081e6fa9d7dd5d1f641b68594b5f3ee",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPORT_DIGESTS))
+def test_exports_of_a_fixed_corpus_keep_their_digests(tmp_path, styles, fmt):
+    records = build_dataset(random_corpus(random.Random(7), 40), styles)
+    assert export(records, fmt, tmp_path / f"ds.{fmt}") == EXPORT_DIGESTS[fmt]
+
+
 def test_checksum_deterministic(tmp_path, rng, styles):
     records, _ = build_all(random_corpus(rng, 6), styles[:2])
     first = export(records, "jsonl", tmp_path / "a.jsonl")

@@ -8,18 +8,22 @@ tokens x spans alignment scan, the Viterbi decoder that took the logs of
 its tables on every call, HMM training, saving and loading on numpy
 arrays, the renderer that made the plain and the
 annotated string in two separate passes (parsing and formatting each
-author list once per string), the statistics tables that the corpus
-and the dataset side each drew with their own code, the label-run
+author list once per string), the CSV export through `csv.writer`,
+the statistics tables that the corpus and the dataset side each drew
+with their own code, the label-run
 grouping that flushed its last run in a second copy of the loop body,
 and the scorer that normalized every value it met and measured the edit
 distance of every pair it could not settle by equality or containment.
 The new code must agree with them exactly.
 """
 
+import csv
+import dataclasses
 import json
 import math
 import random
 import re
+import sys
 import tempfile
 import unicodedata
 from collections import Counter
@@ -48,7 +52,7 @@ from citeforge.bibtex import (
     parse_bibtex,
     type_histogram,
 )
-from citeforge.dataset import DatasetRecord, build_dataset, dataset_stats
+from citeforge.dataset import BuildStats, DatasetRecord, build_dataset, dataset_stats, export
 from citeforge.evaluate import (
     EvalPolicy,
     EvalReport,
@@ -83,7 +87,13 @@ from citeforge.labels import (
     field_for_label,
     to_canonical,
 )
-from citeforge.styles import MissingVariable, annotate, load_builtin_styles, render
+from citeforge.styles import (
+    NAME_FORMATS,
+    MissingVariable,
+    annotate,
+    load_builtin_styles,
+    render,
+)
 from citeforge.synth import random_bibtex_file, random_corpus
 from citeforge.tokens import (
     BACKOFF_CLASSES,
@@ -1339,6 +1349,97 @@ _FIELDS = st.dictionaries(
 @given(_FIELDS)
 def test_one_pass_render_matches_two_pass_on_arbitrary_fields(fields):
     assert_render_matches_reference(BibEntry("article", "k", fields))
+
+
+# --- values formatted once per entry -------------------------------------
+
+# Name delimiters, markup among them, which `annotate` escapes.
+_NAME_DELIMITERS = st.sampled_from([", ", "; ", " and ", " & ", "<&>", ""])
+
+
+@PROPERTY
+@given(
+    _FIELDS,
+    st.sampled_from(STYLES),
+    st.lists(st.tuples(st.sampled_from(NAME_FORMATS), _NAME_DELIMITERS), max_size=4),
+)
+@example(
+    {"author": "Ann Lee and Chen, Bo Wu", "editor": "Eve Ray and Al Bo", "title": "T",
+     "booktitle": "B", "year": "1"},
+    next(s for s in STYLES if s.style_id == "incollection-editors"),
+    [(f, ", ") for f in NAME_FORMATS] + [("surname_initials", "; ")],
+)
+def test_build_shares_one_memo_as_a_fresh_memo_per_style_renders(fields, base, variants):
+    """Styles that differ only in how they print names share one entry's
+    memo in `build_dataset`; each must still print its own names."""
+    entry = BibEntry("article", "k", fields)
+    styles = STYLES + [
+        dataclasses.replace(base, style_id=f"{base.style_id}-{i}", name_format=f,
+                            name_delimiter=d)
+        for i, (f, d) in enumerate(variants)
+    ]
+    want, skips = [], []
+    for style in styles:
+        try:
+            rendered = annotate(entry, style)
+        except MissingVariable as exc:
+            skips.append((entry.key, style.style_id, str(exc)))
+            continue
+        want.append({"style": style.style_id, "bibRef": rendered.bib_ref,
+                     "annoRef": rendered.anno_ref})
+    stats = BuildStats()
+    records = list(build_dataset([entry], styles, stats=stats))
+    assert [r.citations for r in records] == ([want] if want else [])
+    assert stats.skip_log == skips
+
+
+# --- CSV export ---------------------------------------------------------
+
+
+def reference_export_csv(records, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "style", "bibRef", "annoRef", "bib_fields"])
+        for record in records:
+            flat = "; ".join(f"{k}:{v}" for k, v in record.bib_fields.items())
+            for cit in record.citations:
+                writer.writerow([record.id, cit["style"], cit["bibRef"], cit["annoRef"], flat])
+
+
+# The characters `csv.writer` quotes for, line breaks it does not, and
+# spaces.  Python 3.10's `csv.writer` raises on NUL, so NUL is drawn only
+# where it writes one.
+_NUL = ["\x00"] if sys.version_info >= (3, 11) else []
+_CSV_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x85", "\u2028", " ", ";", ":"] + _NUL),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=8,
+).map("".join)
+_CSV_RECORDS = st.lists(
+    st.builds(
+        DatasetRecord,
+        _CSV_TEXT,
+        st.dictionaries(_CSV_TEXT, _CSV_TEXT, max_size=3),
+        st.lists(
+            st.fixed_dictionaries({"style": _CSV_TEXT, "bibRef": _CSV_TEXT, "annoRef": _CSV_TEXT}),
+            max_size=3,
+        ),
+    ),
+    max_size=4,
+)
+
+
+@PROPERTY
+@given(_CSV_RECORDS)
+@example([DatasetRecord(" a ", {"": " x\r\ny "}, [{"style": "", "bibRef": 'q"', "annoRef": "\r"}])])
+def test_csv_export_writes_the_bytes_of_csv_writer(records):
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d) / "got.csv", Path(d) / "want.csv"
+        export(records, "csv", got)
+        reference_export_csv(records, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 # --- statistics table ---------------------------------------------------
