@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .bibtex import BibEntry, histogram_table
 from .jsonfile import read_json_lines, replacing, write_json_lines
-from .styles import FormattedValues, MissingVariable, StyleTemplate, annotate
+from .styles import MissingVariable, StyleTemplate, annotate
 
 
 CITATION_KEYS = ("style", "bibRef", "annoRef")
@@ -113,7 +113,7 @@ def build_dataset(
 ) -> Iterator[DatasetRecord]:
     """Yield one record per entry, each citing every style.
 
-    Its styles share one `FormattedValues` memo per entry.  A render failure
+    Its styles share one `annotate` memo per entry.  A render failure
     for one (entry, style) pair is recorded in `stats` and skipped; an entry
     failing every style yields no record.
     """
@@ -123,7 +123,7 @@ def build_dataset(
         stats = BuildStats()
     for entry in entries:
         stats.entries += 1
-        citations, values = [], FormattedValues(entry.fields)
+        citations, values = [], {}
         for style in styles:
             try:
                 rendered = annotate(entry, style, values)

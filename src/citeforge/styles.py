@@ -130,35 +130,8 @@ def format_name(name: _Name, name_format: str) -> tuple[str, str, str]:
     return name.surname, ", " if name_format == "surname_first_full" else " ", given
 
 
-class FormattedValues(dict):
-    """One entry's `(plain value, tagged inner)` per variable, or None if it
-    has none: formatted on first use, shared by all its styles.  Names are
-    keyed `(variable, name_format, name_delimiter)`, the rest by variable."""
-
-    def __init__(self, fields: dict[str, str]):
-        self.fields = fields
-
-    def __missing__(self, key):
-        variable, name_format, delimiter = key if type(key) is tuple else (key, "", "")
-        pair = value = entry_value(self.fields, variable)
-        if value is not None:
-            if name_format:
-                names = [format_name(n, name_format) for n in parse_names(value)]
-                value = delimiter.join(map("".join, names))
-            elif variable == "page":
-                # Page ranges come in as 70-72 or 70--72; references print an en dash.
-                value = _DASH_RUN.sub("–", value)
-            if variable == "author":
-                # Name parts tagged; delimiters and joiners stay outside the tags.
-                pair = value, escape(delimiter).join(
-                    f"<surname>{escape(surname)}</surname>"
-                    + (f"{joiner}<firstname>{escape(given)}</firstname>" if given else "")
-                    for surname, joiner, given in names
-                )
-            else:
-                pair = value, escape(value)
-        self[key] = pair
-        return pair
+# Name variables: formatted per (name_format, name_delimiter) of a style.
+_NAME_VARIABLES = ("author", "editor")
 
 
 def render(entry: BibEntry, style: StyleTemplate) -> str:
@@ -167,17 +140,41 @@ def render(entry: BibEntry, style: StyleTemplate) -> str:
 
 
 def annotate(
-    entry: BibEntry, style: StyleTemplate, values: FormattedValues | None = None
+    entry: BibEntry, style: StyleTemplate, values: dict | None = None
 ) -> RenderedReference:
     """Reference string plus its tagged twin, written in one walk over the
-    segments from `values`, the entry's memo its styles share (or a fresh
-    one).  A missing value drops an omittable segment, else MissingVariable."""
-    values = FormattedValues(entry.fields) if values is None else values
+    segments.  `values` memoises each formatted value as `(plain value,
+    tagged inner)`, or None if the entry has none, keyed by variable (names
+    by `(variable, name_format, name_delimiter)`): an entry's styles share
+    one, else each call fills a fresh one.  A missing value drops an
+    omittable segment, else MissingVariable."""
+    values = {} if values is None else values
     names_key = style.name_format, style.name_delimiter
     plain, tagged = [], []
     for seg in style.segments:
         variable = seg.variable
-        pair = values[(variable, *names_key) if variable in ("author", "editor") else variable]
+        key = (variable, *names_key) if variable in _NAME_VARIABLES else variable
+        if key in values:
+            pair = values[key]
+        else:
+            pair = value = entry_value(entry.fields, variable)
+            if value is not None:
+                if variable in _NAME_VARIABLES:
+                    names = [format_name(n, style.name_format) for n in parse_names(value)]
+                    value = style.name_delimiter.join(map("".join, names))
+                elif variable == "page":
+                    # Page ranges come in as 70-72 or 70--72; references print an en dash.
+                    value = _DASH_RUN.sub("–", value)
+                if variable == "author":
+                    # Name parts tagged; delimiters and joiners stay outside the tags.
+                    pair = value, escape(style.name_delimiter).join(
+                        f"<surname>{escape(surname)}</surname>"
+                        + (f"{joiner}<firstname>{escape(given)}</firstname>" if given else "")
+                        for surname, joiner, given in names
+                    )
+                else:
+                    pair = value, escape(value)
+            values[key] = pair
         if pair is None:
             if seg.omit_if_missing:
                 continue
