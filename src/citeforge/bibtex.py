@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 KNOWN_FIELDS = frozenset(
     {
@@ -88,34 +87,45 @@ class IssueKind(Enum):
     DUPLICATE_KEY = "duplicate_key"
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     citation_key: str
     kind: IssueKind
     detail: str
 
 
-@dataclass
 class BibEntry:
-    """One bibliographic record: type, citation key and field map."""
+    """One bibliographic record: type, citation key and field map.
 
-    entry_type: str
-    key: str
-    fields: dict[str, str]
-    source_tag: str | None = field(default=None, compare=False)
+    Two entries are equal when type, key and fields are; `source_tag` is
+    provenance and takes no part."""
+
+    def __init__(
+        self, entry_type: str, key: str, fields: dict[str, str], source_tag: str | None = None
+    ):
+        self.entry_type, self.key, self.fields = entry_type, key, fields
+        self.source_tag = source_tag
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entry_type, self.key, self.fields) == (
+            other.entry_type, other.key, other.fields
+        )
+
+    def __repr__(self) -> str:
+        return f"BibEntry({self.entry_type!r}, {self.key!r}, {self.fields!r})"
 
 
-@dataclass
-class CleanPolicy:
+class CleanPolicy(NamedTuple):
     drop_homepage_misc: bool = True
     fields_to_strip: tuple[str, ...] = ()
 
 
-@dataclass
 class CleanStats:
-    dropped: int = 0
-    dropped_by_reason: Counter = field(default_factory=Counter)
-    stripped: Counter = field(default_factory=Counter)
+    def __init__(self):
+        self.dropped = 0
+        self.dropped_by_reason: Counter = Counter()
+        self.stripped: Counter = Counter()
 
 
 _ENTRY_START = re.compile(r"@\s*([A-Za-z]+)\s*\{", re.ASCII)

@@ -12,9 +12,8 @@ import codecs
 import hashlib
 import random
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bibtex import BibEntry, histogram_table
 from .jsonfile import read_json_lines, replacing, write_json_lines
@@ -32,14 +31,27 @@ class TooSmall(ValueError):
     pass
 
 
-@dataclass
 class DatasetRecord:
-    id: str
-    bib_fields: dict[str, str]
-    citations: list[dict[str, str]]  # keys: CITATION_KEYS
-    # provenance for statistics; not part of the exported schema
-    entry_type: str | None = field(default=None, compare=False)
-    source_tag: str | None = field(default=None, compare=False)
+    """One exported record, each citation keyed by CITATION_KEYS.
+    `entry_type` and `source_tag` are provenance for statistics, not part
+    of the exported schema, and take no part in `==`."""
+
+    def __init__(
+        self, id: str, bib_fields: dict[str, str], citations: list[dict[str, str]],
+        entry_type: str | None = None, source_tag: str | None = None,
+    ):
+        self.id, self.bib_fields, self.citations = id, bib_fields, citations
+        self.entry_type, self.source_tag = entry_type, source_tag
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.bib_fields, self.citations) == (
+            other.id, other.bib_fields, other.citations
+        )
+
+    def __repr__(self) -> str:
+        return f"DatasetRecord({self.id!r}, {self.bib_fields!r}, {self.citations!r})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,18 +80,14 @@ class DatasetRecord:
         return record
 
 
-@dataclass
 class BuildStats:
-    entries: int = 0
-    records: int = 0
-    citations: int = 0
-    skipped_renders: int = 0
-    dropped_records: int = 0
-    skip_log: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self):
+        self.entries = self.records = self.citations = 0
+        self.skipped_renders = self.dropped_records = 0
+        self.skip_log: list[tuple[str, str, str]] = []
 
 
-@dataclass(frozen=True)
-class SplitManifest:
+class SplitManifest(NamedTuple):
     seed: int
     train_ids: tuple[str, ...]
     eval_ids: tuple[str, ...]

@@ -19,7 +19,6 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -41,14 +40,14 @@ class ExtractedField(NamedTuple):
     value: str
 
 
-@dataclass
 class EvalPolicy:
-    tau: float = 0.15
-    count_near_as_correct: bool = False
+    tau = 0.15
+    count_near_as_correct = False
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"tau must be a finite number >= 0, got {self.tau!r}")
+    def __init__(self, tau: float = tau, count_near_as_correct: bool = count_near_as_correct):
+        if not (math.isfinite(tau) and tau >= 0):
+            raise ValueError(f"tau must be a finite number >= 0, got {tau!r}")
+        self.tau, self.count_near_as_correct = tau, count_near_as_correct
 
 
 _DASHES = re.compile(r"(?:--|[‐‑‒–—―−])")
@@ -145,13 +144,10 @@ def classify_match(pred: str, truth: str, tau: float = EvalPolicy.tau) -> MatchC
 _RANK = {cls: rank for rank, cls in enumerate(MatchClass)}
 
 
-@dataclass
 class LabelScore:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    support: int = 0
-    match_classes: Counter = field(default_factory=Counter)
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0):
+        self.tp, self.fp, self.fn, self.support = tp, fp, fn, 0
+        self.match_classes: Counter = Counter()
 
     @property
     def precision(self) -> float:
@@ -167,12 +163,10 @@ class LabelScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass
 class EvalReport:
-    per_label: dict[str, LabelScore] = field(default_factory=dict)
-    discarded_empty: int = 0
-    missing_ground_truth: int = 0
-    references: int = 0
+    def __init__(self):
+        self.per_label: dict[str, LabelScore] = {}
+        self.discarded_empty = self.missing_ground_truth = self.references = 0
 
     @property
     def micro(self) -> tuple[float, float, float]:

@@ -21,8 +21,8 @@ import os
 import random
 import time
 import urllib.parse
-from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .bibtex import parse_bibtex
@@ -40,22 +40,27 @@ class CorruptCheckpoint(ValueError):
     pass
 
 
-@dataclass
 class HarvestConfig:
-    url_template: str
-    id_start: int
-    id_end: int  # inclusive
-    td_millis: int = 1000
-    rid_millis: int = 500
-    user_agents: tuple[str, ...] = ("citeforge/" + __version__,)
-    max_retries: int = 2
-    output_path: str | Path = "harvest.bib"
-    checkpoint_path: str | Path | None = None  # None: <output_path>.checkpoint.json
-    allow_external: bool = False
-
-    def __post_init__(self):
-        if self.checkpoint_path is None:
-            self.checkpoint_path = Path(str(self.output_path) + ".checkpoint.json")
+    def __init__(
+        self,
+        url_template: str,
+        id_start: int,
+        id_end: int,  # inclusive
+        td_millis: int = 1000,
+        rid_millis: int = 500,
+        user_agents: tuple[str, ...] = ("citeforge/" + __version__,),
+        max_retries: int = 2,
+        output_path: str | Path = "harvest.bib",
+        checkpoint_path: str | Path | None = None,  # None: <output_path>.checkpoint.json
+        allow_external: bool = False,
+    ):
+        self.url_template, self.id_start, self.id_end = url_template, id_start, id_end
+        self.td_millis, self.rid_millis = td_millis, rid_millis
+        self.user_agents, self.max_retries = user_agents, max_retries
+        self.output_path, self.allow_external = output_path, allow_external
+        if checkpoint_path is None:
+            checkpoint_path = Path(str(output_path) + ".checkpoint.json")
+        self.checkpoint_path = checkpoint_path
 
     @property
     def log_path(self) -> Path:
@@ -80,8 +85,7 @@ class HarvestConfig:
                 )
 
 
-@dataclass
-class Checkpoint:
+class Checkpoint(NamedTuple):
     last_id: int
     entries_count: int
     output_offset: int  # bytes of output written up to and including last_id
@@ -91,7 +95,7 @@ class Checkpoint:
     def write(self, path: str | Path) -> None:
         """Replace the checkpoint file: a reader sees the old checkpoint or
         the new one, never a partial write."""
-        write_text(path, json.dumps(self.__dict__))
+        write_text(path, json.dumps(self._asdict()))
 
     @classmethod
     def read(cls, path: str | Path) -> "Checkpoint":
@@ -102,7 +106,7 @@ class Checkpoint:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Checkpoint":
         checkpoint = cls(**data)
-        if not all(type(n) is int for n in astuple(checkpoint)[:4]):
+        if not all(type(n) is int for n in checkpoint[:4]):
             raise ValueError("last_id, entries_count and the offsets must be integers")
         for name in ("output_offset", "log_offset"):
             if getattr(checkpoint, name) < 0:
@@ -112,13 +116,10 @@ class Checkpoint:
         return checkpoint
 
 
-@dataclass
 class HarvestStats:
-    requests: int = 0
-    entries: int = 0
-    fetched_ids: int = 0
-    skips: int = 0
-    skipped_ids: list[int] = field(default_factory=list)
+    def __init__(self):
+        self.requests = self.entries = self.fetched_ids = self.skips = 0
+        self.skipped_ids: list[int] = []
 
     @property
     def efficiency(self) -> float:
@@ -152,7 +153,7 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
     first_request = True
     with open(out_path, "ab") as out, open(log_path, "ab") as log:
         offset = out.tell()
-        replace(start, output_offset=offset, log_offset=log.tell()).write(
+        start._replace(output_offset=offset, log_offset=log.tell()).write(
             config.checkpoint_path
         )
         for current_id in range(start.last_id + 1, config.id_end + 1):

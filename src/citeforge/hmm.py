@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, groupby, islice
 from operator import add, attrgetter, itemgetter
@@ -70,27 +69,26 @@ class EmptyInput(ValueError):
     """A reference with no token to decode."""
 
 
-@dataclass
 class LabelSequence:
-    tokens: list[Token]
-    labels: list[str]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.labels):
+    def __init__(self, tokens: list[Token], labels: list[str]):
+        if len(tokens) != len(labels):
             raise ValueError("tokens and labels differ in length")
+        self.tokens, self.labels = tokens, labels
 
 
-@dataclass
 class HmmModel:
-    states: list[str]
-    vocab: list[str]
-    initial: Table  # (N,)
-    transition: Table  # (N, N)
-    emission: Table  # (N, V)
-    smoothing_alpha: float
-
-    def __post_init__(self):
-        self._sym_index = {sym: i for i, sym in enumerate(self.vocab)}
+    def __init__(
+        self,
+        states: list[str],
+        vocab: list[str],
+        initial: Table,  # (N,)
+        transition: Table,  # (N, N)
+        emission: Table,  # (N, V)
+        smoothing_alpha: float,
+    ):
+        self.states, self.vocab, self.smoothing_alpha = states, vocab, smoothing_alpha
+        self.initial, self.transition, self.emission = initial, transition, emission
+        self._sym_index = {sym: i for i, sym in enumerate(vocab)}
 
     @cached_property
     def decoder(self) -> Decoder:

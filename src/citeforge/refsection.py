@@ -10,7 +10,7 @@ citation markers when present, otherwise on blank lines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SECTION_LABELS = ("references", "bibliography", "references and notes")
 MIN_POSITION = 0.4
@@ -23,8 +23,7 @@ class NoReferenceSection(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ReferenceBlock:
+class ReferenceBlock(NamedTuple):
     section_start: int
     reference_strings: tuple[str, ...]
 

@@ -11,8 +11,8 @@ that plain half.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .annotation import escape
 from .bibtex import BibEntry
@@ -41,24 +41,29 @@ class MissingVariable(StyleError):
     pass
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     variable: str
     prefix: str = ""
     suffix: str = ""
     omit_if_missing: bool = True
 
 
-@dataclass(frozen=True)
-class StyleTemplate:
+class _StyleFields(NamedTuple):
     style_id: str
     segments: tuple[Segment, ...]
     name_format: str = "surname_initials"
     name_delimiter: str = ", "
     final_punct: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+
+class StyleTemplate(_StyleFields):
+    """A style, checked on every construction: by call, by `_make` and by
+    `_replace`; SchemaError names the first problem."""
+
+    __slots__ = ()
+
+    def __new__(cls, style_id, segments, *args, **kwargs):
+        self = super().__new__(cls, style_id, tuple(segments), *args, **kwargs)
         if self.name_format not in NAME_FORMATS:
             raise SchemaError(f"{self.style_id}: bad name_format {self.name_format!r}")
         variables = {s.variable for s in self.segments}
@@ -77,17 +82,21 @@ class StyleTemplate:
             raise SchemaError(f"{self.style_id}: no author or editor segment")
         if "title" not in variables:
             raise SchemaError(f"{self.style_id}: no title segment")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "StyleTemplate":
+        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RenderedReference:
+class RenderedReference(NamedTuple):
     style_id: str
     bib_ref: str
     anno_ref: str
 
 
-@dataclass(frozen=True)
-class _Name:
+class _Name(NamedTuple):
     surname: str
     given: str  # may be empty for single-token names
 

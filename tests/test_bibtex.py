@@ -313,3 +313,19 @@ def test_field_histogram_counts_entries_not_occurrences(rng):
         for name in entry.fields:
             by_hand[name] += 1
     assert hist == dict(by_hand)
+
+
+def test_entry_equality_ignores_source_tag_and_its_attributes_stay_assignable():
+    entry = BibEntry("misc", "k", {"title": "T"}, source_tag="dblp")
+    assert entry == BibEntry("misc", "k", {"title": "T"})
+    assert not entry != BibEntry("misc", "k", {"title": "T"}, source_tag="acm")
+    for other in (
+        BibEntry("book", "k", {"title": "T"}),
+        BibEntry("misc", "k2", {"title": "T"}),
+        BibEntry("misc", "k", {"title": "U"}),
+        ("misc", "k", {"title": "T"}),
+    ):
+        assert entry != other
+    entry.key, entry.source_tag = "k2", "acm"
+    assert (entry.key, entry.source_tag) == ("k2", "acm")
+    assert entry == BibEntry("misc", "k2", {"title": "T"})

@@ -1152,6 +1152,18 @@ def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     assert seen["harvest"] == [True, "citeforge.harvest"]
 
 
+def test_cli_import_loads_no_dataclass_machinery(child_env):
+    """Every stage is a fresh interpreter: `dataclasses` would pull in
+    `inspect`, `ast`, `dis` and `tokenize` before the stage's own work."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, citeforge.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=child_env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout == "[]\n"
+
+
 def test_version_has_one_home():
     from setuptools.config.pyprojecttoml import read_configuration
 

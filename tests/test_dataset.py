@@ -49,10 +49,8 @@ def test_citation_counts_equal_entries_times_styles(rng, styles):
 
 def test_desk_scale_400_entries_50_styles(rng, styles):
     # instance count is entries x styles: 400 x 50 = 20,000
-    import dataclasses
-
     fifty = [
-        dataclasses.replace(s, style_id=f"{s.style_id}-v{i}")
+        s._replace(style_id=f"{s.style_id}-v{i}")
         for i in range(5)
         for s in styles
     ]
@@ -249,3 +247,17 @@ def test_stats_row_vocabulary_is_complete(rng, styles):
     text = dataset_stats(records)
     for row in ("address", "annote", "crossref", "howpublished", "unpublished", "misc"):
         assert f"\n{row}" in text
+
+
+def test_record_equality_ignores_entry_type_and_source_tag():
+    cits = [{"style": "s", "bibRef": "r", "annoRef": "r"}]
+    record = DatasetRecord("a", {"title": "T"}, cits, entry_type="article", source_tag="acm")
+    assert record == DatasetRecord("a", {"title": "T"}, list(cits))
+    assert record == DatasetRecord("a", {"title": "T"}, cits, "book", "dblp")
+    for other in (
+        DatasetRecord("b", {"title": "T"}, cits, "article", "acm"),
+        DatasetRecord("a", {"title": "U"}, cits, "article", "acm"),
+        DatasetRecord("a", {"title": "T"}, [], "article", "acm"),
+        ("a", {"title": "T"}, cits),
+    ):
+        assert record != other

@@ -18,7 +18,6 @@ The new code must agree with them exactly.
 """
 
 import csv
-import dataclasses
 import json
 import math
 import random
@@ -1374,8 +1373,7 @@ def test_build_shares_one_memo_as_a_fresh_memo_per_style_renders(fields, base, v
     memo in `build_dataset`; each must still print its own names."""
     entry = BibEntry("article", "k", fields)
     styles = STYLES + [
-        dataclasses.replace(base, style_id=f"{base.style_id}-{i}", name_format=f,
-                            name_delimiter=d)
+        base._replace(style_id=f"{base.style_id}-{i}", name_format=f, name_delimiter=d)
         for i, (f, d) in enumerate(variants)
     ]
     want, skips = [], []

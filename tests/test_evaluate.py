@@ -1,3 +1,4 @@
+import math
 import random
 import string
 
@@ -438,3 +439,15 @@ def test_format_report_has_expected_columns(rng, styles):
     for column in ("label", "P", "R", "F1", "support", "%recog", "%super", "%sub", "%near"):
         assert column in text
     assert "micro" in text
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.01])
+def test_policy_rejects_a_tau_that_is_not_a_finite_number_at_least_0(tau):
+    with pytest.raises(ValueError, match="^tau must be a finite number >= 0, got "):
+        EvalPolicy(tau=tau)
+
+
+def test_policy_defaults():
+    policy = EvalPolicy()
+    assert (policy.tau, policy.count_near_as_correct) == (EvalPolicy.tau, False) == (0.15, False)
+    assert EvalPolicy(0.0, True).tau == 0.0

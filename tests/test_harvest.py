@@ -549,3 +549,40 @@ def test_efficiency_series_names_a_bad_log_row(tmp_path, row):
     log.write_text('{"ts": 1.0, "id": 1, "status": "ok", "entries": 1}\n' + row + "\n")
     with pytest.raises(ValueError, match="bad.log line 2"):
         efficiency_series(log)
+
+
+def test_checkpoint_bytes_keep_their_keys_and_order(tmp_path):
+    # Checkpoints written by earlier versions hold these bytes; they must resume.
+    path = tmp_path / "cp.json"
+    Checkpoint(7, 12, 3456, 789, "id 7: HTTP 503").write(path)
+    assert path.read_bytes() == (
+        b'{"last_id": 7, "entries_count": 12, "output_offset": 3456, '
+        b'"log_offset": 789, "last_error": "id 7: HTTP 503"}'
+    )
+    Checkpoint(7, 12, 3456, 789).write(path)
+    assert path.read_bytes() == (
+        b'{"last_id": 7, "entries_count": 12, "output_offset": 3456, '
+        b'"log_offset": 789, "last_error": null}'
+    )
+    assert Checkpoint.read(path) == Checkpoint(7, 12, 3456, 789, None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"last_id": true, "entries_count": 2, "output_offset": 0, "log_offset": 0}',
+        '{"last_id": 2, "entries_count": false, "output_offset": 0, "log_offset": 0}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": -1, "log_offset": 0}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": 0, "log_offset": -5}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": 0, "log_offset": 0, "extra": 1}',
+        '{"last_id": 2, "entries_count": 2, "output_offset": 0, "log_offset": 0, "last_error": 3}',
+        '[2, 2, 0, 0]',
+    ],
+    ids=["bool-id", "bool-count", "negative-output", "negative-log", "extra-key",
+         "error-not-a-string", "not-an-object"],
+)
+def test_checkpoint_refuses_a_bool_a_negative_offset_or_an_extra_key(tmp_path, text):
+    path = tmp_path / "cp.json"
+    path.write_text(text)
+    with pytest.raises(CorruptCheckpoint):
+        Checkpoint.read(path)

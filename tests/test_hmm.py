@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -330,7 +329,8 @@ def loadable_model(rng, n_states, n_words):
     every backoff class in the vocabulary."""
     vocab = [f"w{i}" for i in range(n_words)] + list(BACKOFF_CLASSES)
     model = random_model(rng, n_states, len(vocab))
-    return dataclasses.replace(model, states=list(CANONICAL_LABELS[:n_states]), vocab=vocab)
+    return HmmModel(list(CANONICAL_LABELS[:n_states]), vocab, model.initial, model.transition,
+                    model.emission, model.smoothing_alpha)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -471,3 +471,24 @@ def test_tag_reference_round_trip_with_oracle_model(styles):
         hits += sum(1 for f in fields if f in truth)
         total += len(truth)
     assert hits / total > 0.9
+
+
+def test_a_model_takes_attribute_assignment_and_builds_its_decoder_once(monkeypatch):
+    import citeforge.hmm as hmm
+
+    built, decoder_type = [], hmm.Decoder
+
+    def counting_decoder(*args):
+        built.append(args)
+        return decoder_type(*args)
+
+    monkeypatch.setattr(hmm, "Decoder", counting_decoder)
+    model = loadable_model(random.Random(5), 3, 4)
+    saved = []
+    model.save = saved.append  # as a traced run shadows the instance's method
+    model.save("model.json")
+    assert saved == ["model.json"]
+    first = model.decoder
+    assert tag_reference(model, "w0 w1") and model.decoder is first
+    tag_references(model.decoder, ["w2", "w3 w0"])
+    assert len(built) == 1

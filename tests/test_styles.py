@@ -16,6 +16,7 @@ from citeforge.styles import (
     load_styles,
     parse_names,
     render,
+    style_from_dict,
 )
 from citeforge.synth import random_corpus
 
@@ -325,3 +326,54 @@ def test_prefix_with_tag_delimiter_rejected():
     ref = annotate(BibEntry("misc", "m", {"author": "A, B and C, D", "title": "T"}), style)
     assert ref.bib_ref == "A B <&> C D. T"
     assert strip_tags(ref.anno_ref) == ref.bib_ref
+
+
+GOOD_STYLE = {
+    "style_id": "s",
+    "name_format": "surname_initials",
+    "name_delimiter": ", ",
+    "final_punct": ".",
+    "segments": [{"variable": "author"}, {"variable": "title", "prefix": " "}],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"name_format": "bogus"}, "bad name_format 'bogus'"),
+        ({"segments": [{"variable": "title"}]}, "no author or editor segment"),
+        ({"segments": [{"variable": "editor"}]}, "no title segment"),
+        ({"segments": [{"variable": "author"}, {"variable": "title"}, {"variable": "other"}]},
+         "unknown variable 'other'"),
+        ({"segments": [{"variable": "author", "suffix": "<"}, {"variable": "title"}]},
+         "may not contain"),
+        ({"final_punct": "&"}, "may not contain"),
+    ],
+    ids=["name-format", "no-author", "no-title", "other", "suffix", "final-punct"],
+)
+def test_every_way_to_make_a_style_checks_it(change, message):
+    """The constructor, a style file's object and a copy with changed
+    fields are all checked the same way."""
+    doc = dict(GOOD_STYLE, **change)
+    fields = dict(doc, segments=[Segment(**s) for s in doc["segments"]])
+    base = style_from_dict(GOOD_STYLE)
+    for make in (
+        lambda: style_from_dict(doc),
+        lambda: StyleTemplate(**fields),
+        lambda: base._replace(**{key: fields[key] for key in change}),
+    ):
+        with pytest.raises(SchemaError, match=f"^s: .*{message}"):
+            make()
+
+
+def test_a_style_holds_its_segments_as_a_tuple_and_hashes():
+    base = style_from_dict(GOOD_STYLE)
+    segments = [Segment("author"), Segment("title", " ")]
+    for style in (
+        base,
+        StyleTemplate("s", segments, final_punct="."),
+        base._replace(segments=segments),
+    ):
+        assert type(style.segments) is tuple and style.segments == tuple(segments)
+        assert style == base and hash(style) == hash(base)
+    assert len({base, style_from_dict(GOOD_STYLE), base._replace(style_id="t")}) == 2
