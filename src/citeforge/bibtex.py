@@ -303,12 +303,14 @@ def validate_entry(entry: BibEntry) -> list[ValidationIssue]:
     return issues
 
 
-def _is_homepage_misc(entry: BibEntry) -> bool:
-    if entry.entry_type != "misc":
-        return False
-    if "homepages" in entry.key:
-        return True
-    return not entry.fields.get("title") and not entry.fields.get("year")
+def _homepage_reason(entry: BibEntry) -> str | None:
+    """Why `clean_corpus` drops a homepage-style @misc stub, or None."""
+    if entry.entry_type == "misc":
+        if "homepages" in entry.key:
+            return "homepage_key"
+        if not entry.fields.get("title") and not entry.fields.get("year"):
+            return "misc_no_title_year"
+    return None
 
 
 def clean_corpus(
@@ -322,11 +324,9 @@ def clean_corpus(
     strip = {name.lower() for name in policy.fields_to_strip}
     kept: list[BibEntry] = []
     for entry in entries:
-        if policy.drop_homepage_misc and _is_homepage_misc(entry):
+        reason = policy.drop_homepage_misc and _homepage_reason(entry)
+        if reason:
             stats.dropped += 1
-            reason = (
-                "homepage_key" if "homepages" in entry.key else "misc_no_title_year"
-            )
             stats.dropped_by_reason[reason] += 1
             continue
         if strip & entry.fields.keys():

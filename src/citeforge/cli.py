@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .annotation import MalformedAnnotation
 from .bibtex import (
     CleanPolicy,
     clean_corpus,
@@ -379,15 +380,29 @@ def _split_ids(run: Run, side: str) -> set[str] | None:
     return set(getattr(manifest, side + "_ids"))
 
 
+def _row_name(path: Path, record_id: str, style: str) -> str:
+    """How an error names one citation of a dataset file."""
+    return f"{path}: row id {record_id!r}, style {style!r}"
+
+
+def _aligned(path: Path, record_id: str, cit: dict):
+    """`align_training` of a citation; a malformed annoRef is a ValueError
+    naming the row and style."""
+    try:
+        return align_training(cit["annoRef"])
+    except MalformedAnnotation as exc:
+        raise ValueError(f"{_row_name(path, record_id, cit['style'])}: {exc}") from exc
+
+
 def cmd_train(run: Run) -> None:
-    records = load_jsonl(run.read(run.get("in")))
+    in_path = run.read(run.get("in"))
     train_ids = _split_ids(run, "train")
     # zip draws from `counted` only after it got a citation, so `counted`
     # advances once per reference that train_hmm reads.
     counted = itertools.count()
     corpus = (
-        align_training(cit["annoRef"])
-        for record in records
+        _aligned(in_path, record.id, cit)
+        for record in load_jsonl(in_path)
         if train_ids is None or record.id in train_ids
         for cit, _ in zip(record.citations, counted)
     )
@@ -418,7 +433,8 @@ def _tagged_row(row: dict) -> dict:
 def _references(run: Run, in_path: Path):
     """(keys, reference) of each reference `tag` decodes: the citations of a
     dataset, on the --split eval side when a split is given, or each
-    non-blank line of a text file, where only a line feed ends a line.
+    non-blank line of a text file, where LF, CR LF and a lone CR end a line
+    and FF, VT, U+0085 and U+2028 do not.
     A dataset row whose bibRef has no token is an EmptyInput naming it."""
     if is_dataset(in_path):
         keep = _split_ids(run, "eval")
@@ -427,8 +443,8 @@ def _references(run: Run, in_path: Path):
                 for cit in record.citations:
                     if not WORD.search(cit["bibRef"]):
                         raise EmptyInput(
-                            f"{in_path}: row id {record.id!r}, style "
-                            f"{cit['style']!r} has a bibRef with no tokens to decode"
+                            f"{_row_name(in_path, record.id, cit['style'])} "
+                            "has a bibRef with no tokens to decode"
                         )
                     yield {"id": record.id, "style": cit["style"]}, cit["bibRef"]
     elif run.get("split"):

@@ -166,11 +166,9 @@ def split_dataset(records: Iterable[DatasetRecord | str], seed: int) -> SplitMan
     ids = list(dict.fromkeys(r if isinstance(r, str) else r.id for r in records))
     if len(ids) < 2:
         raise TooSmall(f"need at least 2 distinct record ids, got {len(ids)}")
-    rng = random.Random(seed)
-    shuffled = list(ids)
-    rng.shuffle(shuffled)
+    random.Random(seed).shuffle(ids)
     n_train = (66 * len(ids)) // 100
-    return SplitManifest(seed, tuple(shuffled[:n_train]), tuple(shuffled[n_train:]))
+    return SplitManifest(seed, tuple(ids[:n_train]), tuple(ids[n_train:]))
 
 
 def sha256_file(path: Path) -> str:

@@ -45,13 +45,20 @@ class EvalPolicy:
     count_near_as_correct = False
 
     def __init__(self, tau: float = tau, count_near_as_correct: bool = count_near_as_correct):
-        if not (math.isfinite(tau) and tau >= 0):
-            raise ValueError(f"tau must be a finite number >= 0, got {tau!r}")
+        check_nonnegative("tau", tau)
         self.tau, self.count_near_as_correct = tau, count_near_as_correct
 
 
-_DASHES = re.compile(r"(?:--|[‐‑‒–—―−])")
-_MULTIDASH = re.compile(r"-{2,}")
+def check_nonnegative(name: str, value) -> None:
+    """ValueError unless `value` is a finite number >= 0 (a bool is not a
+    number here): the rule for `EvalPolicy.tau` and the HMM's `alpha`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and value >= 0
+    ):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+_DASHES = re.compile(r"[-‐‑‒–—―−]+")
 _EDGE_PUNCT = re.compile(r"^[^\w]+|[^\w]+$", re.UNICODE)
 
 
@@ -74,7 +81,6 @@ _CONTROL = _ControlTable()
 def _normalize_pass(value: str) -> str:
     value = value.lower()
     value = _DASHES.sub("-", value)
-    value = _MULTIDASH.sub("-", value)
     value = value.translate(_CONTROL)
     value = " ".join(value.split())
     value = value.replace(" & ", " and ")

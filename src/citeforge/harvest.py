@@ -147,24 +147,20 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
     the current lengths of the output and the log, so a crash on the first
     id is resumable."""
     stats = HarvestStats()
-    entries_total = start.entries_count
     out_path = Path(config.output_path)
     log_path = config.log_path
-    first_request = True
     with open(out_path, "ab") as out, open(log_path, "ab") as log:
-        offset = out.tell()
-        start._replace(output_offset=offset, log_offset=log.tell()).write(
+        start._replace(output_offset=out.tell(), log_offset=log.tell()).write(
             config.checkpoint_path
         )
         for current_id in range(start.last_id + 1, config.id_end + 1):
             body = None
             error = None
             for attempt in range(config.max_retries + 1):
-                if not first_request:
+                if stats.requests:
                     delay = config.td_millis * (2**attempt if attempt else 1)
                     delay += rng.uniform(0, config.rid_millis)
                     time.sleep(delay / 1000.0)
-                first_request = False
                 agent = rng.choice(config.user_agents)
                 url = config.url_template.format(id=current_id)
                 stats.requests += 1
@@ -185,8 +181,6 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
                 if not body.endswith("\n"):
                     out.write(b"\n")
                 out.flush()
-                offset = out.tell()
-                entries_total += n_entries
                 stats.entries += n_entries
                 stats.fetched_ids += 1
                 error, outcome = None, "ok"
@@ -197,9 +191,8 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
                      "entries": n_entries}
             log.write((json.dumps(event) + "\n").encode("utf-8"))
             log.flush()
-            Checkpoint(current_id, entries_total, offset, log.tell(), error).write(
-                config.checkpoint_path
-            )
+            Checkpoint(current_id, start.entries_count + stats.entries, out.tell(),
+                       log.tell(), error).write(config.checkpoint_path)
     return stats
 
 

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .annotation import parse_annotation
-from .evaluate import ExtractedField
+from .evaluate import ExtractedField, check_nonnegative
 from .jsonfile import read_json, write_text
 from .labels import LABEL_SET, field_for_label
 from .tokens import BACKOFF_CLASSES, WORD, Token, backoff_symbol, tokenize
@@ -152,7 +152,7 @@ class HmmModel:
             raise ValueError(
                 "probability tables are not rectangular numeric arrays"
             ) from exc
-        _check_alpha(data["alpha"])
+        check_nonnegative("alpha", data["alpha"])
         n, v = len(states), len(vocab)
         expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
         for name, (shape, table) in tables.items():
@@ -276,15 +276,6 @@ def pairwise_sum(xs: list[float]) -> float:
     return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
 
 
-def _check_alpha(alpha) -> None:
-    """ValueError unless the smoothing `alpha` is a finite number >= 0: a
-    NaN row total falls back to uniform and an infinite one to NaN."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not (
-        math.isfinite(alpha) and alpha >= 0
-    ):
-        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
-
-
 def _normalize_row(counts: list[float], alpha: float) -> list[float]:
     """Smoothed counts scaled to sum to 1; a row with no mass at all falls
     back to uniform (only reachable with alpha=0)."""
@@ -309,7 +300,7 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     first = next(sequences, None)
     if first is None:
         raise EmptyCorpus("training corpus is empty")
-    _check_alpha(alpha)
+    check_nonnegative("alpha", alpha)
 
     starts, steps, emits = Counter(), Counter(), Counter()
     for seq in chain([first], sequences):

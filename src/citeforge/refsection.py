@@ -46,18 +46,6 @@ def _find_label(document: str) -> tuple[int, int]:
     return best
 
 
-def _split_on_markers(text: str, marker: re.Pattern) -> list[str]:
-    starts = [m for m in marker.finditer(text)]
-    refs = []
-    for i, m in enumerate(starts):
-        end = starts[i + 1].start() if i + 1 < len(starts) else len(text)
-        body = text[m.end() : end]
-        ref = " ".join(body.split())
-        if ref:
-            refs.append(ref)
-    return refs
-
-
 def extract_references(document: str) -> ReferenceBlock:
     """Reference strings of a document, with the section label's offset.
 
@@ -67,14 +55,12 @@ def extract_references(document: str) -> ReferenceBlock:
     """
     label_start, label_end = _find_label(document)
     tail = document[label_end:]
+    # The text before the first marker is not a reference.
     if _BRACKET_MARKER.search(tail):
-        refs = _split_on_markers(tail, _BRACKET_MARKER)
+        pieces = _BRACKET_MARKER.split(tail)[1:]
     elif _NUMBER_MARKER.search(tail):
-        refs = _split_on_markers(tail, _NUMBER_MARKER)
+        pieces = _NUMBER_MARKER.split(tail)[1:]
     else:
-        refs = [
-            " ".join(para.split())
-            for para in re.split(r"\n\s*\n", tail)
-            if para.strip()
-        ]
-    return ReferenceBlock(label_start, tuple(refs))
+        pieces = re.split(r"\n\s*\n", tail)
+    refs = (" ".join(piece.split()) for piece in pieces)
+    return ReferenceBlock(label_start, tuple(ref for ref in refs if ref))

@@ -364,6 +364,16 @@ def test_tag_splits_text_on_line_feeds_only(tmp_path, chain_files):
     assert [json.loads(row)["reference"] for row in rows] == lines
 
 
+def test_tag_ends_a_text_line_at_a_lone_carriage_return(tmp_path, chain_files):
+    model = chain_files[2]
+    refs = tmp_path / "refs.txt"
+    refs.write_bytes(b"Argon C. 2002.\rA parallel decoder. IEEE.\n")
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", refs, "--model", model, "--out", tagged) == 0
+    rows = read_json_lines(tagged, dict)
+    assert [row["reference"] for row in rows] == ["Argon C. 2002.", "A parallel decoder. IEEE."]
+
+
 @pytest.mark.parametrize(
     "subcommand", ["parse", "clean", "stats", "render", "annotate", "build", "tag"]
 )
@@ -1181,6 +1191,25 @@ def test_train_refuses_an_alpha_that_is_not_finite(tmp_path, chain_files, capsys
     capsys.readouterr()
     code = run("train", "--in", ds, "--out", model, "--alpha", alpha)
     assert_domain_error(code, capsys, "alpha")
+    assert not model.exists()
+
+
+def test_train_names_the_row_and_style_of_a_malformed_annotation(tmp_path, capsys):
+    def row(id_, style, anno_ref):
+        cit = {"style": style, "bibRef": "Doe J. A title.", "annoRef": anno_ref}
+        return json.dumps({"id": id_, "bib_fields": {}, "citations": [cit]}) + "\n"
+
+    ds = tmp_path / "ds.jsonl"
+    ds.write_text(
+        row("a", "s0", "<author>Doe J.</author> <title>A title.</title>")
+        + row("b", "s1", "<author>Doe J.</autor> <title>A title.</title>")
+    )
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run("train", "--in", ds, "--out", model) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ds}: row id 'b', style 's1': unknown tag <autor>\n"
+    )
     assert not model.exists()
 
 

@@ -12,8 +12,10 @@ author list once per string), the CSV export through `csv.writer`,
 the statistics tables that the corpus and the dataset side each drew
 with their own code, the label-run
 grouping that flushed its last run in a second copy of the loop body,
-and the scorer that normalized every value it met and measured the edit
-distance of every pair it could not settle by equality or containment.
+the scorer that normalized every value it met and measured the edit
+distance of every pair it could not settle by equality or containment,
+and the reference-section splitter that walked the citation markers one
+by one.
 The new code must agree with them exactly.
 """
 
@@ -86,6 +88,7 @@ from citeforge.labels import (
     field_for_label,
     to_canonical,
 )
+from citeforge.refsection import ReferenceBlock, _find_label, extract_references
 from citeforge.styles import (
     NAME_FORMATS,
     MissingVariable,
@@ -782,6 +785,38 @@ def reference_evaluate_dataset(tagged, records, policy=None, eval_ids=None):
         preds = [ExtractedField(f["label"], f["value"]) for f in row.get("fields", [])]
         reference_score_into(total, preds, truth, policy)
     return total
+
+
+_REF_BRACKET_MARKER = re.compile(r"^\s*\[\d+\]\s*", re.MULTILINE)
+_REF_NUMBER_MARKER = re.compile(r"^\s*\d+\.\s+", re.MULTILINE)
+
+
+def reference_split_on_markers(text, marker):
+    starts = [m for m in marker.finditer(text)]
+    refs = []
+    for i, m in enumerate(starts):
+        end = starts[i + 1].start() if i + 1 < len(starts) else len(text)
+        body = text[m.end() : end]
+        ref = " ".join(body.split())
+        if ref:
+            refs.append(ref)
+    return refs
+
+
+def reference_extract_references(document):
+    label_start, label_end = _find_label(document)
+    tail = document[label_end:]
+    if _REF_BRACKET_MARKER.search(tail):
+        refs = reference_split_on_markers(tail, _REF_BRACKET_MARKER)
+    elif _REF_NUMBER_MARKER.search(tail):
+        refs = reference_split_on_markers(tail, _REF_NUMBER_MARKER)
+    else:
+        refs = [
+            " ".join(para.split())
+            for para in re.split(r"\n\s*\n", tail)
+            if para.strip()
+        ]
+    return ReferenceBlock(label_start, tuple(refs))
 
 
 # --- normalize ----------------------------------------------------------
@@ -1634,3 +1669,38 @@ def test_evaluate_dataset_matches_reference_scorer(case):
         evaluate_dataset(tagged, records, policy, eval_ids),
         reference_evaluate_dataset(tagged, records, policy, eval_ids),
     )
+
+
+# --- reference sections -------------------------------------------------
+
+# Markers of both kinds, markers with nothing after them, blank and
+# whitespace-only lines (a paragraph split), line breaks `^` does not
+# see, and text that only looks like a marker.
+_SECTION_PIECE = st.one_of(
+    st.sampled_from([
+        "[1] ", "[2]", " [10]\t ", "1. ", "  2.\t", "3.\n", "\n", "\n\n", "\n \t\n",
+        " ", "\r\n", "\x0c", "\u2028", "\xa0", "Argon C. A title. 2002.", "12.5", "[x]",
+    ]),
+    st.text(alphabet="ab .[]12\n\t", max_size=8),
+)
+
+
+def _sectioned_document(parts):
+    """A document whose "References" label clears the 40% position bound."""
+    before, tail = parts
+    return "Intro.\n" * (len(tail) // 4 + 12) + before + "\nReferences\n" + tail
+
+
+_SECTIONED_DOCUMENT = st.tuples(
+    st.text(alphabet="ab .\n[1]", max_size=20),
+    st.lists(_SECTION_PIECE, max_size=30).map("".join),
+).map(_sectioned_document)
+
+
+@PROPERTY
+@given(_SECTIONED_DOCUMENT)
+@example(_sectioned_document(("", "See below.\n[1] Argon C. 2002.\n[2]\n[3] \n Doe J.\n")))
+@example(_sectioned_document(("", "x\n1. Argon C.\n2. \n3. Doe\n J.")))
+@example(_sectioned_document(("", "\n\nArgon C.\n2002.\n \t\n\nDoe J.\n\n")))
+def test_extract_references_matches_marker_walking_reference(document):
+    assert extract_references(document) == reference_extract_references(document)

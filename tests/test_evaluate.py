@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import string
 
 import pytest
@@ -441,9 +442,10 @@ def test_format_report_has_expected_columns(rng, styles):
     assert "micro" in text
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.01])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.01, True, "0.15", None])
 def test_policy_rejects_a_tau_that_is_not_a_finite_number_at_least_0(tau):
-    with pytest.raises(ValueError, match="^tau must be a finite number >= 0, got "):
+    message = f"tau must be a finite number >= 0, got {tau!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EvalPolicy(tau=tau)
 
 

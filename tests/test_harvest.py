@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -312,6 +313,62 @@ def test_user_agent_rotation_covers_all_agents(server, tmp_path):
     harvest(cfg, random.Random(6))
     seen = {event["user_agent"] for event in server.request_log}
     assert seen == {"ua1", "ua2", "ua3"}
+
+
+def patch_fetch_and_sleep(monkeypatch, fails=None):
+    """Serve each id's fixture body from memory, failing id n with HTTP 500
+    the first `fails[n]` times, and record the seconds of each sleep."""
+    fails_left = dict(fails or {})
+    sleeps = []
+
+    def fetch(url, user_agent):
+        fixture_id = int(url.rsplit("/", 1)[1])
+        if fails_left.get(fixture_id, 0) > 0:
+            fails_left[fixture_id] -= 1
+            return 500, b""
+        return 200, bibtex_for_id(fixture_id).encode()
+
+    # `citeforge.harvest` as a dotted name is the package's `harvest` function.
+    monkeypatch.setattr(importlib.import_module("citeforge.harvest"), "_fetch", fetch)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return sleeps
+
+
+def assert_delays(sleeps, bases_ms, rid_millis):
+    """Each sleep is its base delay plus a jitter in [0, rid_millis] ms."""
+    assert len(sleeps) == len(bases_ms)
+    for slept, base in zip(sleeps, bases_ms):
+        assert base / 1000 <= slept <= (base + rid_millis) / 1000
+
+
+def local_config(tmp_path, **kw):
+    return make_config(SimpleNamespace(url_template=lambda: "http://localhost/bib/{id}"),
+                       tmp_path, td_millis=10, rid_millis=3, **kw)
+
+
+def test_a_clean_run_of_k_ids_sleeps_k_minus_1_times(tmp_path, monkeypatch):
+    sleeps = patch_fetch_and_sleep(monkeypatch)
+    stats = harvest(local_config(tmp_path, id_end=4), random.Random(11))
+    assert (stats.requests, stats.fetched_ids) == (4, 4)
+    assert_delays(sleeps, [10, 10, 10], 3)
+
+
+def test_a_resumed_run_does_not_sleep_before_its_first_request(tmp_path, monkeypatch):
+    sleeps = patch_fetch_and_sleep(monkeypatch)
+    harvest(local_config(tmp_path, id_end=2), random.Random(12))
+    assert_delays(sleeps, [10], 3)
+    sleeps.clear()
+    stats = resume(local_config(tmp_path, id_end=5), random.Random(13))
+    assert (stats.requests, stats.fetched_ids) == (3, 3)
+    assert_delays(sleeps, [10, 10], 3)
+
+
+def test_a_retry_sleeps_the_base_delay_doubled_per_attempt(tmp_path, monkeypatch):
+    sleeps = patch_fetch_and_sleep(monkeypatch, fails={2: 2})
+    stats = harvest(local_config(tmp_path, id_end=3, max_retries=2), random.Random(14))
+    assert (stats.requests, stats.fetched_ids, stats.skips) == (5, 3, 0)
+    # id 1; id 2 at attempts 0, 1 and 2; id 3
+    assert_delays(sleeps, [10, 20, 40, 10], 3)
 
 
 # --- resume --------------------------------------------------------------
