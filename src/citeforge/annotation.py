@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .labels import LABEL_SET, NAME_PART_TAGS
+from .labels import CONSISTENCY_MAP, NAME_PART_TAGS
 
 
 class MalformedAnnotation(ValueError):
@@ -18,7 +18,7 @@ class MalformedAnnotation(ValueError):
 
 
 _TAG = re.compile(r"<(/?)([a-zA-Z-]+)>")
-_VALID_TAGS = (LABEL_SET | set(NAME_PART_TAGS)) - {"other"}
+_VALID_TAGS = {*CONSISTENCY_MAP, *NAME_PART_TAGS}
 
 
 def escape(text: str) -> str:

@@ -366,7 +366,7 @@ def cmd_build(run: Run) -> None:
 def cmd_split(run: Run) -> None:
     records = load_jsonl(run.read(run.get("in")))
     manifest = split_dataset((r.id for r in records), run.get("seed", 42))
-    write_json(run.wrote(run.get("out")), manifest.to_json_dict())
+    write_json(run.wrote(run.get("out")), manifest._asdict())
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
 
 

@@ -92,13 +92,6 @@ class SplitManifest(NamedTuple):
     train_ids: tuple[str, ...]
     eval_ids: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_ids": list(self.train_ids),
-            "eval_ids": list(self.eval_ids),
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SplitManifest":
         seed, train_ids, eval_ids = data["seed"], data["train_ids"], data["eval_ids"]

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from .annotation import MalformedAnnotation, parse_annotation
 from .jsonfile import write_json
-from .labels import to_canonical
+from .labels import CONSISTENCY_MAP, to_canonical
 
 
 class MatchClass(Enum):
@@ -216,7 +216,7 @@ def _resolve(
     out = []
     for label, value in pairs:
         label = to_canonical(label)
-        if label is None or label == "other":
+        if label not in CONSISTENCY_MAP:
             report.discarded_empty += 1
             continue
         norm = normalized.get(value)

@@ -17,6 +17,7 @@ does not load the HTTP and TLS stack.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
@@ -69,8 +70,20 @@ class HarvestConfig:
     def validate(self) -> None:
         if self.url_template.count("{id}") != 1:
             raise ConfigError("url_template must contain exactly one {id}")
+        # A bool is neither a count nor a delay here.
+        for name in ("id_start", "id_end", "max_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.id_start > self.id_end:
             raise ConfigError("empty id range")
+        for name in ("td_millis", "rid_millis"):
+            value = getattr(self, name)
+            # NaN and inf would pass the `< 0` test below; -inf fails it.
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+                value < math.inf
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.td_millis < 0 or self.rid_millis < 0:
             raise ConfigError("delays must be nonnegative")
         if self.max_retries < 0:
@@ -108,7 +121,7 @@ class Checkpoint(NamedTuple):
         checkpoint = cls(**data)
         if not all(type(n) is int for n in checkpoint[:4]):
             raise ValueError("last_id, entries_count and the offsets must be integers")
-        for name in ("output_offset", "log_offset"):
+        for name in ("entries_count", "output_offset", "log_offset"):
             if getattr(checkpoint, name) < 0:
                 raise ValueError(f"negative {name}")
         if not isinstance(checkpoint.last_error, (str, type(None))):
@@ -158,7 +171,7 @@ def _run(config: HarvestConfig, start: Checkpoint, rng: random.Random) -> Harves
             error = None
             for attempt in range(config.max_retries + 1):
                 if stats.requests:
-                    delay = config.td_millis * (2**attempt if attempt else 1)
+                    delay = config.td_millis * 2**attempt
                     delay += rng.uniform(0, config.rid_millis)
                     time.sleep(delay / 1000.0)
                 agent = rng.choice(config.user_agents)
@@ -274,6 +287,8 @@ def _log_event(event: dict) -> tuple[float, int]:
     ts, entries = event["ts"], event["entries"]
     if isinstance(ts, bool) or not isinstance(ts, (int, float)) or type(entries) is not int:
         raise ValueError("ts must be a number and entries an integer")
+    if entries < 0:
+        raise ValueError(f"negative entries {entries}")
     return ts, entries
 
 

@@ -1,35 +1,14 @@
 """Canonical field labels and their mapping onto BibTeX field names.
 
 Rendered references, annotations, trained models and evaluation reports all
-speak the same label vocabulary.  The mapping to BibTeX field names is kept
-explicit so a field never silently changes name between the source entry and
-the annotated output (the "Pages" vs "Locality" class of mismatch).
+speak the same label vocabulary.  `CONSISTENCY_MAP` is its one table: its
+keys are the labels that name a field, in order, and the vocabulary is those
+keys plus `other`.  The mapping to BibTeX field names is kept explicit so a
+field never silently changes name between the source entry and the annotated
+output (the "Pages" vs "Locality" class of mismatch).
 """
 
 from __future__ import annotations
-
-# Labels a style segment or a tagger state may carry.  `other` marks tokens
-# that belong to no field (separators, citation markers, noise).
-CANONICAL_LABELS = (
-    "author",
-    "editor",
-    "issued",
-    "title",
-    "container-title",
-    "volume",
-    "issue",
-    "page",
-    "publisher",
-    "edition",
-    "address",
-    "series",
-    "note",
-    "url",
-    "doi",
-    "other",
-)
-
-LABEL_SET = frozenset(CANONICAL_LABELS)
 
 # Name-part tags allowed only inside an author span.
 NAME_PART_TAGS = ("surname", "firstname")
@@ -54,6 +33,13 @@ CONSISTENCY_MAP: dict[str, tuple[str, ...]] = {
     "url": ("url",),
     "doi": ("doi",),
 }
+
+# Labels a style segment or a tagger state may carry: the map's keys, then
+# `other`, which marks tokens that belong to no field (separators, citation
+# markers, noise).
+CANONICAL_LABELS = (*CONSISTENCY_MAP, "other")
+
+LABEL_SET = frozenset(CANONICAL_LABELS)
 
 # BibTeX field name -> canonical label (inverse of CONSISTENCY_MAP).
 _FIELD_TO_LABEL = {

@@ -17,12 +17,11 @@ from typing import NamedTuple
 from .annotation import escape
 from .bibtex import BibEntry
 from .jsonfile import read_json
-from .labels import LABEL_SET, entry_value
+from .labels import CONSISTENCY_MAP, entry_value
 
 NAME_FORMATS = ("surname_initials", "surname_first_full", "initials_dotted")
 
 _DASH_RUN = re.compile(r"[-‐‑‒–—]{1,2}")
-_MARKUP = re.compile(r"[<>&]")
 
 
 class StyleError(ValueError):
@@ -68,13 +67,13 @@ class StyleTemplate(_StyleFields):
             raise SchemaError(f"{self.style_id}: bad name_format {self.name_format!r}")
         variables = {s.variable for s in self.segments}
         for seg in self.segments:
-            if seg.variable not in LABEL_SET or seg.variable == "other":
+            if seg.variable not in CONSISTENCY_MAP:
                 raise SchemaError(f"{self.style_id}: unknown variable {seg.variable!r}")
-        # Literals go into the annotated string unescaped, where these
-        # characters would read as tags or entities.
+        # Literals go into the annotated string unescaped, where one that
+        # `escape` would change could read as a tag or an entity.
         literals = [text for seg in self.segments for text in (seg.prefix, seg.suffix)]
         for literal in literals + [self.final_punct]:
-            if _MARKUP.search(literal):
+            if escape(literal) != literal:
                 raise SchemaError(
                     f"{self.style_id}: literal {literal!r} may not contain <, > or &"
                 )

@@ -65,6 +65,11 @@ def test_malformed_annotations_raise(bad):
         parse_annotation(bad)
 
 
+def test_other_names_no_field_so_it_is_not_a_tag():
+    with pytest.raises(MalformedAnnotation, match="^unknown tag <other>$"):
+        parse_annotation("<other>x</other>")
+
+
 def test_adjacent_tags_without_separator():
     plain, spans = parse_annotation("<edition>E</edition><publisher>P</publisher> .")
     assert plain == "EP ."

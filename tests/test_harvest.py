@@ -1,7 +1,9 @@
 import importlib
 import json
+import math
 import os
 import random
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -79,6 +81,48 @@ def test_rejects_empty_range_and_negative_delays(tmp_path):
         HarvestConfig("http://localhost/{id}", 5, 4).validate()
     with pytest.raises(ConfigError):
         HarvestConfig("http://localhost/{id}", 1, 2, td_millis=-1).validate()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # Refused before counts had to be ints and delays finite: same messages.
+        ({"id_start": 5, "id_end": 4}, "empty id range"),
+        ({"td_millis": -1}, "delays must be nonnegative"),
+        ({"rid_millis": -math.inf}, "delays must be nonnegative"),
+        ({"max_retries": -1}, "max_retries must be nonnegative"),
+        # These crashed the run midway, or passed.
+        ({"td_millis": math.nan}, "td_millis must be a finite number, got nan"),
+        ({"td_millis": math.inf}, "td_millis must be a finite number, got inf"),
+        ({"rid_millis": math.nan}, "rid_millis must be a finite number, got nan"),
+        ({"rid_millis": True}, "rid_millis must be a finite number, got True"),
+        ({"td_millis": "5"}, "td_millis must be a finite number, got '5'"),
+        ({"id_start": 1.0}, "id_start must be an integer, got 1.0"),
+        ({"id_end": 2.5}, "id_end must be an integer, got 2.5"),
+        ({"id_end": True}, "id_end must be an integer, got True"),
+        ({"max_retries": math.inf}, "max_retries must be an integer, got inf"),
+        ({"max_retries": False}, "max_retries must be an integer, got False"),
+        ({"max_retries": "2"}, "max_retries must be an integer, got '2'"),
+    ],
+    ids=["empty-range", "td-negative", "rid-minus-inf", "retries-negative", "td-nan",
+         "td-inf", "rid-nan", "rid-bool", "td-str", "start-float", "end-float", "end-bool",
+         "retries-inf", "retries-bool", "retries-str"],
+)
+def test_validate_names_a_bad_count_or_delay(tmp_path, change, message):
+    fields = dict(url_template="http://localhost/{id}", id_start=1, id_end=2,
+                  output_path=tmp_path / "o")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        HarvestConfig(**dict(fields, **change)).validate()
+
+
+def test_a_nan_delay_is_refused_before_anything_is_written(tmp_path, monkeypatch):
+    sleeps = patch_fetch_and_sleep(monkeypatch)
+    cfg = local_config(tmp_path, id_end=3)
+    cfg.td_millis = math.nan
+    with pytest.raises(ConfigError, match="td_millis"):
+        harvest(cfg, random.Random(1))
+    assert sleeps == []
+    assert not any(tmp_path.iterdir())
 
 
 def test_defaults_are_the_ones_the_cli_uses(tmp_path):
@@ -505,6 +549,13 @@ def test_checkpoint_needs_a_valid_log_offset(tmp_path, text):
         Checkpoint.read(path)
 
 
+def test_checkpoint_refuses_a_negative_entry_count(tmp_path):
+    path = tmp_path / "cp.json"
+    path.write_text('{"last_id": 2, "entries_count": -7, "output_offset": 0, "log_offset": 0}')
+    with pytest.raises(CorruptCheckpoint, match="^" + re.escape(f"{path}: negative entries_count") + "$"):
+        Checkpoint.read(path)
+
+
 @pytest.mark.parametrize("when", ["before", "after"])
 def test_resume_after_crash_at_checkpoint_keeps_one_log_row_per_id(
     server, tmp_path, monkeypatch, when
@@ -599,7 +650,8 @@ def test_efficiency_series_hand_computed(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ['{"ts": 2.0, "entries": "1"}', '{"ts": 2.0}', "[2.0, 1]", '{"ts": "2", "entries": 1}']
+    "row", ['{"ts": 2.0, "entries": "1"}', '{"ts": 2.0}', "[2.0, 1]", '{"ts": "2", "entries": 1}',
+            '{"ts": 2.0, "entries": -1}']
 )
 def test_efficiency_series_names_a_bad_log_row(tmp_path, row):
     log = tmp_path / "bad.log"

@@ -348,8 +348,13 @@ GOOD_STYLE = {
         ({"segments": [{"variable": "author", "suffix": "<"}, {"variable": "title"}]},
          "may not contain"),
         ({"final_punct": "&"}, "may not contain"),
+        ({"segments": [{"variable": "author"}, {"variable": "title", "prefix": ">"}]},
+         "literal '>' may not contain <, > or &"),
+        ({"segments": [{"variable": "author"}, {"variable": "title"}, {"variable": "surname"}]},
+         "unknown variable 'surname'"),
     ],
-    ids=["name-format", "no-author", "no-title", "other", "suffix", "final-punct"],
+    ids=["name-format", "no-author", "no-title", "other", "suffix", "final-punct", "prefix",
+         "name-part"],
 )
 def test_every_way_to_make_a_style_checks_it(change, message):
     """The constructor, a style file's object and a copy with changed
