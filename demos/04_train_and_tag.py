@@ -19,7 +19,7 @@ corpus = [align_training(anno) for anno in train_refs]
 sample = corpus[0]
 print("one training sequence:")
 for tok, label in list(zip(sample.tokens, sample.labels))[:8]:
-    print(f"  {tok.surface:<16} {label}")
+    print(f"  {tok:<16} {label}")
 
 model = train_hmm(corpus, alpha=0.1)
 print(f"\ntrained on {len(corpus)} references: {len(model.states)} states, "

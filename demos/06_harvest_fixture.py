@@ -54,6 +54,7 @@ with FixtureServer(script) as server:
 entries, issues = parse_bibtex((workdir / "harvest.bib").read_text())
 print(f"output file holds {len(entries)} well-formed entries, {len(issues)} issues")
 
-print("\nper-request efficiency series (normalized by the best step):")
+# One row per id, however many requests its retries took (id 4 took three).
+print("\nper-id efficiency series (normalized by the best id):")
 for ts, total, eff, norm in efficiency_series(str(config.output_path) + ".log")[:6]:
-    print(f"  entries {total:>2}  step {eff:.0f}/request  normalized {norm:.2f}")
+    print(f"  entries {total:>2}  this id {eff:.0f}  normalized {norm:.2f}")

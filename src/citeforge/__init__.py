@@ -68,4 +68,4 @@ from .styles import (
     load_styles,
     render,
 )
-from .tokens import FeatureVector, Token, extract_features, tokenize
+from .tokens import FeatureVector, Token, tokenize

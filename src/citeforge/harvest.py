@@ -20,6 +20,7 @@ import json
 import math
 import os
 import random
+import threading
 import time
 import urllib.parse
 from pathlib import Path
@@ -31,6 +32,10 @@ from .jsonfile import read_json, read_json_lines, replacing, write_text
 
 
 FETCH_TIMEOUT_S = 10.0
+# The longest delay `validate` lets a run ask `time.sleep` for.  On Linux
+# a wait whose monotonic deadline passes 2**63 ns fails, so
+# `threading.TIMEOUT_MAX` itself does; half of it leaves 146 years of uptime.
+MAX_SLEEP_S = threading.TIMEOUT_MAX / 2
 
 
 class ConfigError(ValueError):
@@ -88,6 +93,16 @@ class HarvestConfig:
             raise ConfigError("delays must be nonnegative")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be nonnegative")
+        # The last retry's delay, without building 2**max_retries as an int.
+        try:
+            longest_ms = math.ldexp(self.td_millis, self.max_retries) + self.rid_millis
+        except OverflowError:
+            longest_ms = math.inf
+        if longest_ms / 1000 > MAX_SLEEP_S:
+            raise ConfigError(
+                "delays too long: td_millis * 2**max_retries + rid_millis "
+                f"exceeds {MAX_SLEEP_S * 1000:.0f} ms"
+            )
         if not self.user_agents:
             raise ConfigError("at least one user agent is required")
         if not self.allow_external:
@@ -261,10 +276,10 @@ def _truncate_to(path: Path, length: int) -> None:
 
 
 def efficiency_series(log_path: str | Path) -> list[tuple[float, int, float, float]]:
-    """Per-request time series from a harvest log.
+    """Per-id time series from a harvest log, one row per id.
 
-    Rows are (timestamp, cumulative entries, entries-per-request for the
-    step, efficiency normalized by the best step).  Empty log, empty list.
+    Rows are (timestamp, cumulative entries, entries the id gained,
+    that count normalized by the best id's).  Empty log, empty list.
     """
     path = Path(log_path)
     if not path.exists():
@@ -287,6 +302,8 @@ def _log_event(event: dict) -> tuple[float, int]:
     ts, entries = event["ts"], event["entries"]
     if isinstance(ts, bool) or not isinstance(ts, (int, float)) or type(entries) is not int:
         raise ValueError("ts must be a number and entries an integer")
+    if not -math.inf < ts < math.inf:
+        raise ValueError(f"ts must be finite, got {ts}")
     if entries < 0:
         raise ValueError(f"negative entries {entries}")
     return ts, entries

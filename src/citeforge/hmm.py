@@ -1,11 +1,11 @@
 """Label-sequence HMM: training from annotated references and Viterbi
 decoding of new ones.
 
-States are field labels; a token's observation, picked from its surface
-by `_symbol_column` alone, is its lowercased surface when seen at least
-twice in training, else its orthographic backoff symbol.  Decoding is
-log-space Viterbi, O(T*N^2), with ties broken toward the lower state
-index so output is reproducible.
+States are field labels, and a token is its surface string.  Its
+observation, picked by `_symbol_column` alone, is its lowercased surface
+when seen at least twice in training, else its orthographic backoff
+symbol.  Decoding is log-space Viterbi, O(T*N^2), with ties broken
+toward the lower state index so output is reproducible.
 
 `train_hmm` reads its corpus in one pass, from any iterable (a generator
 will do), and keeps only counts keyed by label and surface, so
@@ -29,11 +29,11 @@ in the vocabulary) and raises ValueError on a bad one.
 Decoding is batched: `decode_batch` runs the max-plus Viterbi recursion
 (Rabiner 1989) over many sequences at once, one numpy step per position
 for the whole batch, and `viterbi`, `tag_reference` and `tag_references`
-are all calls of it.  `tag_references` builds no `Token`: it maps each
-surface straight to its symbol column.  It splits references on
-`tokens.WORD` and refuses a batch holding one with no match (EmptyInput);
-the CLI's `tag` checks each dataset row against the same pattern as it
-reads it, so it names the row before the batch reaches the decoder.
+are all calls of it.  `tag_references` maps each token straight to its
+symbol column.  It splits references on `tokens.WORD` and refuses a
+batch holding one with no match (EmptyInput); the CLI's `tag` checks
+each dataset row against the same pattern as it reads it, so it names
+the row before the batch reaches the decoder.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 from collections import Counter
 from functools import cached_property, reduce
 from itertools import chain, groupby, islice
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -51,7 +51,7 @@ from .annotation import parse_annotation
 from .evaluate import ExtractedField, check_nonnegative
 from .jsonfile import read_json, write_text
 from .labels import LABEL_SET, field_for_label
-from .tokens import BACKOFF_CLASSES, WORD, Token, backoff_symbol, tokenize
+from .tokens import BACKOFF_CLASSES, WORD, backoff_symbol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +70,7 @@ class EmptyInput(ValueError):
 
 
 class LabelSequence:
-    def __init__(self, tokens: list[Token], labels: list[str]):
+    def __init__(self, tokens: list[str], labels: list[str]):
         if len(tokens) != len(labels):
             raise ValueError("tokens and labels differ in length")
         self.tokens, self.labels = tokens, labels
@@ -109,8 +109,8 @@ class HmmModel:
             np.ascontiguousarray(log_emis.T),
         )
 
-    def symbol_index(self, token: Token) -> int:
-        return _symbol_column(self._sym_index, token.surface)
+    def symbol_index(self, token: str) -> int:
+        return _symbol_column(self._sym_index, token)
 
     def save(self, path: str | Path) -> None:
         data = {
@@ -206,22 +206,23 @@ def align_training(anno_ref: str) -> LabelSequence:
     count as author), and tokens outside every span get `other`.
     """
     plain, spans = parse_annotation(anno_ref)
-    tokens = tokenize(plain)
-    labels = []
+    tokens, labels = [], []
     # Tokens and spans are both sorted and non-overlapping, so one sweep
     # visits each token's overlapping spans in order; a span that ends at
     # or before a token's start covers no later token either.
     first = 0
-    for tok in tokens:
-        while first < len(spans) and spans[first][2] <= tok.start:
+    for m in WORD.finditer(plain):
+        tok_start, tok_end = m.span()
+        while first < len(spans) and spans[first][2] <= tok_start:
             first += 1
         best, best_cover = "other", 0
         for label, start, end in islice(spans, first, None):
-            if start >= tok.end:
+            if start >= tok_end:
                 break
-            cover = min(tok.end, end) - max(tok.start, start)
+            cover = min(tok_end, end) - max(tok_start, start)
             if cover > best_cover:
                 best, best_cover = label, cover
+        tokens.append(m[0])
         labels.append(best)
     return LabelSequence(tokens, labels)
 
@@ -306,7 +307,7 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     for seq in chain([first], sequences):
         starts.update(seq.labels[:1])
         steps.update(zip(seq.labels, seq.labels[1:]))
-        emits.update(zip(seq.labels, map(attrgetter("surface"), seq.tokens)))
+        emits.update(zip(seq.labels, seq.tokens))
     states = sorted({label for label, _ in emits})
     if not states:
         raise EmptyCorpus("training corpus has no tokens")
@@ -385,33 +386,29 @@ def decode_batch(
     return decoded
 
 
-def viterbi(model: HmmModel, tokens: list[Token]) -> tuple[LabelSequence, float]:
+def viterbi(model: HmmModel, tokens: list[str]) -> tuple[LabelSequence, float]:
     """Most probable state sequence and its log-probability: `decode_batch`
     of one sequence."""
     if not tokens:
         raise EmptyInput("no tokens to decode")
     dec = model.decoder
     [(path, log_prob)] = decode_batch(
-        dec, [[_symbol_column(dec.sym_index, tok.surface) for tok in tokens]]
+        dec, [[_symbol_column(dec.sym_index, tok) for tok in tokens]]
     )
     return LabelSequence(list(tokens), [dec.states[i] for i in path]), log_prob
 
 
-def _fields(surfaces: list[str], labels: Iterable[str]) -> list[ExtractedField]:
-    return [
-        ExtractedField(field_for_label(label), " ".join(surface for surface, _ in run))
-        for label, run in groupby(zip(surfaces, labels), key=itemgetter(1))
-        if label != "other"
-    ]
-
-
-def fields_from_labels(tokens: list[Token], labels: list[str]) -> list[ExtractedField]:
+def fields_from_labels(tokens: list[str], labels: Iterable[str]) -> list[ExtractedField]:
     """Concatenate maximal runs of one label into (field, value) pairs.
 
-    `other` runs are dropped; surfaces join with single spaces; labels map
+    `other` runs are dropped; tokens join with single spaces; labels map
     to their BibTeX field names.
     """
-    return _fields([tok.surface for tok in tokens], labels)
+    return [
+        ExtractedField(field_for_label(label), " ".join(tok for tok, _ in run))
+        for label, run in groupby(zip(tokens, labels), key=itemgetter(1))
+        if label != "other"
+    ]
 
 
 def tag_references(
@@ -420,16 +417,16 @@ def tag_references(
     """Decode a batch of reference strings, each into extracted fields plus
     the decode log-probability, in input order.
 
-    Each reference splits into the surfaces `tokenize` would give, and each
-    surface maps straight to its symbol column; no `Token` is built.  A
-    reference with no token raises EmptyInput.
+    Each reference splits into the tokens `tokenize` would give, and each
+    maps straight to its symbol column.  A reference with no token raises
+    EmptyInput.
     """
     surfaces = [WORD.findall(reference) for reference in references]
     if not all(surfaces):
         raise EmptyInput("no tokens to decode")
     columns = [[_symbol_column(dec.sym_index, w) for w in words] for words in surfaces]
     return [
-        (_fields(words, map(dec.states.__getitem__, path)), log_prob)
+        (fields_from_labels(words, map(dec.states.__getitem__, path)), log_prob)
         for words, (path, log_prob) in zip(surfaces, decode_batch(dec, columns))
     ]
 

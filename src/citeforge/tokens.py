@@ -1,15 +1,11 @@
-"""Tokenization and per-token orthographic features for reference strings.
+"""Tokenization and per-token orthographic classes for reference strings.
 
-Tokens are whitespace-separated runs with punctuation left attached.  A
-token's `FeatureVector` holds exactly the two symbols the HMM reads: the
-lowercased surface (its emission symbol when frequent enough) and the
-backoff symbol built from its coarse case, punctuation and
-last-character classes.  The 128 backoff symbols are built once, and
-every vector shares those strings.
-
-Features depend on the surface alone, so a `Token` stores none: its
-`features` are computed from its surface when read, and nothing is
-cached.
+A token is its surface string, a whitespace-separated run with
+punctuation left attached: `tokenize(s) == s.split()`.  The HMM reads two
+functions of it: the lowercased surface (its emission symbol when
+frequent enough) and the backoff symbol built from its coarse case,
+punctuation and last-character classes.  The 128 backoff symbols are
+built once and shared.
 """
 
 from __future__ import annotations
@@ -55,14 +51,21 @@ _BACKOFF = {
 BACKOFF_CLASSES = tuple(_BACKOFF.values())
 
 
-class Token(NamedTuple):
-    surface: str
-    start: int
-    end: int
+class Token(str):
+    """A token as `tokenize` returns it: its surface string.  `surface`
+    and `features` stay only because the benchmark harness
+    (`perfbench/tracing.py`) reads them; this class and `FeatureVector`
+    go once it no longer does."""
+
+    __slots__ = ()
+
+    @property
+    def surface(self) -> str:
+        return self
 
     @property
     def features(self) -> FeatureVector:
-        return extract_features(self.surface)
+        return FeatureVector(self.lower(), backoff_symbol(self))
 
 
 def _case_class(surface: str) -> str:
@@ -114,18 +117,13 @@ def backoff_symbol(surface: str) -> str:
     return _BACKOFF[_case_class(surface), _punct_class(surface), _last_char_class(surface)]
 
 
-def extract_features(surface: str) -> FeatureVector:
-    """Feature vector for a non-empty token surface."""
-    return FeatureVector(surface.lower(), backoff_symbol(surface))
-
-
 # A token: a maximal run of non-whitespace.
 WORD = re.compile(r"\S+")
 
 
 def tokenize(reference: str) -> list[Token]:
-    """Split a reference on whitespace into offset-exact tokens.
+    """Split a reference on whitespace into tokens, as `str.split` does.
 
-    Punctuation stays attached; the feature extractor deals with it.
+    Punctuation stays attached; the backoff classes deal with it.
     """
-    return [Token(m.group(0), m.start(), m.end()) for m in WORD.finditer(reference)]
+    return list(map(Token, WORD.findall(reference)))

@@ -28,6 +28,7 @@ import sys
 import tempfile
 import unicodedata
 from collections import Counter
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -99,11 +100,10 @@ from citeforge.styles import (
 from citeforge.synth import random_bibtex_file, random_corpus
 from citeforge.tokens import (
     BACKOFF_CLASSES,
-    Token,
     _case_class,
     _last_char_class,
     _punct_class,
-    extract_features,
+    backoff_symbol,
     tokenize,
 )
 
@@ -364,12 +364,11 @@ def reference_parse_bibtex(text, source_tag=None):
 
 def reference_align(anno_ref):
     plain, spans = parse_annotation(anno_ref)
-    tokens = tokenize(plain)
     labels = []
-    for tok in tokens:
+    for tok in re.finditer(r"\S+", plain):
         best, best_cover = "other", 0
         for label, start, end in spans:
-            cover = min(tok.end, end) - max(tok.start, start)
+            cover = min(tok.end(), end) - max(tok.start(), start)
             if cover > best_cover:
                 best, best_cover = label, cover
         labels.append(best)
@@ -411,7 +410,7 @@ def reference_normalize_rows(counts):
 def reference_train_hmm(corpus, alpha):
     """Counting into numpy arrays; the model holds ndarray tables."""
     states = sorted({label for seq in corpus for label in seq.labels})
-    surface_freq = Counter(tok.features.lower for seq in corpus for tok in seq.tokens)
+    surface_freq = Counter(reference_features(tok)[0] for seq in corpus for tok in seq.tokens)
     kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
     vocab = kept + list(BACKOFF_CLASSES)
     sym_index = {sym: i for i, sym in enumerate(vocab)}
@@ -427,8 +426,8 @@ def reference_train_hmm(corpus, alpha):
         for prev, cur in zip(seq.labels, seq.labels[1:]):
             transition[state_index[prev], state_index[cur]] += 1
         for tok, label in zip(seq.tokens, seq.labels):
-            lower = tok.features.lower
-            sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else tok.features.backoff
+            lower, _, _, _, backoff = reference_features(tok)
+            sym = lower if surface_freq[lower] >= MIN_SURFACE_FREQ else backoff
             emission[state_index[label], sym_index[sym]] += 1
     return HmmModel(
         states=states,
@@ -687,7 +686,7 @@ def reference_fields_from_labels(tokens, labels):
             if run_label is not None and run_label != "other":
                 fields.append(ExtractedField(field_for_label(run_label), " ".join(run_surfaces)))
             run_label, run_surfaces = label, []
-        run_surfaces.append(tok.surface)
+        run_surfaces.append(tok)
     if run_label is not None and run_label != "other":
         fields.append(ExtractedField(field_for_label(run_label), " ".join(run_surfaces)))
     return fields
@@ -870,11 +869,9 @@ _SURFACE = st.lists(
 @PROPERTY
 @given(_SURFACE)
 def test_features_match_full_extractor(surface):
-    fv = extract_features(surface)
     lower, case, punct, last, backoff = reference_features(surface)
-    assert (fv.lower, fv.backoff) == (lower, backoff)
-    assert fv == (lower, backoff)  # and nothing else
-    assert any(fv.backoff is shared for shared in BACKOFF_CLASSES)
+    assert (surface.lower(), backoff_symbol(surface)) == (lower, backoff)
+    assert any(backoff_symbol(surface) is shared for shared in BACKOFF_CLASSES)
     classes = (_case_class(surface), _punct_class(surface), _last_char_class(surface))
     assert classes == (case, punct, last)
 
@@ -914,9 +911,8 @@ _UNICODE_SURFACE = st.one_of(
 @example("‐‐")
 @example("-‐")
 def test_features_match_full_extractor_on_unicode_surfaces(surface):
-    fv = extract_features(surface)
     lower, case, punct, last, backoff = reference_features(surface)
-    assert fv == (lower, backoff)
+    assert (surface.lower(), backoff_symbol(surface)) == (lower, backoff)
     classes = (_case_class(surface), _punct_class(surface), _last_char_class(surface))
     assert classes == (case, punct, last)
 
@@ -938,14 +934,56 @@ def test_symbol_column_matches_full_extractor_on_unicode_surfaces(surfaces):
     vocab = kept + list(BACKOFF_CLASSES)
     sym_index = {sym: i for i, sym in enumerate(vocab)}
     model = HmmModel(["other"], vocab, [1.0], [[1.0]], [[1 / len(vocab)] * len(vocab)], 0.1)
-    assert Token._fields == ("surface", "start", "end")
     for surface, _ in surfaces:
         want = reference_symbol_column(sym_index, surface)
         assert _symbol_column(sym_index, surface) == want
-        tok = Token(surface, 0, len(surface))
-        assert tok == (surface, 0, len(surface))
-        assert tok.features == extract_features(tok.surface)
-        assert model.symbol_index(tok) == want
+        [tok] = tokenize(surface)
+        assert model.symbol_index(tok) == model.symbol_index(surface) == want
+
+
+# --- tokens are strings -------------------------------------------------
+
+# Whitespace to `str.split` beyond ASCII: NEL, the line and paragraph
+# separators, the information separators U+001C-U+001F, NBSP and the
+# ideographic space.  U+200B is not whitespace and stays inside a token.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"
+_SPLIT_TEXT = st.text(
+    st.one_of(st.sampled_from(list(_WHITESPACE + "\u200baZ.,(1é")), st.characters()),
+    max_size=30,
+)
+
+
+@PROPERTY
+@given(_SPLIT_TEXT)
+@example("a\x85b\u2028c\x1cd\x1fe\xa0f\u200bg")
+def test_tokenize_is_str_split_and_each_token_its_own_surface(text):
+    tokens = tokenize(text)
+    assert tokens == text.split()
+    for tok in tokens:
+        assert tok.surface == tok
+        assert tok.features == (tok.lower(), backoff_symbol(tok))
+
+
+@cache
+def _trained_model():
+    refs = _annotated_corpus(16, 120)
+    return train_hmm([align_training(r.anno_ref) for r in refs], alpha=0.1)
+
+
+@PROPERTY
+@given(st.data())
+def test_viterbi_and_fields_agree_on_tokens_and_plain_strings(data):
+    model = _trained_model()
+    word = st.one_of(st.sampled_from(model.vocab[: -len(BACKOFF_CLASSES)]), _SURFACE)
+    pieces = data.draw(st.lists(
+        st.tuples(st.sampled_from(_WHITESPACE), word), min_size=1, max_size=20))
+    ref = "".join(space + w for space, w in pieces)
+    tokens, plain = tokenize(ref), ref.split()
+    seq, log_prob = viterbi(model, tokens)
+    plain_seq, plain_log_prob = viterbi(model, plain)
+    assert (seq.tokens, seq.labels, log_prob) == (
+        plain_seq.tokens, plain_seq.labels, plain_log_prob)
+    assert fields_from_labels(tokens, seq.labels) == fields_from_labels(plain, seq.labels)
 
 
 # --- annotation parsing -------------------------------------------------
@@ -1069,6 +1107,15 @@ def test_parse_bibtex_matches_reference_on_arbitrary_text(text):
 # --- alignment ----------------------------------------------------------
 
 
+def assert_aligned_as_reference(anno):
+    """The scan's labels, on the plain text's `str.split` tokens, each a
+    plain `str`."""
+    seq = align_training(anno)
+    assert seq.labels == reference_align(anno)
+    assert seq.tokens == strip_tags(anno).split()
+    assert all(type(tok) is str for tok in seq.tokens)
+
+
 @PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_align_sweep_matches_scan_on_synthetic_corpus(seed):
@@ -1078,7 +1125,7 @@ def test_align_sweep_matches_scan_on_synthetic_corpus(seed):
                 anno = annotate(entry, style).anno_ref
             except MissingVariable:
                 continue
-            assert align_training(anno).labels == reference_align(anno)
+            assert_aligned_as_reference(anno)
 
 
 _PIECE = st.tuples(
@@ -1095,7 +1142,7 @@ def test_align_sweep_matches_scan_on_arbitrary_spans(pieces):
         escape(text) if label is None else f"<{label}>{escape(text)}</{label}>"
         for label, text in pieces
     )
-    assert align_training(anno).labels == reference_align(anno)
+    assert_aligned_as_reference(anno)
 
 
 # --- viterbi ------------------------------------------------------------
@@ -1512,9 +1559,8 @@ _RUN_SURFACES = st.lists(st.text("ab.,&é", min_size=1, max_size=4), max_size=30
 
 
 def assert_fields_as_reference(surfaces, labels):
-    tokens = [Token(s, 0, len(s)) for s in surfaces]
-    want = reference_fields_from_labels(tokens, labels)
-    assert fields_from_labels(tokens, labels) == want
+    want = reference_fields_from_labels(surfaces, labels)
+    assert fields_from_labels(surfaces, labels) == want
 
 
 @PROPERTY

@@ -15,6 +15,7 @@ import pytest
 from citeforge.bibtex import parse_bibtex
 from citeforge.fixture import FixtureScript, FixtureServer, bibtex_for_id
 from citeforge.harvest import (
+    MAX_SLEEP_S,
     Checkpoint,
     ConfigError,
     CorruptCheckpoint,
@@ -83,6 +84,12 @@ def test_rejects_empty_range_and_negative_delays(tmp_path):
         HarvestConfig("http://localhost/{id}", 1, 2, td_millis=-1).validate()
 
 
+TOO_LONG = (
+    "delays too long: td_millis * 2**max_retries + rid_millis "
+    f"exceeds {MAX_SLEEP_S * 1000:.0f} ms"
+)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -103,16 +110,48 @@ def test_rejects_empty_range_and_negative_delays(tmp_path):
         ({"max_retries": math.inf}, "max_retries must be an integer, got inf"),
         ({"max_retries": False}, "max_retries must be an integer, got False"),
         ({"max_retries": "2"}, "max_retries must be an integer, got '2'"),
+        # Longer than time.sleep can wait: the run died at its first sleep,
+        # or at its last retry.
+        ({"td_millis": 1e300, "rid_millis": 0}, TOO_LONG),
+        ({"td_millis": 10**400}, TOO_LONG),
+        ({"td_millis": 1000, "max_retries": 60}, TOO_LONG),
+        ({"td_millis": 1, "max_retries": 10**9}, TOO_LONG),
+        ({"rid_millis": 1e308}, TOO_LONG),
+        ({"td_millis": 0, "rid_millis": 10**400}, TOO_LONG),
+        ({"td_millis": 0, "rid_millis": math.nextafter(MAX_SLEEP_S * 1000, math.inf)},
+         TOO_LONG),
     ],
     ids=["empty-range", "td-negative", "rid-minus-inf", "retries-negative", "td-nan",
          "td-inf", "rid-nan", "rid-bool", "td-str", "start-float", "end-float", "end-bool",
-         "retries-inf", "retries-bool", "retries-str"],
+         "retries-inf", "retries-bool", "retries-str", "td-huge-float", "td-huge-int",
+         "retries-60", "retries-1e9", "rid-huge-float", "rid-huge-int", "rid-past-limit"],
 )
 def test_validate_names_a_bad_count_or_delay(tmp_path, change, message):
     fields = dict(url_template="http://localhost/{id}", id_start=1, id_end=2,
                   output_path=tmp_path / "o")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         HarvestConfig(**dict(fields, **change)).validate()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"td_millis": 0, "rid_millis": 0, "max_retries": 10**9},
+     {"td_millis": 0, "rid_millis": MAX_SLEEP_S * 1000},
+     {"td_millis": MAX_SLEEP_S * 1000 / 2**40, "rid_millis": 0, "max_retries": 40}],
+    ids=["no-delay-retries-1e9", "rid-at-limit", "td-at-limit"],
+)
+def test_validate_accepts_delays_up_to_the_limit(tmp_path, change):
+    fields = dict(url_template="http://localhost/{id}", id_start=1, id_end=2,
+                  output_path=tmp_path / "o")
+    HarvestConfig(**dict(fields, **change)).validate()
+
+
+def test_a_delay_too_long_to_sleep_is_refused_before_anything_is_written(server, tmp_path):
+    cfg = make_config(server, tmp_path, id_end=3, td_millis=1e300, rid_millis=0)
+    with pytest.raises(ConfigError, match="delays too long"):
+        harvest(cfg, random.Random(1))
+    assert not any(tmp_path.iterdir())
+    assert server.request_log == []
 
 
 def test_a_nan_delay_is_refused_before_anything_is_written(tmp_path, monkeypatch):
@@ -651,7 +690,8 @@ def test_efficiency_series_hand_computed(tmp_path):
 
 @pytest.mark.parametrize(
     "row", ['{"ts": 2.0, "entries": "1"}', '{"ts": 2.0}', "[2.0, 1]", '{"ts": "2", "entries": 1}',
-            '{"ts": 2.0, "entries": -1}']
+            '{"ts": 2.0, "entries": -1}', '{"ts": NaN, "entries": 1}',
+            '{"ts": Infinity, "entries": 1}', '{"ts": -Infinity, "entries": 1}']
 )
 def test_efficiency_series_names_a_bad_log_row(tmp_path, row):
     log = tmp_path / "bad.log"

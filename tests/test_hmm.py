@@ -24,7 +24,7 @@ from citeforge.hmm import (
 )
 from citeforge.styles import annotate, load_builtin_styles
 from citeforge.synth import random_corpus, random_entry
-from citeforge.tokens import BACKOFF_CLASSES, extract_features, tokenize
+from citeforge.tokens import BACKOFF_CLASSES, backoff_symbol, tokenize
 
 
 def make_sequence(surfaces, labels):
@@ -41,7 +41,7 @@ def align_like(surfaces, labels):
 
 def test_align_single_tag_spans_both_tokens():
     seq = align_training("<title>Deep Parsing</title>.")
-    assert [t.surface for t in seq.tokens] == ["Deep", "Parsing."]
+    assert seq.tokens == ["Deep", "Parsing."]
     assert seq.labels == ["title", "title"]
 
 
@@ -69,7 +69,7 @@ def test_align_tokens_outside_tags_get_other():
 def test_align_majority_coverage_on_partial_overlap():
     # "(1990)," = 7 chars, 4 inside the tag: majority -> issued
     seq = align_training("<author>A B</author> (<issued>1990</issued>),")
-    assert [t.surface for t in seq.tokens] == ["A", "B", "(1990),"]
+    assert seq.tokens == ["A", "B", "(1990),"]
     assert seq.labels == ["author", "author", "issued"]
 
 
@@ -214,7 +214,7 @@ def test_rare_surfaces_back_off_to_class():
     model = train_hmm([seq], alpha=0.1)
     assert "common" in model.vocab
     assert "rare" not in model.vocab
-    backoff = extract_features("rare").backoff
+    backoff = backoff_symbol("rare")
     assert backoff in model.vocab
 
 
@@ -466,7 +466,7 @@ def test_tag_reference_round_trip_with_oracle_model(styles):
     model = train_hmm(corpus, alpha=0.01)
     hits = total = 0
     for entry, seq in zip(entries, corpus):
-        fields, _ = tag_reference(model, " ".join(t.surface for t in seq.tokens))
+        fields, _ = tag_reference(model, " ".join(seq.tokens))
         truth = fields_from_labels(seq.tokens, seq.labels)
         hits += sum(1 for f in fields if f in truth)
         total += len(truth)
