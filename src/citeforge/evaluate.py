@@ -59,7 +59,7 @@ def check_nonnegative(name: str, value) -> None:
 
 
 _DASHES = re.compile(r"[-‐‑‒–—―−]+")
-_EDGE_PUNCT = re.compile(r"^[^\w]+|[^\w]+$", re.UNICODE)
+_LEAD_PUNCT = re.compile(r"[^\w]*")
 
 
 class _ControlTable(dict):
@@ -84,8 +84,13 @@ def _normalize_pass(value: str) -> str:
     value = value.translate(_CONTROL)
     value = " ".join(value.split())
     value = value.replace(" & ", " and ")
-    value = _EDGE_PUNCT.sub("", value)
-    return value.strip()
+    # Strip non-word characters from both edges: the lead in one anchored
+    # match, the tail by a walk back to the last `\w` (alphanumeric or _).
+    value = value[_LEAD_PUNCT.match(value).end() :]
+    end = len(value)
+    while end and not (value[end - 1].isalnum() or value[end - 1] == "_"):
+        end -= 1
+    return value[:end]
 
 
 def normalize(value: str) -> str:

@@ -311,6 +311,6 @@ def _log_event(event: dict) -> tuple[float, int]:
 
 def write_efficiency_csv(series, path: str | Path) -> None:
     with replacing(path) as fh:
-        fh.write("timestamp,entries,entries_per_request,normalized\n")
+        fh.write("timestamp,entries,entries_per_id,normalized\n")
         for ts, total, eff, norm in series:
             fh.write(f"{ts},{total},{eff},{norm}\n")

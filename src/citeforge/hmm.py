@@ -242,6 +242,8 @@ def _numeric_table(value) -> tuple[tuple[int, ...], list]:
     number (not a bool, string or null).  ValueError if the nesting is
     ragged or an entry is not a number."""
     if isinstance(value, list):
+        if all(type(x) is float for x in value):
+            return (len(value),), value  # a row as `save` writes it
         parts = [_numeric_table(x) for x in value]
         shapes = {shape for shape, _ in parts}
         if len(shapes) > 1:
@@ -367,8 +369,11 @@ def decode_batch(
         while lengths[b - 1] <= t:
             b -= 1
         scores = delta[:b, None, :] + dec.log_trans_t  # (b, to, from)
-        back.append(scores.argmax(axis=2).astype(back_type))  # first max = lowest
-        np.add(scores.max(axis=2), dec.log_emis_t[obs[:b, t]], out=delta[:b])
+        best = scores.argmax(axis=2)  # first max = lowest
+        back.append(best.astype(back_type))
+        # The max is the element at the argmax: one reduction, not two.
+        best_scores = np.take_along_axis(scores, best[..., None], 2)[..., 0]
+        np.add(best_scores, dec.log_emis_t[obs[:b, t]], out=delta[:b])
 
     last = delta.argmax(axis=1)
     log_probs = delta[np.arange(len(order)), last].tolist()

@@ -6,11 +6,20 @@ functions of it: the lowercased surface (its emission symbol when
 frequent enough) and the backoff symbol built from its coarse case,
 punctuation and last-character classes.  The 128 backoff symbols are
 built once and shared.
+
+A backoff symbol is computed once per shape, not once per surface.  The
+rules read of a character only whether it is a letter, upper, lower, a
+digit and a decimal digit, unless it is a quote, hyphen, bracket or stop
+mark; `_SHAPES` maps every other character to one representative with
+the same five answers, and the symbol of each shape is memoised.  The
+table holds one entry per distinct character read, and the memo at most
+`_SHAPE_CACHE_SIZE` shapes.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 CASE_CLASSES = ("Initialcaps", "MixedCaps", "ALLCAPS", "others")
@@ -112,9 +121,41 @@ def _last_char_class(surface: str) -> str:
     return "other"
 
 
+# The characters the rules test by identity; any other is read only
+# through five facts, `isdecimal` being what `re`'s `\d` matches.
+_NAMED = frozenset(_QUOTES + _HYPHENS + "()[]{}" + ".,;:!?")
+_SHAPE_CACHE_SIZE = 4096
+
+
+class _ShapeTable(dict):
+    """`str.translate` table from a surface to its shape: a named
+    character stays itself, any other becomes the first character seen
+    with the same facts."""
+
+    def __init__(self):
+        super().__init__()
+        self.first_with_facts: dict[tuple[bool, ...], str] = {}
+
+    def __missing__(self, code: int) -> str:
+        c = chr(code)
+        if c not in _NAMED:
+            facts = (c.isalpha(), c.isupper(), c.islower(), c.isdigit(), c.isdecimal())
+            c = self.first_with_facts.setdefault(facts, c)
+        self[code] = c
+        return c
+
+
+_SHAPES = _ShapeTable()
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape_symbol(shape: str) -> str:
+    return _BACKOFF[_case_class(shape), _punct_class(shape), _last_char_class(shape)]
+
+
 def backoff_symbol(surface: str) -> str:
     """The backoff symbol of a non-empty token surface."""
-    return _BACKOFF[_case_class(surface), _punct_class(surface), _last_char_class(surface)]
+    return _shape_symbol(surface.translate(_SHAPES))
 
 
 # A token: a maximal run of non-whitespace.

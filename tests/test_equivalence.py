@@ -380,7 +380,8 @@ def reference_viterbi(model, tokens):
         log_init = np.log(model.initial)
         log_trans = np.log(model.transition)
         log_emis = np.log(model.emission)
-    obs = [model.symbol_index(tok) for tok in tokens]
+    sym_index = {sym: i for i, sym in enumerate(model.vocab)}
+    obs = [reference_symbol_column(sym_index, tok) for tok in tokens]
     t_len, n = len(obs), len(model.states)
     delta = log_init + log_emis[:, obs[0]]
     back = np.zeros((t_len, n), dtype=int)
@@ -831,6 +832,19 @@ _TEXT = st.lists(st.one_of(_TRICKY, st.characters()), max_size=40).map("".join)
 
 @PROPERTY
 @given(_TEXT)
+# Word characters beyond ASCII letters and digits (a modifier letter, a
+# superscript digit, an Arabic-Indic digit, the underscore) and non-word
+# marks (full stop, right quote, soft hyphen) at either edge.
+@example("ʰab.")
+@example(".abʰ")
+@example("²x")
+@example("x²’")
+@example("٣)")
+@example("(٣")
+@example("_x_")
+@example("._.")
+@example("’a’")
+@example("\u00ada\u00ad")
 def test_normalize_matches_per_character_reference(value):
     # The reference pass is not always a fixpoint ("a & & b", "-\\-");
     # normalize repeats it until it is, and is otherwise the same.
@@ -915,6 +929,40 @@ def test_features_match_full_extractor_on_unicode_surfaces(surface):
     assert (surface.lower(), backoff_symbol(surface)) == (lower, backoff)
     classes = (_case_class(surface), _punct_class(surface), _last_char_class(surface))
     assert classes == (case, punct, last)
+
+
+# Every Unicode general category, surrogates and unassigned code points
+# included, mixed with the characters the rules name and with digits of
+# each kind, so shapes that differ in one fact meet in one run.
+_CATEGORIES = (
+    "Lu", "Ll", "Lt", "Lm", "Lo", "Mn", "Mc", "Me", "Nd", "Nl", "No",
+    "Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Sc", "Sk", "Sm", "So",
+    "Zs", "Zl", "Zp", "Cc", "Cf", "Cs", "Co", "Cn",
+)
+_ANY_CATEGORY_SURFACE = st.text(
+    st.one_of(
+        st.sampled_from(_CATEGORIES).flatmap(
+            lambda cat: st.characters(whitelist_categories=(cat,))
+        ),
+        st.sampled_from(list(_QUOTES + _HYPHENS + "()[]{}.,;:!?12²³٣٤aZ")),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@PROPERTY
+@given(_ANY_CATEGORY_SURFACE)
+@example("2(3)")
+@example("²(³)")  # digits, not decimal: no volume
+@example("٣(٤)")  # decimal, not ASCII: a volume
+@example("Ⅷ")  # upper but not a letter
+@example("ǅ")  # a titlecase letter: neither upper nor lower
+@example("ß")
+@example("İ")
+@example("ʰ")  # a lowercase modifier letter
+def test_backoff_symbol_of_each_shape_matches_full_extractor(surface):
+    assert backoff_symbol(surface) == reference_features(surface)[4]
 
 
 def reference_symbol_column(sym_index, surface):
@@ -1176,8 +1224,32 @@ def _model_and_obs(draw):
     return model, tokenize(" ".join(model.vocab[i] for i in obs))
 
 
+def _fixed_model(initial, transition, emission):
+    """A model over states s0, s1, ... and symbols w0, w1, ..."""
+    return HmmModel(
+        states=[f"s{i}" for i in range(len(initial))],
+        vocab=[f"w{i}" for i in range(len(emission[0]))],
+        initial=initial,
+        transition=transition,
+        emission=emission,
+        smoothing_alpha=0.0,
+    )
+
+
+# Every score ties at every step, so each argmax must take state 0.
+_TIED_MODEL = _fixed_model([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
+# Zeros give -inf scores.  s0 starts and emits only w0, s1 emits only w1,
+# and the states alternate, so "w0 w1 w0" has one finite path and "w1" or
+# "w0 w0" none: every score of such a step is -inf.
+_INF_MODEL = _fixed_model([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
 @PROPERTY
 @given(_model_and_obs())
+@example((_TIED_MODEL, tokenize("w0 w1 w1 w0")))
+@example((_INF_MODEL, tokenize("w0 w1 w0")))
+@example((_INF_MODEL, tokenize("w0 w0 w1")))
+@example((_INF_MODEL, tokenize("w1")))
 def test_viterbi_cached_tables_match_per_call_logs(case):
     model, tokens = case
     seq, log_prob = viterbi(model, tokens)
@@ -1217,6 +1289,8 @@ def _model_and_batch(draw):
 
 @PROPERTY
 @given(_model_and_batch())
+@example((_TIED_MODEL, [[0, 1, 1], [1], [0, 0]]))
+@example((_INF_MODEL, [[0, 1, 0], [0, 0, 1], [1], [1, 0]]))
 def test_batched_decode_matches_per_reference_viterbi(case):
     model, batch = case
     decoded = decode_batch(model.decoder, batch)

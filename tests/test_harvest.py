@@ -23,6 +23,7 @@ from citeforge.harvest import (
     efficiency_series,
     harvest,
     resume,
+    write_efficiency_csv,
 )
 
 
@@ -685,6 +686,22 @@ def test_efficiency_series_hand_computed(tmp_path):
         (2.0, 5, 4.0, 1.0),
         (3.0, 5, 0.0, 0.0),
         (4.0, 7, 2.0, 0.5),
+    ]
+
+
+def test_efficiency_csv_has_one_row_per_id_however_many_requests(tmp_path):
+    # id 2 fails twice, so its one row stands for three requests.
+    script = FixtureScript(fail_status={2: 503}, fail_times={2: 2})
+    with FixtureServer(script) as server:
+        cfg = make_config(server, tmp_path, id_end=3, max_retries=2)
+        stats = harvest(cfg, random.Random(5))
+    assert stats.requests == 5
+    csv_path = tmp_path / "efficiency.csv"
+    write_efficiency_csv(efficiency_series(cfg.log_path), csv_path)
+    header, *rows = csv_path.read_text().splitlines()
+    assert header == "timestamp,entries,entries_per_id,normalized"
+    assert [row.split(",")[1:] for row in rows] == [
+        ["1", "1.0", "1.0"], ["2", "1.0", "1.0"], ["3", "1.0", "1.0"]
     ]
 
 

@@ -2,9 +2,11 @@ import pytest
 
 from citeforge.tokens import (
     BACKOFF_CLASSES,
+    _SHAPES,
     _case_class,
     _last_char_class,
     _punct_class,
+    _shape_symbol,
     backoff_symbol,
     tokenize,
 )
@@ -98,3 +100,25 @@ def test_backoff_class_never_collides_with_lowercased_surface():
 def test_tokens_cover_all_nonspace_runs():
     ref = "a  b\tc\nd"
     assert tokenize(ref) == ref.split() == ["a", "b", "c", "d"]
+
+
+def _classified(surface):
+    """The backoff symbol from the surface's own classes, with no shape."""
+    case, punct, last = _case_class(surface), _punct_class(surface), _last_char_class(surface)
+    return f"C={case}|P={punct}|L={last}"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("Xy,", "Éü,"), ("2(3)", "7(9)"), ("Ⅷ;", "Ⓐ;"), ("a-b–c", "z-ß–q")],
+)
+def test_surfaces_of_one_shape_keep_their_symbols_in_either_order(first, second):
+    assert first.translate(_SHAPES) == second.translate(_SHAPES)
+    for order in ((first, second), (second, first)):
+        _shape_symbol.cache_clear()
+        assert [backoff_symbol(s) for s in order] == [_classified(s) for s in order]
+
+
+def test_the_shape_memo_is_bounded():
+    maxsize = _shape_symbol.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10**6
