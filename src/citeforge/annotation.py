@@ -23,7 +23,9 @@ _VALID_TAGS = {*CONSISTENCY_MAP, *NAME_PART_TAGS}
 
 def escape(text: str) -> str:
     """Escape annotation content; `&` first so entities stay unambiguous."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if "&" in text or "<" in text or ">" in text:
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text
 
 
 def unescape(text: str) -> str:

@@ -4,8 +4,13 @@ The parser is deliberately forgiving: a malformed entry is reported and
 skipped, never aborting the rest of the file, because harvested corpora
 reliably contain a few broken blocks.  String macros and `#` concatenation
 are out of scope and surface as syntax issues on the affected entry only.
-Values are scanned by regular expressions that jump from one brace, quote
-or separator to the next, so no Python loop visits every character.
+One regular-expression match reads each field: its name, `=`, a braced
+value with at most one inner brace level, a quoted or a bare one, and the
+separators after it; the `}` after the last field closes the entry.  An
+entry these matches cannot take whole (deeper nesting, `#`, a stray brace
+or quote, a bad key, `@comment`/`@string`) goes through the scanner,
+whose regular expressions jump from one brace, quote or separator to the
+next, so no Python loop visits every character; it alone reports issues.
 """
 
 from __future__ import annotations
@@ -132,6 +137,16 @@ _ENTRY_START = re.compile(r"@\s*([A-Za-z]+)\s*\{", re.ASCII)
 _FIELD_NAME = re.compile(r"([A-Za-z][\w.:-]*)\s*=\s*")
 _BARE_VALUE = re.compile(r"[^,{}\s#\"]+")
 _SEPARATORS = re.compile(r"[\s,]*")
+# One match per field (see the module doc); a quoted value's `{...}` groups
+# nest no deeper than a braced value's.
+_KEY = re.compile(r"\s*([^\s,{}]+)\s*," + _SEPARATORS.pattern)
+_FIELD = re.compile(
+    _FIELD_NAME.pattern
+    + r'(?:\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}|"([^"{}]*(?:\{[^{}]*\}[^"{}]*)*)"|('
+    + _BARE_VALUE.pattern
+    + "))"
+    + _SEPARATORS.pattern
+)
 _CONCATENATION = re.compile(r"\s*#")
 _WHITESPACE = re.compile(r"\s+")
 _BRACES = re.compile(r"[{}]")
@@ -200,6 +215,25 @@ def _parse_fields(body: str) -> dict[str, str]:
     return fields
 
 
+def _match_entry(text: str, i: int) -> tuple[str, dict[str, str], int] | None:
+    """Key, fields and end of the entry whose body starts at text[i], when
+    `_KEY` and one `_FIELD` match per field take the whole body; else None.
+
+    Every value a match takes has balanced braces, so the `}` after the
+    last field closes the entry, as `_read_braced` would find."""
+    m = _KEY.match(text, i)
+    if not m:
+        return None
+    key, fields, i = m[1], {}, m.end()
+    while m := _FIELD.match(text, i):
+        # Collapse the line-wrapping whitespace exports insert inside values.
+        fields.setdefault(m[1].lower(), " ".join(m[m.lastindex].split()))
+        i = m.end()
+    if text.startswith("}", i):
+        return key, fields, i + 1
+    return None
+
+
 def parse_bibtex(
     text: str, source_tag: str | None = None
 ) -> tuple[list[BibEntry], list[ValidationIssue]]:
@@ -217,38 +251,42 @@ def parse_bibtex(
     pos = 0
     while m := _ENTRY_START.search(text, pos):
         entry_type = m.group(1).lower()
-        try:
-            body, pos = _read_braced(text, m.end() - 1)
-        except _EntrySyntaxError as exc:
-            issues.append(ValidationIssue("?", IssueKind.SYNTAX_ERROR, str(exc)))
-            pos = m.end()
-            continue
+        matched = entry_type in ENTRY_TYPES and _match_entry(text, m.end())
+        if matched:
+            key, fields, pos = matched
+        else:
+            try:
+                body, pos = _read_braced(text, m.end() - 1)
+            except _EntrySyntaxError as exc:
+                issues.append(ValidationIssue("?", IssueKind.SYNTAX_ERROR, str(exc)))
+                pos = m.end()
+                continue
 
-        if entry_type == "comment":
-            continue
-        if entry_type in ("string", "preamble"):
-            issues.append(ValidationIssue(
-                "?", IssueKind.SYNTAX_ERROR, f"@{entry_type} is not supported"
-            ))
-            continue
+            if entry_type == "comment":
+                continue
+            if entry_type in ("string", "preamble"):
+                issues.append(ValidationIssue(
+                    "?", IssueKind.SYNTAX_ERROR, f"@{entry_type} is not supported"
+                ))
+                continue
 
-        key, _, rest = body.partition(",")
-        key = key.strip()
-        if not key or _WHITESPACE.search(key):
-            issues.append(ValidationIssue(
-                key or "?", IssueKind.SYNTAX_ERROR, "missing or malformed citation key"
-            ))
-            continue
-        if entry_type not in ENTRY_TYPES:
-            issues.append(ValidationIssue(
-                key, IssueKind.UNKNOWN_TYPE, f"unknown entry type @{entry_type}"
-            ))
-            continue
-        try:
-            fields = _parse_fields(rest)
-        except _EntrySyntaxError as exc:
-            issues.append(ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc)))
-            continue
+            key, _, rest = body.partition(",")
+            key = key.strip()
+            if not key or _WHITESPACE.search(key):
+                issues.append(ValidationIssue(
+                    key or "?", IssueKind.SYNTAX_ERROR, "missing or malformed citation key"
+                ))
+                continue
+            if entry_type not in ENTRY_TYPES:
+                issues.append(ValidationIssue(
+                    key, IssueKind.UNKNOWN_TYPE, f"unknown entry type @{entry_type}"
+                ))
+                continue
+            try:
+                fields = _parse_fields(rest)
+            except _EntrySyntaxError as exc:
+                issues.append(ValidationIssue(key, IssueKind.SYNTAX_ERROR, str(exc)))
+                continue
         if key in keys:
             issues.append(ValidationIssue(
                 key, IssueKind.DUPLICATE_KEY, "an earlier entry has this key"

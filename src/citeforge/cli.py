@@ -122,6 +122,8 @@ class Run:
         self.started = time.time()
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+        # sha256 of outputs a stage already hashed, which `finish` reuses.
+        self.digests: dict[Path, str] = {}
 
     def get(self, name: str, default=None):
         value = self.values.get(name)
@@ -161,7 +163,7 @@ class Run:
                 for p in self._files(self.inputs)
             ],
             "output_digests": [
-                {"path": str(p), "sha256": sha256_file(p)}
+                {"path": str(p), "sha256": self.digests.get(p) or sha256_file(p)}
                 for p in self._files(self.outputs)
             ],
             "started": self.started,
@@ -348,7 +350,8 @@ def cmd_annotate(run: Run) -> None:
 def cmd_build(run: Run) -> None:
     stats = BuildStats()
     records = _records(run, stats)
-    checksum = export(records, run.get("format", "jsonl"), run.wrote(run.get("out")))
+    out = run.wrote(run.get("out"))
+    checksum = run.digests[out] = export(records, run.get("format", "jsonl"), out)
     print(
         json.dumps(
             {

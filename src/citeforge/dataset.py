@@ -11,13 +11,12 @@ from __future__ import annotations
 import codecs
 import hashlib
 import random
-import re
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .bibtex import BibEntry, histogram_table
 from .jsonfile import read_json_lines, replacing, write_json_lines
-from .styles import MissingVariable, StyleTemplate, annotate
+from .styles import MissingVariable, StyleTemplate, renderer
 
 
 CITATION_KEYS = ("style", "bibRef", "annoRef")
@@ -122,19 +121,20 @@ def build_dataset(
         raise NoStyles("at least one style is required")
     if stats is None:
         stats = BuildStats()
+    renders = [(style.style_id, renderer(style)) for style in styles]
     for entry in entries:
         stats.entries += 1
         citations, values = [], {}
-        for style in styles:
+        for style_id, render in renders:
             try:
-                rendered = annotate(entry, style, values)
+                rendered = render(entry, values)
             except MissingVariable as exc:
                 stats.skipped_renders += 1
-                stats.skip_log.append((entry.key, style.style_id, str(exc)))
+                stats.skip_log.append((entry.key, style_id, str(exc)))
                 continue
             citations.append(
                 {
-                    "style": style.style_id,
+                    "style": style_id,
                     "bibRef": rendered.bib_ref,
                     "annoRef": rendered.anno_ref,
                 }
@@ -173,12 +173,11 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-# `csv.writer` (excel dialect) quotes a field holding one of these.
-_CSV_QUOTED = re.compile('[,"\r\n]')
-
-
 def _csv_field(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+    # `csv.writer` (excel dialect) quotes a field holding `,`, `"`, CR or LF.
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def export(

@@ -138,7 +138,8 @@ def format_name(name: _Name, name_format: str) -> tuple[str, str, str]:
     return name.surname, ", " if name_format == "surname_first_full" else " ", given
 
 
-# Name variables: formatted per (name_format, name_delimiter) of a style.
+# Name variables: parsed once per entry, formatted once per name_format and
+# joined per name_delimiter.
 _NAME_VARIABLES = ("author", "editor")
 
 
@@ -153,46 +154,90 @@ def annotate(
     """Reference string plus its tagged twin, written in one walk over the
     segments.  `values` memoises each formatted value as `(plain value,
     tagged inner)`, or None if the entry has none, keyed by variable (names
-    by `(variable, name_format, name_delimiter)`): an entry's styles share
-    one, else each call fills a fresh one.  A missing value drops an
-    omittable segment, else MissingVariable."""
-    values = {} if values is None else values
-    names_key = style.name_format, style.name_delimiter
-    plain, tagged = [], []
-    for seg in style.segments:
-        variable = seg.variable
-        key = (variable, *names_key) if variable in _NAME_VARIABLES else variable
-        if key in values:
-            pair = values[key]
-        else:
-            pair = value = entry_value(entry.fields, variable)
-            if value is not None:
-                if variable in _NAME_VARIABLES:
-                    names = [format_name(n, style.name_format) for n in parse_names(value)]
-                    value = style.name_delimiter.join(map("".join, names))
-                elif variable == "page":
-                    # Page ranges come in as 70-72 or 70--72; references print an en dash.
-                    value = _DASH_RUN.sub("–", value)
+    by `(variable, name_format, name_delimiter)`, with the entry's parsed
+    names and their formats per `name_format` kept beside them): an entry's
+    styles share one, else each call fills a fresh one.  A missing value
+    drops an omittable segment, else MissingVariable."""
+    return renderer(style)(entry, {} if values is None else values)
+
+
+def _value(
+    entry: BibEntry, variable: str, style: StyleTemplate, values: dict
+) -> tuple[str, str] | None:
+    """`(plain value, tagged inner)` of one variable in one style, or None if
+    the entry has none.  A name list is parsed once per entry (kept in
+    `values` under the variable) and formatted once per name format (under
+    `(variable, name_format)`); the style's delimiter only joins the names."""
+    if variable not in _NAME_VARIABLES:
+        value = entry_value(entry.fields, variable)
+        if value is None:
+            return None
+        if variable == "page":
+            # Page ranges come in as 70-72 or 70--72; references print an en dash.
+            value = _DASH_RUN.sub("–", value)
+        return value, escape(value)
+    key = variable, style.name_format
+    if key not in values:
+        if variable not in values:
+            value = entry_value(entry.fields, variable)
+            values[variable] = None if value is None else parse_names(value)
+        names = values[variable]
+        if names is not None:
+            plains, tagged = [], []
+            for name in names:
+                surname, joiner, given = format_name(name, style.name_format)
+                plains.append(surname + joiner + given)
                 if variable == "author":
                     # Name parts tagged; delimiters and joiners stay outside the tags.
-                    pair = value, escape(style.name_delimiter).join(
-                        f"<surname>{escape(surname)}</surname>"
-                        + (f"{joiner}<firstname>{escape(given)}</firstname>" if given else "")
-                        for surname, joiner, given in names
-                    )
+                    tagged.append(f"<surname>{escape(surname)}</surname>" + (
+                        f"{joiner}<firstname>{escape(given)}</firstname>" if given else ""
+                    ))
                 else:
-                    pair = value, escape(value)
-            values[key] = pair
-        if pair is None:
-            if seg.omit_if_missing:
-                continue
-            raise MissingVariable(f"{style.style_id}: entry {entry.key} has no {variable}")
-        value, inner = pair
-        plain.append(f"{seg.prefix}{value}{seg.suffix}")
-        tagged.append(f"{seg.prefix}<{variable}>{inner}</{variable}>{seg.suffix}")
-    plain.append(style.final_punct)
-    tagged.append(style.final_punct)
-    return RenderedReference(style.style_id, "".join(plain), "".join(tagged))
+                    tagged.append(escape(plains[-1]))
+            names = plains, tagged
+        values[key] = names
+    names = values[key]
+    if names is None:
+        return None
+    delimiter = style.name_delimiter
+    return delimiter.join(names[0]), escape(delimiter).join(names[1])
+
+
+def renderer(style: StyleTemplate):
+    """`annotate` of one style, called as `fn(entry, values)`: each
+    segment's memo key and tag texts are prepared once, here."""
+    steps = [
+        (
+            seg.variable,
+            (seg.variable, style.name_format, style.name_delimiter)
+            if seg.variable in _NAME_VARIABLES else seg.variable,
+            seg.prefix,
+            seg.suffix,
+            f"{seg.prefix}<{seg.variable}>",
+            f"</{seg.variable}>{seg.suffix}",
+            seg.omit_if_missing,
+        )
+        for seg in style.segments
+    ]
+
+    def annotate_one(entry: BibEntry, values: dict) -> RenderedReference:
+        plain, tagged = [], []
+        for variable, key, prefix, suffix, opening, closing, omittable in steps:
+            if key in values:
+                pair = values[key]
+            else:
+                pair = values[key] = _value(entry, variable, style, values)
+            if pair is None:
+                if omittable:
+                    continue
+                raise MissingVariable(f"{style.style_id}: entry {entry.key} has no {variable}")
+            plain.append(f"{prefix}{pair[0]}{suffix}")
+            tagged.append(f"{opening}{pair[1]}{closing}")
+        plain.append(style.final_punct)
+        tagged.append(style.final_punct)
+        return RenderedReference(style.style_id, "".join(plain), "".join(tagged))
+
+    return annotate_one
 
 
 _STYLE_KEYS = {

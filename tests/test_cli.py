@@ -245,6 +245,32 @@ def test_full_chain_and_manifests(tmp_path, corpus_file, capsys):
         assert manifest["output_digests"]
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_build_hashes_its_output_once(tmp_path, corpus_file, capsys, monkeypatch, fmt):
+    """The manifest reuses the digest `export` returned: the dataset is
+    read back once, and both digests are its bytes' sha256."""
+    import hashlib
+
+    import citeforge.cli
+    import citeforge.dataset
+
+    hashed = []
+
+    def counting(path, real=citeforge.dataset.sha256_file):
+        hashed.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(citeforge.cli, "sha256_file", counting)
+    monkeypatch.setattr(citeforge.dataset, "sha256_file", counting)
+    out = tmp_path / f"ds.{fmt}"
+    assert run("build", "--in", corpus_file, "--out", out, "--format", fmt) == 0
+    want = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert json.loads(capsys.readouterr().out)["sha256"] == want
+    manifest = json.loads((tmp_path / f"ds.{fmt}.manifest.json").read_text())
+    assert manifest["output_digests"] == [{"path": str(out), "sha256": want}]
+    assert hashed.count(out.name) == 1
+
+
 def _write_perfect_tags(ds, tagged):
     """Tag every citation of the dataset `ds` with its own ground truth."""
     from citeforge.dataset import load_jsonl

@@ -1111,10 +1111,17 @@ def test_parse_bibtex_matches_reference_on_synthetic_corpus(seed):
 _BIB_SPACE = st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f",
                               "\x85", "\xa0", "\u2028", "\u3000"])
 _BIB_WORD = st.text(alphabet="aZ1.:-_", min_size=1, max_size=4)
-# a braced value with inner whitespace, a quoted one with a stray brace, a bare one
+# a braced value with inner whitespace, one nested one and two levels deep
+# (one match takes the first, the scanner the second), a quoted one with a
+# stray brace or a `{...}` group nested one or two levels, a bare one
 _BIB_VALUE = st.one_of(
     st.builds("{{{}{}{}}}".format, _BIB_WORD, _BIB_SPACE, _BIB_WORD),
+    st.builds("{{{}{{{}{}}}{}}}".format, _BIB_WORD, _BIB_WORD, _BIB_SPACE, _BIB_WORD),
+    st.builds("{{{}{{{}{{{}}}}}{}}}".format, _BIB_WORD, _BIB_WORD, _BIB_WORD, _BIB_SPACE),
     st.builds('"{}{}{}"'.format, _BIB_WORD, st.sampled_from(["{", "}", "{x}", "}{"]), _BIB_WORD),
+    st.builds('"{}{{{}{}}}{}"'.format, _BIB_WORD, _BIB_SPACE, st.sampled_from(['"', ",", "x"]),
+              _BIB_WORD),
+    st.builds('"{}{{{{{}}}{}}}"'.format, _BIB_SPACE, _BIB_WORD, _BIB_WORD),
     _BIB_WORD,
 )
 _BIB_FIELD = st.builds(
@@ -1148,6 +1155,10 @@ _BIB_ENTRY = st.builds(
 @example("@article{k, title = {A\x85\u3000B\xa0}, year = a#b}")
 @example('@misc{k{, title = "a}b",}')
 @example("@article{a\u2028b, title = x}")
+@example("@misc{k, author = {{Nolan,} Ciara and Maeve Levitt}}")
+@example("@misc{k, title = {a {b {c}} d}}")
+@example('@misc{k, title = "x {y} z"}')
+@example('@misc{k, title = "a}b", year = 1}')
 def test_parse_bibtex_matches_reference_on_arbitrary_text(text):
     assert _bibtex_outcome(parse_bibtex, text) == _bibtex_outcome(reference_parse_bibtex, text)
 
