@@ -10,6 +10,11 @@ win, then the environment, then the config file.  Each handler takes one
 and writes, and leaves a manifest with their checksums.  A required flag
 that no source gives exits 2 before the stage reads any input.
 
+Every stage is a fresh interpreter, so each imports only the library
+modules it runs: at load time this module imports `jsonfile` alone, and a
+handler loads its modules on first use (`LIBRARY`, `_load`).  `parse` thus
+compiles `bibtex` and `jsonfile`, and `split` `dataset` and `jsonfile`.
+
 `tag` checks each dataset row as it reads it: a bibRef with no token
 exits 1, naming the row's id and style, before anything is decoded.
 `tag --split` selects dataset rows; with a text input it exits 1.
@@ -21,54 +26,70 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .annotation import MalformedAnnotation
-from .bibtex import (
-    CleanPolicy,
-    clean_corpus,
-    histogram_table,
-    parse_bibtex,
-    serialize,
-    validate_entry,
-)
-from .dataset import (
-    BuildStats,
-    SplitManifest,
-    build_dataset,
-    dataset_stats,
-    export,
-    is_dataset,
-    load_jsonl,
+from .jsonfile import (
+    is_json_lines,
+    read_json,
+    read_json_lines,
     sha256_file,
-    split_dataset,
+    write_json,
+    write_json_lines,
+    write_text,
 )
-from .evaluate import EvalPolicy, evaluate_dataset, format_report, write_report
-from .harvest import (
-    HarvestConfig,
-    efficiency_series,
-    harvest as run_harvest,
-    resume as run_resume,
-    write_efficiency_csv,
-)
-from .hmm import (
-    EmptyInput,
-    HmmModel,
-    align_training,
-    tag_reference,  # unused; perfbench's --trace 1 wraps it here, AttributeError without
-    tag_references,
-    train_hmm,
-)
-from .jsonfile import read_json, read_json_lines, write_json, write_json_lines, write_text
-from .styles import builtin_styles_dir, load_styles
-from .tokens import WORD
+
+# The library names the handlers call, by the module that defines them.  A
+# handler binds its modules' names here with `_load` before it calls them,
+# so a stage imports only the modules it runs.  Handlers call each name
+# through this module's namespace, where `getattr` also finds one not yet
+# bound (`__getattr__`) and `setattr` can replace one: the benchmark's
+# traced pass wraps them here.
+LIBRARY = {
+    "annotation": ("MalformedAnnotation",),
+    "bibtex": (
+        "CleanPolicy", "clean_corpus", "histogram_table", "parse_bibtex",
+        "serialize", "validate_entry",
+    ),
+    "dataset": (
+        "BuildStats", "SplitManifest", "build_dataset", "dataset_stats", "export",
+        "load_jsonl", "split_dataset",
+    ),
+    "evaluate": ("EvalPolicy", "evaluate_dataset", "format_report", "write_report"),
+    "harvest": (
+        "HarvestConfig", "efficiency_series", "harvest", "resume", "write_efficiency_csv",
+    ),
+    "hmm": (
+        "EmptyInput", "HmmModel", "align_training", "tag_reference", "tag_references",
+        "train_hmm",
+    ),
+    "styles": ("builtin_styles_dir", "load_styles"),
+    "tokens": ("WORD",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the LIBRARY names of `modules` here; a name already bound keeps
+    its value."""
+    for module in modules:
+        library = importlib.import_module(f"{__package__}.{module}")
+        for name in LIBRARY[module]:
+            globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    for module, names in LIBRARY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Every domain error class of the package subclasses ValueError.
 DOMAIN_ERRORS = (ValueError, OSError)
@@ -258,6 +279,7 @@ def _styles(run: Run):
 
 
 def cmd_parse(run: Run) -> None:
+    _load("bibtex")
     entries, issues = _load_entries(run, run.get("in"))
     for entry in entries:
         issues.extend(validate_entry(entry))
@@ -274,6 +296,7 @@ def cmd_parse(run: Run) -> None:
 
 
 def cmd_clean(run: Run) -> None:
+    _load("bibtex")
     entries, _ = _load_entries(run, run.get("in"))
     strip = tuple(
         f.strip() for f in (run.get("strip_fields") or "").split(",") if f.strip()
@@ -299,7 +322,7 @@ def cmd_clean(run: Run) -> None:
 
 def cmd_stats(run: Run) -> None:
     paths = run.get("in")
-    datasets = [is_dataset(path) for path in paths]
+    datasets = [is_json_lines(path) for path in paths]
     if any(datasets) and not all(datasets):
         odd = paths[datasets.index(not datasets[0])]
         kind = "a BibTeX file" if datasets[0] else "a dataset"
@@ -308,10 +331,12 @@ def cmd_stats(run: Run) -> None:
             f"{kind}, unlike {paths[0]}"
         )
     if datasets[0]:
+        _load("dataset")
         text = dataset_stats(
             record for path in paths for record in load_jsonl(run.read(path))
         )
     else:
+        _load("bibtex")
         text = histogram_table(
             [entry for path in paths for entry in _load_entries(run, path)[0]]
         )
@@ -321,16 +346,18 @@ def cmd_stats(run: Run) -> None:
     print(text)
 
 
-def _records(run: Run, stats: BuildStats):
-    """The dataset records of the --in BibTeX file in the chosen styles;
-    `stats` counts them and logs each skipped render."""
+def _records(run: Run):
+    """The dataset records of the --in BibTeX file in the chosen styles, and
+    the BuildStats that counts them and logs each skipped render."""
+    _load("bibtex", "dataset", "styles")
+    stats = BuildStats()
     entries, _ = _load_entries(run, run.get("in"))
-    return build_dataset(entries, _styles(run), stats=stats)
+    return build_dataset(entries, _styles(run), stats=stats), stats
 
 
 def cmd_render(run: Run) -> None:
-    stats = BuildStats()
-    lines = [cit["bibRef"] for record in _records(run, stats) for cit in record.citations]
+    records, stats = _records(run)
+    lines = [cit["bibRef"] for record in records for cit in record.citations]
     write_text(run.wrote(run.get("out")), "\n".join(lines) + "\n")
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
@@ -338,8 +365,7 @@ def cmd_render(run: Run) -> None:
 
 
 def cmd_annotate(run: Run) -> None:
-    stats = BuildStats()
-    records = _records(run, stats)
+    records, stats = _records(run)
     rows = ({"id": record.id, **cit} for record in records for cit in record.citations)
     write_json_lines(run.wrote(run.get("out")), rows)
     for _, _, reason in stats.skip_log:
@@ -348,8 +374,7 @@ def cmd_annotate(run: Run) -> None:
 
 
 def cmd_build(run: Run) -> None:
-    stats = BuildStats()
-    records = _records(run, stats)
+    records, stats = _records(run)
     out = run.wrote(run.get("out"))
     checksum = run.digests[out] = export(records, run.get("format", "jsonl"), out)
     print(
@@ -367,6 +392,7 @@ def cmd_build(run: Run) -> None:
 
 
 def cmd_split(run: Run) -> None:
+    _load("dataset")
     records = load_jsonl(run.read(run.get("in")))
     manifest = split_dataset((r.id for r in records), run.get("seed", 42))
     write_json(run.wrote(run.get("out")), manifest._asdict())
@@ -398,6 +424,7 @@ def _aligned(path: Path, record_id: str, cit: dict):
 
 
 def cmd_train(run: Run) -> None:
+    _load("annotation", "dataset", "hmm")
     in_path = run.read(run.get("in"))
     train_ids = _split_ids(run, "train")
     # zip draws from `counted` only after it got a citation, so `counted`
@@ -439,7 +466,7 @@ def _references(run: Run, in_path: Path):
     non-blank line of a text file, where LF, CR LF and a lone CR end a line
     and FF, VT, U+0085 and U+2028 do not.
     A dataset row whose bibRef has no token is an EmptyInput naming it."""
-    if is_dataset(in_path):
+    if is_json_lines(in_path):
         keep = _split_ids(run, "eval")
         for record in load_jsonl(in_path):
             if keep is None or record.id in keep:
@@ -464,6 +491,7 @@ TAG_BATCH = 64
 
 
 def cmd_tag(run: Run) -> None:
+    _load("dataset", "hmm", "tokens")
     model = HmmModel.load(run.read(run.get("model")))
     in_path = run.read(run.get("in"))
 
@@ -487,6 +515,7 @@ def cmd_tag(run: Run) -> None:
 
 
 def cmd_evaluate(run: Run) -> None:
+    _load("dataset", "evaluate")
     tagged_path = run.read(run.get("in"))
     records = load_jsonl(run.read(run.get("dataset")))
     eval_ids = _split_ids(run, "eval")
@@ -506,6 +535,9 @@ def cmd_evaluate(run: Run) -> None:
 
 
 def cmd_harvest(run: Run) -> None:
+    import random
+
+    _load("harvest")
     agents = run.get("user_agent")
     config = HarvestConfig(
         url_template=run.get("url_template"),
@@ -524,9 +556,9 @@ def cmd_harvest(run: Run) -> None:
     seed = run.get("seed")
     rng = random.Random(seed) if seed is not None else None
     if run.get("resume", False):
-        stats = run_resume(config, rng)
+        stats = resume(config, rng)
     else:
-        stats = run_harvest(config, rng)
+        stats = harvest(config, rng)
     run.wrote(config.output_path)
     run.wrote(config.checkpoint_path)
     csv_out = run.get("efficiency_csv")

@@ -8,15 +8,17 @@ one record at a time whatever the corpus size.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
+import itertools
 import random
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .bibtex import BibEntry, histogram_table
-from .jsonfile import read_json_lines, replacing, write_json_lines
-from .styles import MissingVariable, StyleTemplate, renderer
+from .jsonfile import json_line, read_json_lines, replacing
+
+if TYPE_CHECKING:
+    from .bibtex import BibEntry
+    from .styles import StyleTemplate
 
 
 CITATION_KEYS = ("style", "bibRef", "annoRef")
@@ -117,6 +119,8 @@ def build_dataset(
     for one (entry, style) pair is recorded in `stats` and skipped; an entry
     failing every style yields no record.
     """
+    from .styles import MissingVariable, renderer
+
     if not styles:
         raise NoStyles("at least one style is required")
     if stats is None:
@@ -164,15 +168,6 @@ def split_dataset(records: Iterable[DatasetRecord | str], seed: int) -> SplitMan
     return SplitManifest(seed, tuple(ids[:n_train]), tuple(ids[n_train:]))
 
 
-def sha256_file(path: Path) -> str:
-    """Hex sha256 of a file's bytes, read in 64 KiB blocks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _csv_field(text: str) -> str:
     # `csv.writer` (excel dialect) quotes a field holding `,`, `"`, CR or LF.
     if "," in text or '"' in text or "\r" in text or "\n" in text:
@@ -180,51 +175,50 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _csv_rows(record: DatasetRecord) -> str:
+    flat = "; ".join(f"{k}:{v}" for k, v in record.bib_fields.items())
+    head, tail = _csv_field(record.id), _csv_field(flat)
+    return "".join(
+        f"{head},{_csv_field(cit['style'])},{_csv_field(cit['bibRef'])},"
+        f"{_csv_field(cit['annoRef'])},{tail}\r\n"
+        for cit in record.citations
+    )
+
+
+# Each export format: its header, and the text of one record.
+FORMATS = {
+    "jsonl": ("", lambda record: json_line(record.to_json_dict())),
+    "csv": ("id,style,bibRef,annoRef,bib_fields\r\n", _csv_rows),
+}
+
+
 def export(
     records: Iterable[DatasetRecord], format: str, path: str | Path
 ) -> str:
-    """Write records to `path` as jsonl or csv; returns the file's sha256.
+    """Write records to `path` as jsonl or csv; returns the file's sha256,
+    taken of the UTF-8 bytes as they are written.
 
-    jsonl: one record per line, LF endings.  csv: the bytes `csv.writer`
-    writes (excel dialect, see README), one row per (id, style) with the
-    entry's fields flattened into one column of `name:value` pairs; each
-    record's rows are built as strings and written at once.
+    jsonl: one `json_line` per record, LF endings.  csv: the bytes
+    `csv.writer` writes (excel dialect, see README), one row per (id,
+    style) with the entry's fields flattened into one column of
+    `name:value` pairs; each record's rows are built as strings and written
+    at once.
     """
-    path = Path(path)
-    if format == "jsonl":
-        write_json_lines(path, (record.to_json_dict() for record in records))
-    elif format == "csv":
-        with replacing(path) as fh:
-            fh.write("id,style,bibRef,annoRef,bib_fields\r\n")
-            for record in records:
-                flat = "; ".join(f"{k}:{v}" for k, v in record.bib_fields.items())
-                head, tail = _csv_field(record.id), _csv_field(flat)
-                fh.write("".join(
-                    f"{head},{_csv_field(cit['style'])},{_csv_field(cit['bibRef'])},"
-                    f"{_csv_field(cit['annoRef'])},{tail}\r\n"
-                    for cit in record.citations
-                ))
-    else:
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
-    return sha256_file(path)
+    header, text = FORMATS[format]
+    digest = hashlib.sha256()
+    with replacing(path) as fh:
+        # Each chunk is encoded once, for the digest and the file alike.
+        for chunk in itertools.chain((header,), map(text, records)):
+            data = chunk.encode()
+            digest.update(data)
+            fh.buffer.write(data)
+    return digest.hexdigest()
 
 
 def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:
     return read_json_lines(path, DatasetRecord.from_json_dict)
-
-
-def is_dataset(path: str | Path) -> bool:
-    """Whether a file is a dataset rather than text: its first non-blank
-    character, past a byte order mark, is `{`, or `[` followed by `{` (a row
-    wrapped in a list).  `load_jsonl` then reads it strictly.  A numbered
-    reference list (`[1] ...`) stays text."""
-    with open(path, "rb") as fh:
-        head = b"".join(fh.readline().removeprefix(codecs.BOM_UTF8).split())
-        for line in fh:
-            if head not in (b"", b"["):
-                break
-            head += b"".join(line.split())
-    return head.startswith((b"{", b"[{"))
 
 
 def dataset_stats(records: Iterable[DatasetRecord]) -> str:
@@ -233,6 +227,8 @@ def dataset_stats(records: Iterable[DatasetRecord]) -> str:
     Sources and types come from build-time provenance; records reloaded
     from disk carry none and group under "all" with unknown types.
     """
+    from .bibtex import BibEntry, histogram_table
+
     return histogram_table(
         BibEntry(r.entry_type, r.id, r.bib_fields, r.source_tag) for r in records
     )

@@ -15,16 +15,15 @@ Each distinct raw value is normalized once per scoring call.
 
 from __future__ import annotations
 
-import math
 import re
 import unicodedata
 from collections import Counter
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .annotation import MalformedAnnotation, parse_annotation
 from .jsonfile import write_json
-from .labels import CONSISTENCY_MAP, to_canonical
+from .labels import CONSISTENCY_MAP, ExtractedField, check_nonnegative, to_canonical
 
 
 class MatchClass(Enum):
@@ -35,11 +34,6 @@ class MatchClass(Enum):
     MISS = "miss"
 
 
-class ExtractedField(NamedTuple):
-    label: str
-    value: str
-
-
 class EvalPolicy:
     tau = 0.15
     count_near_as_correct = False
@@ -47,15 +41,6 @@ class EvalPolicy:
     def __init__(self, tau: float = tau, count_near_as_correct: bool = count_near_as_correct):
         check_nonnegative("tau", tau)
         self.tau, self.count_near_as_correct = tau, count_near_as_correct
-
-
-def check_nonnegative(name: str, value) -> None:
-    """ValueError unless `value` is a finite number >= 0 (a bool is not a
-    number here): the rule for `EvalPolicy.tau` and the HMM's `alpha`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        math.isfinite(value) and value >= 0
-    ):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 _DASHES = re.compile(r"[-‐‑‒–—―−]+")

@@ -48,9 +48,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .annotation import parse_annotation
-from .evaluate import ExtractedField, check_nonnegative
 from .jsonfile import read_json, write_text
-from .labels import LABEL_SET, field_for_label
+from .labels import LABEL_SET, ExtractedField, check_nonnegative, field_for_label
 from .tokens import BACKOFF_CLASSES, WORD, backoff_symbol
 
 if TYPE_CHECKING:

@@ -7,12 +7,15 @@ wrong type all become one error naming the file, and for JSON Lines the
 line.  Every output is written by `replacing`, so it appears only when
 complete and a failed stage leaves its outputs as they were.  Only the
 harvest output and its `.log` are written elsewhere: the harvester
-appends to them at the byte offsets its checkpoint records.
+appends to them at the byte offsets its checkpoint records.  Here too are
+the two file tests every CLI stage may need: `is_json_lines` tells rows
+from text, and `sha256_file` hashes a file for a run's manifest.
 """
 
 from __future__ import annotations
 
 import codecs
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -23,6 +26,9 @@ BAD_DOCUMENT = (ValueError, KeyError, TypeError, RecursionError)
 # The line breaks of `str.splitlines()` that JSON keeps raw inside a string
 # (it escapes every one below U+0020), with their JSON escapes.
 LINE_BREAK_ESCAPES = [(c, f"\\u{ord(c):04x}") for c in "\x85\u2028\u2029"]
+# The encoder of every JSON Lines row: `json.dumps` with a keyword argument
+# builds a new one per call.
+ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def _reason(exc: Exception) -> str:
@@ -95,15 +101,43 @@ def write_json(path: str | Path, document) -> None:
     write_text(path, json.dumps(document, indent=2) + "\n")
 
 
+def json_line(row) -> str:
+    """A row as one compact line with its LF.  Non-ASCII text is kept, except
+    U+0085, U+2028 and U+2029, which are escaped so that a row is one line to
+    `str.splitlines()` readers too."""
+    line = ROW_ENCODER.encode(row)
+    for char, escape in LINE_BREAK_ESCAPES:
+        line = line.replace(char, escape)
+    return line + "\n"
+
+
 def write_json_lines(path: str | Path, rows: Iterable) -> int:
-    """One compact row per line, LF endings; returns the row count.  Non-ASCII
-    text is kept, except U+0085, U+2028 and U+2029, which are escaped so that
-    a row is one line to `str.splitlines()` readers too."""
+    """One `json_line` per row; returns the row count."""
     count = 0
     with replacing(path) as fh:
         for count, row in enumerate(rows, 1):
-            line = json.dumps(row, ensure_ascii=False)
-            for char, escape in LINE_BREAK_ESCAPES:
-                line = line.replace(char, escape)
-            fh.write(line + "\n")
+            fh.write(json_line(row))
     return count
+
+
+def is_json_lines(path: str | Path) -> bool:
+    """Whether a file holds JSON Lines rows (a dataset, tagged rows) rather
+    than text: its first non-blank character, past a byte order mark, is `{`,
+    or `[` followed by `{` (a row wrapped in a list).  `read_json_lines` then
+    reads it strictly.  A numbered reference list (`[1] ...`) stays text."""
+    with open(path, "rb") as fh:
+        head = b"".join(fh.readline().removeprefix(codecs.BOM_UTF8).split())
+        for line in fh:
+            if head not in (b"", b"["):
+                break
+            head += b"".join(line.split())
+    return head.startswith((b"{", b"[{"))
+
+
+def sha256_file(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read in 64 KiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()

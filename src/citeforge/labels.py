@@ -6,9 +6,16 @@ keys are the labels that name a field, in order, and the vocabulary is those
 keys plus `other`.  The mapping to BibTeX field names is kept explicit so a
 field never silently changes name between the source entry and the annotated
 output (the "Pages" vs "Locality" class of mismatch).
+
+The tagger and the scorer share two more things from here, so that neither
+imports the other: `ExtractedField`, a label and its value, and
+`check_nonnegative`, the rule for the HMM's `alpha` and the scorer's `tau`.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 # Name-part tags allowed only inside an author span.
 NAME_PART_TAGS = ("surname", "firstname")
@@ -72,3 +79,17 @@ def entry_value(fields: dict[str, str], label: str) -> str | None:
         if value is not None and value != "":
             return value
     return None
+
+
+class ExtractedField(NamedTuple):
+    label: str
+    value: str
+
+
+def check_nonnegative(name: str, value) -> None:
+    """ValueError unless `value` is a finite number >= 0 (a bool is not a
+    number here): the rule for `EvalPolicy.tau` and the HMM's `alpha`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and value >= 0
+    ):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")

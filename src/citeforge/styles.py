@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .annotation import escape
-from .bibtex import BibEntry
 from .jsonfile import read_json
 from .labels import CONSISTENCY_MAP, entry_value
+
+if TYPE_CHECKING:
+    from .bibtex import BibEntry
 
 NAME_FORMATS = ("surname_initials", "surname_first_full", "initials_dotted")
 

@@ -247,28 +247,30 @@ def test_full_chain_and_manifests(tmp_path, corpus_file, capsys):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_build_hashes_its_output_once(tmp_path, corpus_file, capsys, monkeypatch, fmt):
-    """The manifest reuses the digest `export` returned: the dataset is
-    read back once, and both digests are its bytes' sha256."""
+    """`export` hashes the dataset as it writes it and the manifest reuses
+    that digest: the dataset is never read back, and both digests are its
+    bytes' sha256."""
     import hashlib
 
     import citeforge.cli
-    import citeforge.dataset
+    import citeforge.jsonfile
 
     hashed = []
 
-    def counting(path, real=citeforge.dataset.sha256_file):
+    def counting(path, real=citeforge.jsonfile.sha256_file):
         hashed.append(Path(path).name)
         return real(path)
 
     monkeypatch.setattr(citeforge.cli, "sha256_file", counting)
-    monkeypatch.setattr(citeforge.dataset, "sha256_file", counting)
+    monkeypatch.setattr(citeforge.jsonfile, "sha256_file", counting)
     out = tmp_path / f"ds.{fmt}"
     assert run("build", "--in", corpus_file, "--out", out, "--format", fmt) == 0
     want = hashlib.sha256(out.read_bytes()).hexdigest()
     assert json.loads(capsys.readouterr().out)["sha256"] == want
     manifest = json.loads((tmp_path / f"ds.{fmt}.manifest.json").read_text())
     assert manifest["output_digests"] == [{"path": str(out), "sha256": want}]
-    assert hashed.count(out.name) == 1
+    assert hashed.count(out.name) == 0
+    assert hashed  # the input digests still read their files
 
 
 def _write_perfect_tags(ds, tagged):
@@ -1186,6 +1188,97 @@ def test_import_budget_of_cli_stages(tmp_path, corpus_file, child_env):
     assert seen["tag_exit"] == 0 and seen["tag"] == ["numpy"]
     # the package exports the function, not the submodule of the same name
     assert seen["harvest"] == [True, "citeforge.harvest"]
+
+
+# Runs one stage, as `python -m citeforge.cli` would, and prints the
+# citeforge modules it left loaded besides the package and the CLI.
+STAGE_MODULES_PROBE = """
+import json, sys
+import citeforge.cli as cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(m.split(".")[1] for m in sys.modules
+                        if m.startswith("citeforge.") and m != "citeforge.cli")))
+sys.exit(code)
+"""
+BIBTEX_SIDE = {"bibtex", "jsonfile"}
+MODEL_SIDE = {"dataset", "hmm", "tokens", "annotation", "labels", "jsonfile"}
+STAGE_MODULES = {
+    "parse": BIBTEX_SIDE,
+    "clean": BIBTEX_SIDE,
+    "stats": BIBTEX_SIDE,
+    "build": BIBTEX_SIDE | {"dataset", "styles", "annotation", "labels"},
+    "split": {"dataset", "jsonfile"},
+    "train": MODEL_SIDE,
+    "tag": MODEL_SIDE,
+    "evaluate": {"dataset", "evaluate", "annotation", "labels", "jsonfile"},
+}
+
+
+def test_each_stage_imports_only_its_modules(tmp_path, corpus_file, chain_files, child_env):
+    """Every stage is a fresh interpreter, which compiles each module it
+    imports: a stage loads the modules it runs and no others."""
+    ds, split, model = chain_files
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", ds, "--split", split, "--model", model, "--out", tagged) == 0
+    argv = {
+        "parse": ["--in", corpus_file, "--out", tmp_path / "parsed.bib"],
+        "clean": ["--in", corpus_file, "--out", tmp_path / "clean.bib"],
+        "stats": ["--in", corpus_file],
+        "build": ["--in", corpus_file, "--out", tmp_path / "built.jsonl"],
+        "split": ["--in", ds, "--out", tmp_path / "split2.json"],
+        "train": ["--in", ds, "--split", split, "--out", tmp_path / "model2.json"],
+        "tag": ["--in", ds, "--split", split, "--model", model, "--out", tmp_path / "t.jsonl"],
+        "evaluate": ["--in", tagged, "--dataset", ds, "--split", split],
+    }
+    loaded = {}
+    for stage, args in argv.items():
+        result = subprocess.run(
+            [sys.executable, "-c", STAGE_MODULES_PROBE, stage, *map(str, args)],
+            env=child_env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        loaded[stage] = set(json.loads(result.stdout.splitlines()[-1]))
+    assert loaded == STAGE_MODULES
+
+
+# Every name the package exported when its __init__ imported them all.
+PACKAGE_EXPORTS = (
+    "BibEntry", "BuildStats", "Checkpoint", "CleanPolicy", "CleanStats", "DatasetRecord",
+    "EvalPolicy", "EvalReport", "ExtractedField", "FeatureVector", "HarvestConfig",
+    "HarvestStats", "HmmModel", "IssueKind", "LabelSequence", "MalformedAnnotation",
+    "MatchClass", "MissingVariable", "NoReferenceSection", "ReferenceBlock",
+    "RenderedReference", "Segment", "SplitManifest", "StyleTemplate", "Token",
+    "ValidationIssue", "align_training", "annotate", "build_dataset", "classify_match",
+    "clean_corpus", "dataset_stats", "efficiency_series", "evaluate_dataset", "export",
+    "extract_references", "field_histogram", "format_report", "ground_truth_fields",
+    "harvest", "levenshtein", "load_builtin_styles", "load_jsonl", "load_styles",
+    "normalize", "parse_annotation", "parse_bibtex", "render", "resume", "score",
+    "serialize", "split_dataset", "strip_tags", "tag_reference", "tag_references",
+    "tokenize", "train_hmm", "type_histogram", "validate_entry", "viterbi",
+)
+EXPORTS_PROBE = """
+import json, sys, types
+modules = []
+for name in sys.argv[1:]:
+    scope = {}
+    exec(f"from citeforge import {name}", scope)
+    if isinstance(scope[name], types.ModuleType):
+        modules.append(name)
+import citeforge
+print(json.dumps([modules, sorted(set(sys.argv[1:]) - set(dir(citeforge)))]))
+"""
+
+
+def test_every_package_name_imports_from_the_package(child_env):
+    """In a fresh interpreter, one name at a time, each name imports from
+    `citeforge` as the object it names, never as a submodule (`harvest` is
+    the function), and `dir(citeforge)` lists it."""
+    result = subprocess.run(
+        [sys.executable, "-c", EXPORTS_PROBE, *PACKAGE_EXPORTS],
+        env=child_env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert json.loads(result.stdout) == [[], []]
 
 
 def test_cli_import_loads_no_dataclass_machinery(child_env):
