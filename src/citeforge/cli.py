@@ -503,7 +503,7 @@ def cmd_tag(run: Run) -> None:
             if decoder is None:
                 # Built at the first batch, so an input with no reference
                 # never imports numpy.  Only the decoder is kept: the
-                # model's nested-list tables are freed here.
+                # model's counts are freed here.
                 decoder, model = model.decoder, None
             tagged = tag_references(decoder, [reference for _, reference in batch])
             for (keys, reference), (extracted, log_prob) in zip(batch, tagged):

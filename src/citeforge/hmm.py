@@ -11,20 +11,23 @@ toward the lower state index so output is reproducible.
 will do), and keeps only counts keyed by label and surface, so
 its memory follows the model, not the corpus.
 
-Training and loading are pure Python: `train_hmm` and `HmmModel.load`
-give the initial, transition and emission tables as nested lists of
-floats.  Each row is normalized by a total summed in numpy's pairwise
-order (`pairwise_sum`), so the saved model is the same, byte for byte,
-as one estimated with numpy.  A model also accepts ndarray tables and
-keeps whatever it is given; the tables are treated as fixed after
-construction.  numpy is imported only when a model decodes: its
-`decoder`, the states, the symbol index and the three log tables, is
-built once, on the first decode, so `train` and `load` never pay that
-import.  `tag` holds only that decoder, so the nested lists a model
-file loads into are freed before the first reference is decoded.
-`HmmModel.load` validates a model file (shapes, finite numeric
-probabilities, rows summing to 1, canonical states, every backoff class
-in the vocabulary) and raises ValueError on a bad one.
+A model is its counts.  Training and loading are pure Python and only
+count or read: the initial and transition counts, and each state's
+non-zero emission counts, which `model.json` holds as parallel lists of
+columns and counts, so the file grows with the non-zero counts and not
+with states x vocabulary.  numpy is imported only when a model decodes:
+its `decoder`, the states, the symbol index and the three log tables, is
+built once, on the first decode, each row as `(count + alpha) / row total`
+(uniform where a row has no mass), so `train` and `load` never pay that
+import.  `tag` holds only that decoder, so the counts a model file loads
+into are freed before the first reference is decoded.  `HmmModel.load`
+raises ValueError on a file that is not a model of counts: a missing key,
+states or vocab that are not distinct strings, a state that is not a
+canonical label, a backoff class missing from the vocabulary, a count
+that is not an integer from 0 to 2**53 (a bool is not one), a row of the
+wrong length, an emission column out of range or out of increasing
+order, and a model of dense probabilities, the format of earlier
+versions.
 
 Decoding is batched: `decode_batch` runs the max-plus Viterbi recursion
 (Rabiner 1989) over many sequences at once, one numpy step per position
@@ -39,11 +42,10 @@ the row before the batch reaches the decoder.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, groupby, islice
-from operator import add, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -55,9 +57,15 @@ from .tokens import BACKOFF_CLASSES, WORD, backoff_symbol
 if TYPE_CHECKING:
     import numpy as np
 
-    Table = list[float] | list[list[float]] | np.ndarray
+    Weights = list[int] | list[list[int]] | list[dict[int, int]] | np.ndarray
 
 MIN_SURFACE_FREQ = 2
+MODEL_KEYS = (
+    "states", "vocab", "alpha", "initial", "transition",
+    "emission_columns", "emission_counts",
+)
+# The largest count a float holds exactly, with every integer below it.
+MAX_COUNT = 2**53
 
 
 class EmptyCorpus(ValueError):
@@ -76,13 +84,20 @@ class LabelSequence:
 
 
 class HmmModel:
+    """Row weights plus the smoothing `alpha` decoding adds to each cell.
+    `train_hmm` and `load` give counts: `initial` (N,), `transition` (N, N)
+    and, per state, an `emission` dict of its non-zero counts by column.
+    Dense weights (lists or ndarrays) decode alike: with alpha 0, a table
+    of probabilities decodes as itself.  Only a model of counts is saved;
+    the tables are treated as fixed after construction."""
+
     def __init__(
         self,
         states: list[str],
         vocab: list[str],
-        initial: Table,  # (N,)
-        transition: Table,  # (N, N)
-        emission: Table,  # (N, V)
+        initial: Weights,  # (N,)
+        transition: Weights,  # (N, N)
+        emission: Weights,  # (N, V)
         smoothing_alpha: float,
     ):
         self.states, self.vocab, self.smoothing_alpha = states, vocab, smoothing_alpha
@@ -95,11 +110,16 @@ class HmmModel:
         and read by every later one."""
         import numpy as np
 
-        with np.errstate(divide="ignore"):
-            log_init, log_trans, log_emis = (
-                np.log(np.asarray(t, dtype=float))
-                for t in (self.initial, self.transition, self.emission)
-            )
+        emission = np.zeros((len(self.states), len(self.vocab)))
+        for row, weights in zip(emission, self.emission):
+            if isinstance(weights, dict):
+                row[list(weights)] = list(weights.values())
+            else:
+                row[:] = weights
+        log_init, log_trans, log_emis = (
+            _log_probabilities(np, np.asarray(t, dtype=float) + self.smoothing_alpha)
+            for t in (self.initial, self.transition, emission)
+        )
         return Decoder(
             self.states,
             self._sym_index,
@@ -112,13 +132,17 @@ class HmmModel:
         return _symbol_column(self._sym_index, token)
 
     def save(self, path: str | Path) -> None:
+        """Write the counts; each state's emission counts are two parallel
+        lists, its columns in increasing order and their counts."""
+        emission = [sorted(row.items()) for row in self.emission]
         data = {
             "states": self.states,
             "vocab": self.vocab,
             "alpha": self.smoothing_alpha,
-            "initial": [float(p) for p in self.initial],
-            "transition": [[float(p) for p in row] for row in self.transition],
-            "emission": [[float(p) for p in row] for row in self.emission],
+            "initial": self.initial,
+            "transition": self.transition,
+            "emission_columns": [[col for col, _ in row] for row in emission],
+            "emission_counts": [[count for _, count in row] for row in emission],
         }
         write_text(path, json.dumps(data))
 
@@ -130,9 +154,13 @@ class HmmModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HmmModel":
-        keys = ("states", "vocab", "alpha", "initial", "transition", "emission")
-        if not isinstance(data, dict) or any(k not in data for k in keys):
-            raise ValueError(f"model file needs the keys {', '.join(keys)}")
+        if isinstance(data, dict) and "emission" in data:
+            raise ValueError(
+                "holds dense probabilities, a model format this version no "
+                "longer reads; train the model again"
+            )
+        if not isinstance(data, dict) or any(k not in data for k in MODEL_KEYS):
+            raise ValueError(f"model file needs the keys {', '.join(MODEL_KEYS)}")
         states, vocab = data["states"], data["vocab"]
         if not all(
             isinstance(x, list) and all(isinstance(w, str) for w in x)
@@ -143,29 +171,23 @@ class HmmModel:
             repeats = [s for s, count in Counter(symbols).items() if count > 1]
             if repeats:
                 raise ValueError(f"{name} repeats {repeats[0]!r}")
-        try:
-            tables = {
-                k: _numeric_table(data[k]) for k in ("initial", "transition", "emission")
-            }
-        except (ValueError, RecursionError) as exc:  # ragged, non-numeric, too deep
-            raise ValueError(
-                "probability tables are not rectangular numeric arrays"
-            ) from exc
         check_nonnegative("alpha", data["alpha"])
         n, v = len(states), len(vocab)
-        expected = {"initial": (n,), "transition": (n, n), "emission": (n, v)}
-        for name, (shape, table) in tables.items():
-            if shape != expected[name]:
+        _counts("initial", data["initial"], n)
+        transition, columns, counts = (
+            _rows(name, data[name], n)
+            for name in ("transition", "emission_columns", "emission_counts")
+        )
+        for i, row in enumerate(transition):
+            _counts(f"transition row {i}", row, n)
+        for i, (cols, row) in enumerate(zip(columns, counts)):
+            _counts(f"emission_columns row {i}", cols)
+            if not all(a < b for a, b in zip(cols, [*cols[1:], v])):
                 raise ValueError(
-                    f"{name} has shape {shape}, expected "
-                    f"{expected[name]} for {n} states and {v} symbols"
+                    f"emission_columns row {i} must rise strictly and stay "
+                    f"below {v}, the vocabulary size"
                 )
-            rows = [table] if len(shape) == 1 else table
-            if not all(math.isfinite(p) and p >= 0 for row in rows for p in row):
-                raise ValueError(f"{name} has negative or non-finite values")
-            # np.allclose(row_sums, 1.0): |sum - 1| <= atol + rtol * 1
-            if not all(abs(pairwise_sum(row) - 1.0) <= 1e-8 + 1e-5 for row in rows):
-                raise ValueError(f"{name} rows do not sum to 1")
+            _counts(f"emission_counts row {i}", row, len(cols))
         unknown = [s for s in states if s not in LABEL_SET]
         if unknown:
             raise ValueError(f"states are not canonical labels: {unknown}")
@@ -175,14 +197,8 @@ class HmmModel:
                 f"vocabulary lacks {len(missing)} backoff classes, "
                 f"e.g. {min(missing)!r}"
             )
-        return cls(
-            states=states,
-            vocab=vocab,
-            initial=tables["initial"][1],
-            transition=tables["transition"][1],
-            emission=tables["emission"][1],
-            smoothing_alpha=data["alpha"],
-        )
+        emission = [dict(zip(cols, row)) for cols, row in zip(columns, counts)]
+        return cls(states, vocab, data["initial"], transition, emission, data["alpha"])
 
 
 class Decoder(NamedTuple):
@@ -235,57 +251,30 @@ def _symbol_column(sym_index: dict[str, int], surface: str) -> int:
     return idx
 
 
-def _numeric_table(value) -> tuple[tuple[int, ...], list]:
-    """Shape and float contents of a JSON table, as `np.array(value,
-    dtype=float)` would read it, except that every entry must be a JSON
-    number (not a bool, string or null).  ValueError if the nesting is
-    ragged or an entry is not a number."""
-    if isinstance(value, list):
-        if all(type(x) is float for x in value):
-            return (len(value),), value  # a row as `save` writes it
-        parts = [_numeric_table(x) for x in value]
-        shapes = {shape for shape, _ in parts}
-        if len(shapes) > 1:
-            raise ValueError("ragged nesting")
-        inner = shapes.pop() if shapes else ()
-        return (len(value), *inner), [part for _, part in parts]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return (), float(value)
-        except OverflowError as exc:
-            raise ValueError(f"{value} does not fit a float") from exc
-    raise ValueError(f"{value!r} is not a number")
+def _rows(name: str, value, n: int) -> list:
+    """`value` if it is a list of one row per state."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{name} must be a list of {n} rows, one per state")
+    return value
 
 
-def pairwise_sum(xs: list[float]) -> float:
-    """Sum of `xs` added in the order numpy's pairwise summation uses, so
-    the total equals `np.sum` bit for bit.
-
-    Below 8 values a plain loop; up to 128, eight running sums over
-    interleaved values, combined pairwise, then the tail; above 128, the
-    two halves split at `n // 2` rounded down to a multiple of 8.
-    """
-    n = len(xs)
-    if n < 8:
-        return reduce(add, xs, 0.0)
-    if n <= 128:
-        end = n - n % 8
-        r = [reduce(add, xs[j:end:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, xs[end:], total)
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
+def _counts(name: str, row, width: int | None = None) -> None:
+    """ValueError unless `row` is a list (of `width` items, when given) of
+    counts: ints, not bools, from 0 to MAX_COUNT."""
+    if not isinstance(row, list) or width not in (None, len(row)):
+        size = "" if width is None else f"{width} "
+        raise ValueError(f"{name} must be a list of {size}counts")
+    for c in row:
+        if type(c) is not int or not 0 <= c <= MAX_COUNT:
+            raise ValueError(f"{name} holds {c!r}, not an integer from 0 to 2**53")
 
 
-def _normalize_row(counts: list[float], alpha: float) -> list[float]:
-    """Smoothed counts scaled to sum to 1; a row with no mass at all falls
-    back to uniform (only reachable with alpha=0)."""
-    row = [c + alpha for c in counts]
-    total = pairwise_sum(row)
-    if total > 0:
-        return [c / total for c in row]
-    return [1.0 / len(row)] * len(row)
+def _log_probabilities(np, weights):
+    """Log of each row of `weights` over the row's total; a row with no
+    mass (only reachable with alpha=0) is uniform."""
+    totals = weights.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.where(totals > 0, weights / totals, 1.0 / weights.shape[-1]))
 
 
 def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
@@ -320,20 +309,15 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     sym_index = {sym: i for i, sym in enumerate(vocab)}
     state_index = {s: i for i, s in enumerate(states)}
 
-    # Counts are integers held in floats, so the order of the additions
-    # cannot change a row.
-    emission = [[0.0] * len(vocab) for _ in states]
+    emission = [Counter() for _ in states]
     for (label, surface), count in emits.items():
         emission[state_index[label]][_symbol_column(sym_index, surface)] += count
     return HmmModel(
         states=states,
         vocab=vocab,
-        initial=_normalize_row([float(starts[s]) for s in states], alpha),
-        transition=[
-            _normalize_row([float(steps[prev, cur]) for cur in states], alpha)
-            for prev in states
-        ],
-        emission=[_normalize_row(row, alpha) for row in emission],
+        initial=[starts[s] for s in states],
+        transition=[[steps[prev, cur] for cur in states] for prev in states],
+        emission=emission,
         smoothing_alpha=alpha,
     )
 

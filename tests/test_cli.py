@@ -14,6 +14,7 @@ from citeforge.cli import SUBCOMMANDS, TAG_BATCH, Run, build_parser, main
 from citeforge.hmm import HmmModel, tag_reference
 from citeforge.jsonfile import read_json_lines
 from citeforge.synth import homepage_misc_entry, random_corpus
+from test_hmm import MODEL_CORRUPTIONS, corrupted_model_file
 
 
 @pytest.fixture()
@@ -505,17 +506,14 @@ def test_tag_memory_does_not_follow_a_text_input(tmp_path, chain_files):
 
 def test_tag_with_corrupted_model_is_domain_error(tmp_path, corpus_file, capsys):
     ds = tmp_path / "ds.jsonl"
-    model = tmp_path / "model.json"
     assert run("build", "--in", corpus_file, "--out", ds) == 0
-    assert run("train", "--in", ds, "--out", model) == 0
-    data = json.loads(model.read_text())
-    data["transition"][0][0] = -1.0
-    model.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run("tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "transition" in err
-    assert "Traceback" not in err
+    for name, (corruption, message) in MODEL_CORRUPTIONS.items():
+        model = corrupted_model_file(tmp_path / f"{name}.json", corruption)
+        capsys.readouterr()
+        assert run("tag", "--in", ds, "--model", model, "--out", tmp_path / "t.jsonl") == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and message in err, name
+        assert "Traceback" not in err
 
 
 def test_tag_names_the_row_with_an_empty_reference(tmp_path, corpus_file, capsys):

@@ -97,15 +97,26 @@ def test_align_labels_match_emitting_segment(styles):
 # --- training -----------------------------------------------------------
 
 
+def probabilities(model):
+    """The initial, transition and emission probabilities a model decodes
+    with, out of its decoder's log tables."""
+    dec = model.decoder
+    return np.exp(dec.log_init), np.exp(dec.log_trans_t.T), np.exp(dec.log_emis_t.T)
+
+
 def test_train_hand_counts_alpha_zero():
     seq = align_like(["x", "y", "z"], ["A", "A", "B"])
     model = train_hmm([seq], alpha=0.0)
     a, b = model.states.index("A"), model.states.index("B")
-    assert model.transition[a][a] == pytest.approx(0.5, abs=1e-12)
-    assert model.transition[a][b] == pytest.approx(0.5, abs=1e-12)
+    assert model.transition[a][a] == 1 and model.transition[a][b] == 1
+    assert model.transition[b] == [0, 0]
+    assert model.initial[a] == 1 and model.initial[b] == 0
+    initial, transition, _ = probabilities(model)
+    assert transition[a][a] == pytest.approx(0.5, abs=1e-12)
+    assert transition[a][b] == pytest.approx(0.5, abs=1e-12)
     # B never transitions anywhere: that row falls back to uniform
-    assert model.transition[b] == pytest.approx([0.5, 0.5])
-    assert model.initial[a] == 1.0 and model.initial[b] == 0.0
+    assert transition[b] == pytest.approx([0.5, 0.5])
+    assert initial[a] == 1.0 and initial[b] == 0.0
 
 
 def test_train_two_state_deterministic_alpha_hand_computation():
@@ -116,29 +127,27 @@ def test_train_two_state_deterministic_alpha_hand_computation():
     ]
     model = train_hmm(seqs, alpha=0.1)
     a, b = model.states.index("A"), model.states.index("B")
-    # transitions out of A: 3 to B, 0 to A
-    assert model.transition[a][b] == pytest.approx(3.1 / 3.2, abs=1e-12)
-    assert model.transition[a][a] == pytest.approx(0.1 / 3.2, abs=1e-12)
-    # transitions out of B: 1 to A (middle of first sequence)
-    assert model.transition[b][a] == pytest.approx(1.1 / 1.2, abs=1e-12)
-    assert model.initial[a] == pytest.approx(2.1 / 2.2, abs=1e-12)
-    # u and v both occur >= 2 times, so both are surface symbols
     u, v = model.vocab.index("u"), model.vocab.index("v")
+    # transitions out of A: 3 to B, 0 to A; out of B: 1 to A (middle of
+    # the first sequence); both sequences start in A
+    assert model.transition == [[0, 3], [1, 0]] and model.initial == [2, 0]
+    # u and v both occur >= 2 times, so both are surface symbols
+    assert model.emission[a] == {u: 3} and model.emission[b] == {v: 3}
+    initial, transition, emission = probabilities(model)
+    assert transition[a][b] == pytest.approx(3.1 / 3.2, abs=1e-12)
+    assert transition[a][a] == pytest.approx(0.1 / 3.2, abs=1e-12)
+    assert transition[b][a] == pytest.approx(1.1 / 1.2, abs=1e-12)
+    assert initial[a] == pytest.approx(2.1 / 2.2, abs=1e-12)
     n_vocab = len(model.vocab)
-    assert model.emission[a][u] == pytest.approx(
-        3.1 / (3 + 0.1 * n_vocab), abs=1e-12
-    )
-    assert model.emission[b][v] == pytest.approx(
-        3.1 / (3 + 0.1 * n_vocab), abs=1e-12
-    )
+    assert emission[a][u] == pytest.approx(3.1 / (3 + 0.1 * n_vocab), abs=1e-12)
+    assert emission[b][v] == pytest.approx(3.1 / (3 + 0.1 * n_vocab), abs=1e-12)
 
 
 def test_train_positive_probabilities_with_alpha():
     seq = align_like(["a", "b", "c"], ["title", "title", "issued"])
     model = train_hmm([seq], alpha=0.1)
-    assert (np.asarray(model.initial) > 0).all()
-    assert (np.asarray(model.transition) > 0).all()
-    assert (np.asarray(model.emission) > 0).all()
+    for table in probabilities(model):
+        assert (table > 0).all()
 
 
 def test_train_rows_normalized():
@@ -149,9 +158,10 @@ def test_train_rows_normalized():
         for s in load_builtin_styles()[:3]
     ]
     model = train_hmm(corpus, alpha=0.05)
-    assert np.asarray(model.initial).sum() == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_allclose(np.asarray(model.transition).sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(np.asarray(model.emission).sum(axis=1), 1.0, atol=1e-9)
+    initial, transition, emission = probabilities(model)
+    assert initial.sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(transition.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(emission.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_train_large_alpha_approaches_uniform():
@@ -159,7 +169,21 @@ def test_train_large_alpha_approaches_uniform():
     seq = align_like(["a", "b", "a", "b"], ["A", "B", "A", "B"])
     model = train_hmm([seq], alpha=1e6)
     n = len(model.states)
-    assert np.all(np.abs(np.asarray(model.transition) - 1.0 / n) <= n * 1e-5)
+    assert np.all(np.abs(probabilities(model)[1] - 1.0 / n) <= n * 1e-5)
+
+
+def test_training_fed_in_any_order_writes_the_same_file(tmp_path):
+    rng = random.Random(4)
+    corpus = [
+        align_training(annotate(e, s).anno_ref)
+        for e in random_corpus(rng, 10)
+        for s in load_builtin_styles()[:3]
+    ]
+    shuffled = corpus[:]
+    rng.shuffle(shuffled)
+    train_hmm(corpus, alpha=0.1).save(tmp_path / "a.json")
+    train_hmm(iter(shuffled), alpha=0.1).save(tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_train_empty_corpus_raises():
@@ -325,12 +349,27 @@ def test_tag_references_refuses_a_batch_with_a_reference_with_no_token():
 
 
 def loadable_model(rng, n_states, n_words):
-    """A random model that `HmmModel.load` accepts: canonical states and
-    every backoff class in the vocabulary."""
+    """A random model of counts that `HmmModel.load` accepts: canonical
+    states and every backoff class in the vocabulary.  Each state counts
+    about half the columns and always the last one, so a shorter
+    vocabulary puts a column out of range."""
     vocab = [f"w{i}" for i in range(n_words)] + list(BACKOFF_CLASSES)
-    model = random_model(rng, n_states, len(vocab))
-    return HmmModel(list(CANONICAL_LABELS[:n_states]), vocab, model.initial, model.transition,
-                    model.emission, model.smoothing_alpha)
+    v = len(vocab)
+
+    def counts(width):
+        return [rng.choice((0, 1, 2, 7, 40)) for _ in range(width)]
+
+    emission = [
+        {c: rng.randint(1, 40) for c in sorted(rng.sample(range(v - 1), v // 2)) + [v - 1]}
+        for _ in range(n_states)
+    ]
+    return HmmModel(list(CANONICAL_LABELS[:n_states]), vocab, counts(n_states),
+                    [counts(n_states) for _ in range(n_states)], emission, 0.1)
+
+
+def assert_decoders_equal(got, want):
+    for name in ("log_init", "log_trans_t", "log_emis_t"):
+        np.testing.assert_array_equal(getattr(got.decoder, name), getattr(want.decoder, name))
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -341,9 +380,26 @@ def test_model_save_load_round_trip(tmp_path):
     loaded = HmmModel.load(path)
     assert loaded.states == model.states
     assert loaded.vocab == model.vocab
-    np.testing.assert_array_equal(loaded.initial, model.initial)
-    np.testing.assert_array_equal(loaded.transition, model.transition)
-    np.testing.assert_array_equal(loaded.emission, model.emission)
+    assert loaded.smoothing_alpha == model.smoothing_alpha
+    assert loaded.initial == model.initial
+    assert loaded.transition == model.transition
+    assert loaded.emission == model.emission
+    assert_decoders_equal(loaded, model)
+    # save -> load -> save writes the same bytes
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_model_file_holds_only_the_non_zero_emission_counts(tmp_path):
+    model = train_hmm([align_like(["a", "b", "a", "b"], ["title", "title", "issued", "title"])])
+    model.save(tmp_path / "model.json")
+    data = json.loads((tmp_path / "model.json").read_text())
+    assert list(data) == ["states", "vocab", "alpha", "initial", "transition",
+                          "emission_columns", "emission_counts"]
+    a, b = model.vocab.index("a"), model.vocab.index("b")
+    # issued emits one "a"; title emits "a" once and "b" twice
+    assert data["emission_columns"] == [[a], [a, b]]
+    assert data["emission_counts"] == [[1], [1, 2]]
 
 
 def _corrupt(data, key, index, value):
@@ -361,39 +417,73 @@ def _nested(depth):
     return value
 
 
-@pytest.mark.parametrize(
-    "corruption,message",
-    [
-        pytest.param(lambda d: d["emission"].pop(), "emission has shape", id="emission-rows"),
-        pytest.param(lambda d: d["vocab"].append("extra"), "emission has shape", id="vocab-size"),
-        pytest.param(lambda d: d["states"].pop(), "initial has shape", id="state-count"),
-        pytest.param(lambda d: d["transition"][0].append(0.0), "rectangular numeric", id="ragged"),
-        pytest.param(lambda d: _corrupt(d, "emission", (0, 0), "x"), "rectangular numeric", id="string"),
-        pytest.param(lambda d: _corrupt(d, "transition", (1, 0), float("nan")), "non-finite", id="nan"),
-        pytest.param(lambda d: _corrupt(d, "initial", 0, float("inf")), "non-finite", id="inf"),
-        pytest.param(lambda d: _corrupt(d, "initial", 0, -0.5), "negative", id="negative"),
-        pytest.param(lambda d: _corrupt(d, "emission", (2, 3), 0.9), "emission rows do not sum to 1", id="emission-sum"),
-        pytest.param(lambda d: _corrupt(d, "initial", 1, 0.0), "initial rows do not sum to 1", id="initial-sum"),
-        pytest.param(lambda d: _corrupt(d, "states", 1, "s1"), "not canonical labels: ['s1']", id="unknown-state"),
-        pytest.param(lambda d: _corrupt(d, "states", 1, 7), "lists of strings", id="non-string-state"),
-        pytest.param(lambda d: _corrupt(d, "vocab", -1, "renamed"), "lacks 1 backoff", id="backoff-missing"),
-        pytest.param(lambda d: _corrupt(d, "states", 1, d["states"][0]), "states repeats 'author'", id="repeated-state"),
-        pytest.param(lambda d: _corrupt(d, "vocab", 1, d["vocab"][0]), "vocab repeats 'w0'", id="repeated-symbol"),
-        pytest.param(lambda d: d.pop("alpha"), "needs the keys", id="missing-key"),
-        pytest.param(lambda d: d.update(transition=[[True, 0.0, 0.0]] + d["transition"][1:]), "rectangular numeric", id="bool"),
-        pytest.param(lambda d: d.update(transition=[["0.5", 0.5, 0.0]] + d["transition"][1:]), "rectangular numeric", id="numeric-string"),
-        pytest.param(lambda d: _corrupt(d, "emission", (0, 0), 10**400), "rectangular numeric", id="huge-int"),
-        pytest.param(lambda d: d.update(initial=_nested(600)), "rectangular numeric", id="deep-nesting"),
-    ],
-)
-def test_model_load_rejects_corrupted_file(tmp_path, corruption, message):
-    path = tmp_path / "model.json"
+def _swap_first_columns(data):
+    columns = data["emission_columns"][0]
+    columns[0], columns[1] = columns[1], columns[0]
+
+
+def _dense_probabilities(data):
+    """The file as earlier versions wrote it: dense smoothed probabilities."""
+    model = HmmModel.from_json_dict(data)
+    initial, transition, emission = probabilities(model)
+    for key in ("emission_columns", "emission_counts"):
+        del data[key]
+    data.update(initial=initial.tolist(), transition=transition.tolist(),
+                emission=emission.tolist())
+
+
+# id: (corruption of a saved model's JSON, what the error says)
+MODEL_CORRUPTIONS = {
+    "emission-rows": (lambda d: d["emission_counts"].pop(), "emission_counts must be a list of 3 rows"),
+    "transition-rows": (lambda d: d["transition"].pop(), "transition must be a list of 3 rows"),
+    "vocab-size": (lambda d: d["vocab"].pop(0), "row 0 must rise strictly and stay below"),
+    "state-count": (lambda d: d["states"].pop(), "initial must be a list of 2 counts"),
+    "ragged": (lambda d: d["transition"][0].append(0), "transition row 0 must be a list of 3 counts"),
+    "lengths-differ": (lambda d: d["emission_counts"][1].pop(), "emission_counts row 1 must be a list of"),
+    "string": (lambda d: _corrupt(d, "emission_counts", (0, 0), "x"), "emission_counts row 0 holds 'x'"),
+    "nan": (lambda d: _corrupt(d, "transition", (1, 0), float("nan")), "transition row 1 holds nan"),
+    "inf": (lambda d: _corrupt(d, "initial", 0, float("inf")), "initial holds inf"),
+    "negative": (lambda d: _corrupt(d, "initial", 0, -1), "initial holds -1"),
+    "float": (lambda d: _corrupt(d, "initial", 1, 1.5), "initial holds 1.5"),
+    "integral-float": (lambda d: _corrupt(d, "transition", (0, 1), 2.0), "transition row 0 holds 2.0"),
+    "bool": (lambda d: _corrupt(d, "transition", (0, 0), True), "transition row 0 holds True"),
+    "numeric-string": (lambda d: _corrupt(d, "transition", (0, 0), "5"), "transition row 0 holds '5'"),
+    "huge-int": (lambda d: _corrupt(d, "emission_counts", (0, 0), 10**400), "not an integer from 0 to 2**53"),
+    "oversized": (lambda d: _corrupt(d, "emission_counts", (2, 1), 2**53 + 1), f"emission_counts row 2 holds {2**53 + 1}"),
+    "deep-nesting": (lambda d: d.update(initial=_nested(600)), "initial must be a list of 3 counts"),
+    "column-out-of-range": (lambda d: _corrupt(d, "emission_columns", (1, -1), len(d["vocab"])), "row 1 must rise strictly and stay below 132"),
+    "negative-column": (lambda d: _corrupt(d, "emission_columns", (0, 0), -1), "emission_columns row 0 holds -1"),
+    "repeated-column": (lambda d: _corrupt(d, "emission_columns", (2, 1), d["emission_columns"][2][0]), "row 2 must rise strictly"),
+    "unsorted-columns": (_swap_first_columns, "row 0 must rise strictly"),
+    "dense-probabilities": (_dense_probabilities, "holds dense probabilities, a model format this version no longer reads"),
+    "alpha": (lambda d: d.update(alpha=-0.5), "alpha must be a finite number >= 0"),
+    "unknown-state": (lambda d: _corrupt(d, "states", 1, "s1"), "not canonical labels: ['s1']"),
+    "non-string-state": (lambda d: _corrupt(d, "states", 1, 7), "lists of strings"),
+    "backoff-missing": (lambda d: _corrupt(d, "vocab", -1, "renamed"), "lacks 1 backoff"),
+    "repeated-state": (lambda d: _corrupt(d, "states", 1, d["states"][0]), "states repeats 'author'"),
+    "repeated-symbol": (lambda d: _corrupt(d, "vocab", 1, d["vocab"][0]), "vocab repeats 'w0'"),
+    "missing-key": (lambda d: d.pop("alpha"), "needs the keys"),
+}
+
+
+def corrupted_model_file(path, corruption):
+    """A saved `loadable_model` with `corruption` applied to its JSON."""
     loadable_model(random.Random(9), 3, 4).save(path)
     data = json.loads(path.read_text())
     corruption(data)
     path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "corruption,message",
+    [pytest.param(*case, id=name) for name, case in MODEL_CORRUPTIONS.items()],
+)
+def test_model_load_rejects_corrupted_file(tmp_path, corruption, message):
+    path = corrupted_model_file(tmp_path / "model.json", corruption)
     with pytest.raises(ValueError) as excinfo:
         HmmModel.load(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
     assert message in str(excinfo.value)
 
 
@@ -406,11 +496,17 @@ def test_model_load_rejects_non_object(tmp_path):
 
 def test_model_file_keeps_full_precision(tmp_path):
     rng = random.Random(8)
-    model = random_model(rng, 2, 3)
+    model = loadable_model(rng, 2, 3)
+    model.smoothing_alpha = rng.random()
+    model.emission[0][0] = 2**53  # the largest count a file may hold
     model.save(tmp_path / "m.json")
     text = (tmp_path / "m.json").read_text()
     # repr round-trip means >= 15 significant digits survive
-    assert str(model.initial[0]) in text
+    assert repr(model.smoothing_alpha) in text
+    loaded = HmmModel.load(tmp_path / "m.json")
+    assert loaded.smoothing_alpha == model.smoothing_alpha
+    assert loaded.emission[0][0] == 2**53
+    assert_decoders_equal(loaded, model)
 
 
 # --- field concatenation ------------------------------------------------
