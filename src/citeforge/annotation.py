@@ -4,6 +4,8 @@ Tags are ASCII `<label>` / `</label>` with labels from the canonical
 vocabulary; `<surname>` and `<firstname>` may appear only inside an author
 span.  Content escapes exactly three entities: &lt; &gt; &amp;.  Tags never
 overlap and never nest apart from the name parts inside author.
+`parse_annotation` unescapes the text between tags only when the
+annotation holds an `&`, since every entity starts with one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ def parse_annotation(anno: str) -> tuple[str, list[tuple[str, int, int]]]:
     """
     # Leading text, then (slash, name, following text) per tag.
     parts = _TAG.split(anno)
-    plain_parts = [unescape(parts[0])]
+    # Every entity starts with `&`: without one, unescaping changes nothing.
+    entities = "&" in anno
+    plain_parts = [unescape(parts[0]) if entities else parts[0]]
     plain_len = len(plain_parts[0])
     spans: list[tuple[str, int, int]] = []
     stack: list[tuple[str, int]] = []
@@ -66,7 +70,8 @@ def parse_annotation(anno: str) -> tuple[str, list[tuple[str, int, int]]]:
             if name not in NAME_PART_TAGS:
                 spans.append((name, start, plain_len))
         if text:
-            text = unescape(text)
+            if entities:
+                text = unescape(text)
             plain_parts.append(text)
             plain_len += len(text)
     if stack:

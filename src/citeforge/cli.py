@@ -20,6 +20,16 @@ exits 1, naming the row's id and style, before anything is decoded.
 `tag --split` selects dataset rows; with a text input it exits 1.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
+
+As a program (`python -m citeforge.cli`, the `citeforge` console script,
+both through `script`), a stage that returns ends without interpreter
+teardown: it flushes stdout and stderr and calls `os._exit`.  Its outputs
+are already closed and in place, so teardown, which frees every object
+and module (numpy's too, in `tag`), would only cost time.  `atexit`
+handlers therefore do not run at the end of a stage: a tool that relies
+on them, such as coverage measuring a subprocess, sees nothing of it.  A
+SystemExit (a usage error), an uncaught exception or a failed flush exits
+the normal way.  `main` itself returns its exit code as before.
 """
 
 from __future__ import annotations
@@ -143,7 +153,8 @@ class Run:
         self.started = time.time()
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
-        # sha256 of outputs a stage already hashed, which `finish` reuses.
+        # sha256 of outputs as their writers hashed them, which `finish`
+        # reuses; only an output written elsewhere (harvest's) is read back.
         self.digests: dict[Path, str] = {}
 
     def get(self, name: str, default=None):
@@ -155,9 +166,12 @@ class Run:
         self.inputs.append(path)
         return path
 
-    def wrote(self, path) -> Path:
+    def wrote(self, path, digest: str | None = None) -> Path:
+        """Record an output and, when the writer returned it, its sha256."""
         path = Path(path)
         self.outputs.append(path)
+        if digest:
+            self.digests[path] = digest
         return path
 
     @staticmethod
@@ -283,15 +297,13 @@ def cmd_parse(run: Run) -> None:
     entries, issues = _load_entries(run, run.get("in"))
     for entry in entries:
         issues.extend(validate_entry(entry))
-    out = run.wrote(run.get("out"))
-    write_text(out, serialize(entries))
-    write_json(
-        run.wrote(run.get("issues") or str(out) + ".issues.json"),
-        [
-            {"citation_key": i.citation_key, "kind": i.kind.value, "detail": i.detail}
-            for i in issues
-        ],
-    )
+    out = run.get("out")
+    run.wrote(out, write_text(out, serialize(entries)))
+    issues_out = run.get("issues") or str(out) + ".issues.json"
+    run.wrote(issues_out, write_json(issues_out, [
+        {"citation_key": i.citation_key, "kind": i.kind.value, "detail": i.detail}
+        for i in issues
+    ]))
     print(f"parsed {len(entries)} entries, {len(issues)} issues")
 
 
@@ -306,8 +318,8 @@ def cmd_clean(run: Run) -> None:
         fields_to_strip=strip,
     )
     cleaned, stats = clean_corpus(entries, policy)
-    out = run.wrote(run.get("out"))
-    write_text(out, serialize(cleaned))
+    out = run.get("out")
+    run.wrote(out, write_text(out, serialize(cleaned)))
     print(
         json.dumps(
             {
@@ -342,7 +354,7 @@ def cmd_stats(run: Run) -> None:
         )
     out = run.get("out")
     if out:
-        write_text(run.wrote(out), text + "\n")
+        run.wrote(out, write_text(out, text + "\n"))
     print(text)
 
 
@@ -358,7 +370,8 @@ def _records(run: Run):
 def cmd_render(run: Run) -> None:
     records, stats = _records(run)
     lines = [cit["bibRef"] for record in records for cit in record.citations]
-    write_text(run.wrote(run.get("out")), "\n".join(lines) + "\n")
+    out = run.get("out")
+    run.wrote(out, write_text(out, "\n".join(lines) + "\n"))
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
     print(f"rendered {stats.citations} references")
@@ -367,7 +380,8 @@ def cmd_render(run: Run) -> None:
 def cmd_annotate(run: Run) -> None:
     records, stats = _records(run)
     rows = ({"id": record.id, **cit} for record in records for cit in record.citations)
-    write_json_lines(run.wrote(run.get("out")), rows)
+    out = run.get("out")
+    run.wrote(out, write_json_lines(out, rows))
     for _, _, reason in stats.skip_log:
         print(f"skip: {reason}", file=sys.stderr)
     print(f"annotated {stats.citations} references")
@@ -375,8 +389,9 @@ def cmd_annotate(run: Run) -> None:
 
 def cmd_build(run: Run) -> None:
     records, stats = _records(run)
-    out = run.wrote(run.get("out"))
-    checksum = run.digests[out] = export(records, run.get("format", "jsonl"), out)
+    out = run.get("out")
+    checksum = export(records, run.get("format", "jsonl"), out)
+    run.wrote(out, checksum)
     print(
         json.dumps(
             {
@@ -395,7 +410,8 @@ def cmd_split(run: Run) -> None:
     _load("dataset")
     records = load_jsonl(run.read(run.get("in")))
     manifest = split_dataset((r.id for r in records), run.get("seed", 42))
-    write_json(run.wrote(run.get("out")), manifest._asdict())
+    out = run.get("out")
+    run.wrote(out, write_json(out, manifest._asdict()))
     print(f"split: {len(manifest.train_ids)} train / {len(manifest.eval_ids)} eval")
 
 
@@ -437,8 +453,8 @@ def cmd_train(run: Run) -> None:
         for cit, _ in zip(record.citations, counted)
     )
     model = train_hmm(corpus, **_resolved(alpha=run.get("alpha")))
-    out = run.wrote(run.get("out"))
-    model.save(out)
+    out = run.get("out")
+    run.wrote(out, model.save(out))
     print(
         f"trained on {next(counted)} references: "
         f"{len(model.states)} states, vocabulary {len(model.vocab)}"
@@ -495,6 +511,10 @@ def cmd_tag(run: Run) -> None:
     model = HmmModel.load(run.read(run.get("model")))
     in_path = run.read(run.get("in"))
 
+    # zip draws from `counted` only after it got a row, so `counted`
+    # advances once per row written.
+    counted = itertools.count()
+
     def rows():
         nonlocal model
         decoder = None
@@ -506,12 +526,13 @@ def cmd_tag(run: Run) -> None:
                 # model's counts are freed here.
                 decoder, model = model.decoder, None
             tagged = tag_references(decoder, [reference for _, reference in batch])
-            for (keys, reference), (extracted, log_prob) in zip(batch, tagged):
+            for (keys, reference), (extracted, log_prob), _ in zip(batch, tagged, counted):
                 fields = [{"label": f.label, "value": f.value} for f in extracted]
                 yield dict(keys, reference=reference, fields=fields, log_prob=log_prob)
 
-    count = write_json_lines(run.wrote(run.get("out")), rows())
-    print(f"tagged {count} references")
+    out = run.get("out")
+    run.wrote(out, write_json_lines(out, rows()))
+    print(f"tagged {next(counted)} references")
 
 
 def cmd_evaluate(run: Run) -> None:
@@ -530,7 +551,7 @@ def cmd_evaluate(run: Run) -> None:
     )
     out = run.get("out")
     if out:
-        write_report(report, run.wrote(out))
+        run.wrote(out, write_report(report, out))
     print(format_report(report))
 
 
@@ -691,5 +712,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def script() -> None:
+    """`main` as a program, ended by `os._exit` once it returns and stdout
+    and stderr are flushed (see the module docstring)."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        # Teardown retries the flush and reports it, as it always did.
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

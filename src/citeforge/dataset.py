@@ -8,13 +8,12 @@ one record at a time whatever the corpus size.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .jsonfile import json_line, read_json_lines, replacing
+from .jsonfile import json_line, read_json_lines, write_chunks
 
 if TYPE_CHECKING:
     from .bibtex import BibEntry
@@ -207,14 +206,7 @@ def export(
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     header, text = FORMATS[format]
-    digest = hashlib.sha256()
-    with replacing(path) as fh:
-        # Each chunk is encoded once, for the digest and the file alike.
-        for chunk in itertools.chain((header,), map(text, records)):
-            data = chunk.encode()
-            digest.update(data)
-            fh.buffer.write(data)
-    return digest.hexdigest()
+    return write_chunks(path, itertools.chain((header,), map(text, records)))
 
 
 def load_jsonl(path: str | Path) -> Iterator[DatasetRecord]:

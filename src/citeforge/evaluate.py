@@ -10,7 +10,11 @@ Near means an edit distance within `tau` of the longer length.  No edit
 sequence is shorter than the length gap |len(a) - len(b)|, so a pair
 whose gap already exceeds that share is a miss without computing the
 distance; the shortcut never changes a class (see `classify_match`).
-Each distinct raw value is normalized once per scoring call.
+Each distinct raw value is normalized, and each distinct raw label
+resolved to its canonical label, once per scoring call.  Normalizing an
+ASCII value skips the dash pattern when it holds no "-", the one ASCII
+dash, and the control-character table when it is printable and holds no
+backslash: neither step could change such a value.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import re
 import unicodedata
 from collections import Counter
 from enum import Enum
-from typing import Iterable
+from functools import cache
+from typing import Callable, Iterable
 
 from .annotation import MalformedAnnotation, parse_annotation
 from .jsonfile import write_json
@@ -65,8 +70,13 @@ _CONTROL = _ControlTable()
 
 def _normalize_pass(value: str) -> str:
     value = value.lower()
-    value = _DASHES.sub("-", value)
-    value = value.translate(_CONTROL)
+    # ASCII holds one dash, "-"; and ASCII without a control character
+    # (unprintable) or a backslash leaves the translate nothing to change.
+    is_ascii = value.isascii()
+    if "-" in value or not is_ascii:
+        value = _DASHES.sub("-", value)
+    if "\\" in value or not (is_ascii and value.isprintable()):
+        value = value.translate(_CONTROL)
     value = " ".join(value.split())
     value = value.replace(" & ", " and ")
     # Strip non-word characters from both edges: the lead in one anchored
@@ -197,21 +207,26 @@ class EvalReport:
         }
 
 
+def _field_label(name: str) -> str | None:
+    """The canonical label a raw label names, None if it names no field."""
+    label = to_canonical(name)
+    return label if label in CONSISTENCY_MAP else None
+
+
 def _resolve(
-    pairs: Iterable[tuple[str, str]], report: EvalReport, normalized: dict[str, str]
+    pairs: Iterable[tuple[str, str]], report: EvalReport, labels: Callable, values: Callable
 ) -> list[tuple[str, str]]:
     """Canonical labels and normalized values of (label, value) pairs;
     empties are discarded with a count, unresolvable labels likewise.
-    `normalized` maps each raw value seen so far to its `normalize`."""
+    `labels` and `values` are `_field_label` and `normalize`, memoised
+    for one scoring call."""
     out = []
     for label, value in pairs:
-        label = to_canonical(label)
-        if label not in CONSISTENCY_MAP:
+        label = labels(label)
+        if label is None:
             report.discarded_empty += 1
             continue
-        norm = normalized.get(value)
-        if norm is None:
-            norm = normalized[value] = normalize(value)
+        norm = values(value)
         if norm:
             out.append((label, norm))
         else:
@@ -233,7 +248,9 @@ def score(
     class it reached, for the diagnostics table.
     """
     report = EvalReport()
-    _score_into(report, predictions, truth, policy or EvalPolicy(), {})
+    _score_into(
+        report, predictions, truth, policy or EvalPolicy(), cache(_field_label), cache(normalize)
+    )
     return report
 
 
@@ -242,20 +259,21 @@ def _score_into(
     predictions: list[tuple[str, str]],
     truth: list[tuple[str, str]],
     policy: EvalPolicy,
-    normalized: dict[str, str],
+    labels: Callable,
+    values: Callable,
 ) -> None:
     """Add one reference's scores, as `score` defines them, to `report`."""
     report.references += 1
     per_label = report.per_label
     open_truths: dict[str, list[str]] = {}
-    for label, value in _resolve(truth, report, normalized):
+    for label, value in _resolve(truth, report, labels, values):
         open_truths.setdefault(label, []).append(value)
         if label not in per_label:
             per_label[label] = LabelScore()
         per_label[label].support += 1
 
     tau, near_ok = policy.tau, policy.count_near_as_correct
-    for label, value in _resolve(predictions, report, normalized):
+    for label, value in _resolve(predictions, report, labels, values):
         if label not in per_label:
             per_label[label] = LabelScore()
         stats = per_label[label]
@@ -310,7 +328,8 @@ def evaluate_dataset(
                     )
 
     total = EvalReport()
-    normalized: dict[str, str] = {}
+    # A fresh memo per call: what it holds is freed with it.
+    labels, values = cache(_field_label), cache(normalize)
     for row in tagged:
         rid, style = row.get("id"), row.get("style")
         if eval_ids is not None and rid not in eval_ids:
@@ -325,7 +344,7 @@ def evaluate_dataset(
             total.missing_ground_truth += 1
             continue
         preds = [(f["label"], f["value"]) for f in row.get("fields", [])]
-        _score_into(total, preds, truth, policy, normalized)
+        _score_into(total, preds, truth, policy, labels, values)
     return total
 
 
@@ -360,5 +379,6 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: EvalReport, path) -> None:
-    write_json(path, report.to_json_dict())
+def write_report(report: EvalReport, path) -> str:
+    """The report as JSON; returns the file's sha256."""
+    return write_json(path, report.to_json_dict())

@@ -1,12 +1,16 @@
 """Label-sequence HMM: training from annotated references and Viterbi
 decoding of new ones.
 
-States are field labels, and a token is its surface string.  Its
-observation, picked by `_symbol_column` alone, is its lowercased surface
-when seen at least twice in training, else its orthographic backoff
-symbol.  Decoding is log-space Viterbi, O(T*N^2), with ties broken
-toward the lower state index so output is reproducible.
+States are field labels, and a token is its surface string, a run of
+non-whitespace (`str.split`).  Its observation, the column
+`_symbol_column` picks, is its lowercased surface when seen at least
+twice in training, else its orthographic backoff symbol.  Decoding is
+log-space Viterbi, O(T*N^2), with ties broken toward the lower state
+index so output is reproducible.
 
+`align_training` labels the tokens of one annotated reference a segment
+at a time, a top-level span or the gap between two, and sorts out the
+majority cover only for a token that runs across a segment's edge.
 `train_hmm` reads its corpus in one pass, from any iterable (a generator
 will do), and keeps only counts keyed by label and surface, so
 its memory follows the model, not the corpus.
@@ -32,11 +36,13 @@ versions.
 Decoding is batched: `decode_batch` runs the max-plus Viterbi recursion
 (Rabiner 1989) over many sequences at once, one numpy step per position
 for the whole batch, and `viterbi`, `tag_reference` and `tag_references`
-are all calls of it.  `tag_references` maps each token straight to its
-symbol column.  It splits references on `tokens.WORD` and refuses a
-batch holding one with no match (EmptyInput); the CLI's `tag` checks
-each dataset row against the same pattern as it reads it, so it names
-the row before the batch reaches the decoder.
+are all calls of it.  `tag_references` splits each reference once, maps
+its lowercased tokens to their columns in one pass and takes a backoff
+symbol only for a token the vocabulary lacks.  It refuses a batch holding
+a reference with no token (EmptyInput); the CLI's `tag` checks each
+dataset row against `tokens.WORD`, the same split, as it reads it, so it
+names the row before the batch reaches the decoder.  Each Viterbi step
+reads its maxima at the argmax, by flat index.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import cached_property
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -52,7 +58,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from .annotation import parse_annotation
 from .jsonfile import read_json, write_text
 from .labels import LABEL_SET, ExtractedField, check_nonnegative, field_for_label
-from .tokens import BACKOFF_CLASSES, WORD, backoff_symbol
+from .tokens import BACKOFF_CLASSES, backoff_symbol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,9 +137,16 @@ class HmmModel:
     def symbol_index(self, token: str) -> int:
         return _symbol_column(self._sym_index, token)
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path) -> str:
         """Write the counts; each state's emission counts are two parallel
-        lists, its columns in increasing order and their counts."""
+        lists, its columns in increasing order and their counts.  Returns
+        the file's sha256.  A model of dense weights is a ValueError: only
+        a model of counts is saved."""
+        if not all(isinstance(row, dict) for row in self.emission):
+            raise ValueError(
+                "save writes only a model of counts (emission rows of "
+                "{column: count}); this model holds dense weights"
+            )
         emission = [sorted(row.items()) for row in self.emission]
         data = {
             "states": self.states,
@@ -144,7 +157,7 @@ class HmmModel:
             "emission_columns": [[col for col, _ in row] for row in emission],
             "emission_counts": [[count for _, count in row] for row in emission],
         }
-        write_text(path, json.dumps(data))
+        return write_text(path, json.dumps(data))
 
     @classmethod
     def load(cls, path: str | Path) -> "HmmModel":
@@ -216,28 +229,51 @@ class Decoder(NamedTuple):
 def align_training(anno_ref: str) -> LabelSequence:
     """Token/label pairs out of one annotated reference.
 
-    The plain text is tokenized as the tagger will see it; each token takes
-    the label whose span covers the majority of its characters (name parts
-    count as author), and tokens outside every span get `other`.
+    The plain text is split on whitespace, as the tagger will see it; each
+    token takes the label whose span covers the majority of its characters
+    (name parts count as author, and the first such span wins a tie), and
+    tokens outside every span get `other`.
+
+    The text is walked one segment at a time, each top-level span and each
+    gap between spans.  The words inside one segment take its label
+    together; only a token that runs across a segment's edge is built
+    piece by piece, keeping the span piece that covers most of it.
     """
     plain, spans = parse_annotation(anno_ref)
+    segments, at = [], 0
+    for label, start, end in spans:
+        segments += ((None, at, start), (label, start, end))
+        at = end
+    segments.append((None, at, len(plain)))
     tokens, labels = [], []
-    # Tokens and spans are both sorted and non-overlapping, so one sweep
-    # visits each token's overlapping spans in order; a span that ends at
-    # or before a token's start covers no later token either.
-    first = 0
-    for m in WORD.finditer(plain):
-        tok_start, tok_end = m.span()
-        while first < len(spans) and spans[first][2] <= tok_start:
-            first += 1
-        best, best_cover = "other", 0
-        for label, start, end in islice(spans, first, None):
-            if start >= tok_end:
-                break
-            cover = min(tok_end, end) - max(tok_start, start)
-            if cover > best_cover:
-                best, best_cover = label, cover
-        tokens.append(m[0])
+    # The token the last segment ended inside, which the next one may go
+    # on: its pieces, and the span label that covers the most of it so far.
+    pieces, best, best_cover = [], "other", 0
+    for label, start, end in segments:
+        if start == end:
+            continue
+        words = plain[start:end].split()
+        first, stop = 0, len(words)
+        if pieces:
+            if words and not plain[start].isspace():
+                first = 1
+                pieces.append(words[0])
+                if label and len(words[0]) > best_cover:
+                    best, best_cover = label, len(words[0])
+                if stop == 1 and not plain[end - 1].isspace():
+                    continue  # the whole segment lies inside the open token
+            tokens.append("".join(pieces))
+            labels.append(best)
+            pieces, best, best_cover = [], "other", 0
+        if first < stop and not plain[end - 1].isspace():
+            stop -= 1
+            pieces.append(words[stop])
+            if label:
+                best, best_cover = label, len(words[stop])
+        tokens += words[first:stop]
+        labels += [label or "other"] * (stop - first)
+    if pieces:
+        tokens.append("".join(pieces))
         labels.append(best)
     return LabelSequence(tokens, labels)
 
@@ -249,6 +285,20 @@ def _symbol_column(sym_index: dict[str, int], surface: str) -> int:
     if idx is None:
         idx = sym_index[backoff_symbol(surface)]
     return idx
+
+
+def _columns(sym_index: dict[str, int], reference: str, words: list[str]) -> list[int]:
+    """`_symbol_column` of each of `words`, the tokens of `reference`.
+    Lowercasing never moves a token boundary, so the lowercased reference
+    splits into the tokens lowercased, which map to their columns in one
+    pass; only a token that misses takes its backoff symbol."""
+    columns = list(map(sym_index.get, reference.lower().split()))
+    if None in columns:
+        columns = [
+            sym_index[backoff_symbol(word)] if col is None else col
+            for word, col in zip(words, columns)
+        ]
+    return columns
 
 
 def _rows(name: str, value, n: int) -> list:
@@ -347,6 +397,8 @@ def decode_batch(
     delta = dec.log_init + dec.log_emis_t[obs[:, 0]]  # (B, N)
     back_type = np.min_scalar_type(n - 1)
     back = []  # back[t - 1]: best predecessor of each state at step t
+    # Flat offset of each (sequence, to) row of a step's scores.
+    rows = np.arange(len(order) * n).reshape(len(order), n) * n
     b = len(order)  # sequences longer than t: the first b
     for t in range(1, t_len):
         while lengths[b - 1] <= t:
@@ -355,7 +407,7 @@ def decode_batch(
         best = scores.argmax(axis=2)  # first max = lowest
         back.append(best.astype(back_type))
         # The max is the element at the argmax: one reduction, not two.
-        best_scores = np.take_along_axis(scores, best[..., None], 2)[..., 0]
+        best_scores = scores.ravel()[rows[:b] + best]
         np.add(best_scores, dec.log_emis_t[obs[:b, t]], out=delta[:b])
 
     last = delta.argmax(axis=1)
@@ -405,14 +457,17 @@ def tag_references(
     """Decode a batch of reference strings, each into extracted fields plus
     the decode log-probability, in input order.
 
-    Each reference splits into the tokens `tokenize` would give, and each
-    maps straight to its symbol column.  A reference with no token raises
-    EmptyInput.
+    Each reference splits once on whitespace, into the tokens `tokenize`
+    would give, and maps to its columns by `_columns`.  A reference with
+    no token raises EmptyInput.
     """
-    surfaces = [WORD.findall(reference) for reference in references]
+    surfaces = [reference.split() for reference in references]
     if not all(surfaces):
         raise EmptyInput("no tokens to decode")
-    columns = [[_symbol_column(dec.sym_index, w) for w in words] for words in surfaces]
+    columns = [
+        _columns(dec.sym_index, reference, words)
+        for reference, words in zip(references, surfaces)
+    ]
     return [
         (fields_from_labels(words, map(dec.states.__getitem__, path)), log_prob)
         for words, (path, log_prob) in zip(surfaces, decode_batch(dec, columns))

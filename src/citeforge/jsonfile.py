@@ -7,7 +7,9 @@ wrong type all become one error naming the file, and for JSON Lines the
 line.  Every output is written by `replacing`, so it appears only when
 complete and a failed stage leaves its outputs as they were.  Only the
 harvest output and its `.log` are written elsewhere: the harvester
-appends to them at the byte offsets its checkpoint records.  Here too are
+appends to them at the byte offsets its checkpoint records.  Each writer
+returns the sha256 of the bytes it wrote, taken as it writes them, so a
+run's manifest never reads its own outputs back.  Here too are
 the two file tests every CLI stage may need: `is_json_lines` tells rows
 from text, and `sha256_file` hashes a file for a run's manifest.
 """
@@ -90,15 +92,28 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """`text` as the whole file, UTF-8 with LF endings."""
+def write_chunks(path: str | Path, chunks: Iterable[str]) -> str:
+    """The chunks in order as the whole file, UTF-8 with line ends as
+    given; returns the sha256 of its bytes.  Each chunk is encoded once,
+    for the file and the digest alike, so nothing reads the file back."""
+    digest = hashlib.sha256()
     with replacing(path) as fh:
-        fh.write(text)
+        for chunk in chunks:
+            data = chunk.encode()
+            digest.update(data)
+            fh.buffer.write(data)
+    return digest.hexdigest()
 
 
-def write_json(path: str | Path, document) -> None:
-    """A document: indented by two spaces, ASCII only, with a final newline."""
-    write_text(path, json.dumps(document, indent=2) + "\n")
+def write_text(path: str | Path, text: str) -> str:
+    """`text` as the whole file, UTF-8 with LF endings; returns its sha256."""
+    return write_chunks(path, (text,))
+
+
+def write_json(path: str | Path, document) -> str:
+    """A document: indented by two spaces, ASCII only, with a final
+    newline; returns the file's sha256."""
+    return write_text(path, json.dumps(document, indent=2) + "\n")
 
 
 def json_line(row) -> str:
@@ -111,13 +126,9 @@ def json_line(row) -> str:
     return line + "\n"
 
 
-def write_json_lines(path: str | Path, rows: Iterable) -> int:
-    """One `json_line` per row; returns the row count."""
-    count = 0
-    with replacing(path) as fh:
-        for count, row in enumerate(rows, 1):
-            fh.write(json_line(row))
-    return count
+def write_json_lines(path: str | Path, rows: Iterable) -> str:
+    """One `json_line` per row; returns the file's sha256."""
+    return write_chunks(path, map(json_line, rows))
 
 
 def is_json_lines(path: str | Path) -> bool:

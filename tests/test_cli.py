@@ -274,6 +274,52 @@ def test_build_hashes_its_output_once(tmp_path, corpus_file, capsys, monkeypatch
     assert hashed  # the input digests still read their files
 
 
+@pytest.mark.parametrize("stage", [
+    "parse", "clean", "stats", "render", "annotate", "split", "train", "tag", "evaluate",
+])
+def test_a_stage_never_reads_its_own_outputs_back(
+    tmp_path, corpus_file, chain_files, monkeypatch, stage
+):
+    """Every writer returns the sha256 of the bytes it wrote and the
+    manifest reuses it, so only the inputs are read to be hashed."""
+    import hashlib
+
+    import citeforge.cli
+    import citeforge.jsonfile
+
+    ds, split, model = chain_files
+    tagged = tmp_path / "tagged.jsonl"
+    assert run("tag", "--in", ds, "--split", split, "--model", model, "--out", tagged) == 0
+    out = tmp_path / "out"
+    argv = {
+        "parse": ["--in", corpus_file, "--out", out],
+        "clean": ["--in", corpus_file, "--out", out],
+        "stats": ["--in", corpus_file, "--out", out],
+        "render": ["--in", corpus_file, "--out", out],
+        "annotate": ["--in", corpus_file, "--out", out],
+        "split": ["--in", ds, "--out", out],
+        "train": ["--in", ds, "--split", split, "--out", out],
+        "tag": ["--in", ds, "--split", split, "--model", model, "--out", out],
+        "evaluate": ["--in", tagged, "--dataset", ds, "--split", split, "--out", out],
+    }[stage]
+    hashed = []
+
+    def counting(path, real=citeforge.jsonfile.sha256_file):
+        hashed.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(citeforge.cli, "sha256_file", counting)
+    monkeypatch.setattr(citeforge.jsonfile, "sha256_file", counting)
+    assert run(stage, *argv) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    outputs = [Path(d["path"]) for d in manifest["output_digests"]]
+    assert outputs == ([out, tmp_path / "out.issues.json"] if stage == "parse" else [out])
+    for digest in manifest["output_digests"]:
+        assert digest["sha256"] == hashlib.sha256(Path(digest["path"]).read_bytes()).hexdigest()
+    assert not set(hashed) & set(outputs)
+    assert hashed  # the input digests still read their files
+
+
 def _write_perfect_tags(ds, tagged):
     """Tag every citation of the dataset `ds` with its own ground truth."""
     from citeforge.dataset import load_jsonl
@@ -1353,3 +1399,111 @@ def test_evaluate_refuses_a_tau_that_is_not_finite_and_nonnegative(
     capsys.readouterr()
     code = run("evaluate", "--in", tagged, "--dataset", ds, "--tau", tau)
     assert_domain_error(code, capsys, "tau")
+
+
+# --- the program's exit --------------------------------------------------
+
+
+def _cli(args, env, **kwargs):
+    """`python -m citeforge.cli` on `args` in a child interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "citeforge.cli", *map(str, args)],
+        env=env, timeout=120, **kwargs,
+    )
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def exit_env(request, child_env):
+    """A child's environment with stdout block-buffered, as on a pipe or a
+    file, or written through (PYTHONUNBUFFERED)."""
+    env = dict(child_env)
+    env.pop("PYTHONUNBUFFERED", None)
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+def test_a_stage_that_succeeds_flushes_all_of_its_output(tmp_path, corpus_file, exit_env, sink):
+    """A stage ends without interpreter teardown, after flushing stdout:
+    what it printed arrives whole, and its output and manifest are there."""
+    out = tmp_path / "stats.txt"
+    args = ["stats", "--in", corpus_file, "--out", out]
+    if sink == "file":
+        with open(tmp_path / "stdout.txt", "wb") as fh:
+            result = _cli(args, exit_env, stdout=fh, stderr=subprocess.PIPE)
+        printed = (tmp_path / "stdout.txt").read_bytes()
+    else:
+        result = _cli(args, exit_env, capture_output=True)
+        printed = result.stdout
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stderr == b""
+    assert printed == out.read_bytes()  # `stats` prints what it writes
+    assert len(printed.splitlines()) > 20
+    manifest = json.loads((tmp_path / "stats.txt.manifest.json").read_text())
+    assert manifest["output_digests"][0]["path"] == str(out)
+
+
+def test_a_domain_error_exits_1_with_its_error_line(tmp_path, exit_env):
+    result = _cli(["parse", "--in", tmp_path / "missing.bib", "--out", tmp_path / "p.bib"],
+                  exit_env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "missing.bib" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "p.bib").exists()
+
+
+def test_a_missing_required_flag_exits_2(corpus_file, exit_env):
+    result = _cli(["parse", "--in", corpus_file], exit_env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == "error: missing required flag --out\n"
+
+
+# A reader that closes stdout before the stage prints.  Block-buffered,
+# the print lands in the buffer and the flush at exit fails: teardown
+# reports it and exits 120, as Python does.  Written through, the print
+# itself fails: an OSError, so exit 1 with its `error:` line.
+CLOSED_READER_EXIT = {"buffered": 120, "unbuffered": 1}
+
+
+def test_a_reader_that_closes_stdout_early(tmp_path, corpus_file, exit_env):
+    mode = "unbuffered" if "PYTHONUNBUFFERED" in exit_env else "buffered"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "citeforge.cli", "stats", "--in", str(corpus_file)],
+        env=exit_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == CLOSED_READER_EXIT[mode]
+    assert "BrokenPipeError" in stderr or "Broken pipe" in stderr
+    assert "Traceback" not in stderr
+
+
+# `python -m citeforge.cli stats --in <corpus>`, with an atexit handler
+# registered first: it prints only if the interpreter tears down.
+ATEXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("torn down"))
+sys.argv = ["citeforge", *sys.argv[1:]]
+runpy.run_module("citeforge.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args, code, torn_down", [
+    (["stats", "--in", "CORPUS"], 0, False),
+    (["stats", "--in", "missing.bib"], 1, False),
+    (["parse", "--in", "CORPUS"], 2, True),  # a usage error exits the normal way
+])
+def test_a_stage_ends_without_teardown(corpus_file, exit_env, args, code, torn_down):
+    args = [str(corpus_file) if a == "CORPUS" else a for a in args]
+    result = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *args], env=exit_env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == code, result.stderr[-2000:]
+    assert ("torn down" in result.stdout) == torn_down
+    assert "Traceback" not in result.stderr
+
+
+def test_the_console_script_is_script():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'citeforge = "citeforge.cli:script"' in pyproject

@@ -4,8 +4,9 @@ Each reference below is the earlier implementation kept verbatim in
 logic: the per-character `normalize`, the full feature extractor, the
 annotation parser that sliced the text between tag matches, the BibTeX
 scanner that stepped through every character of a value, the
-tokens x spans alignment scan, the Viterbi decoder that took the logs of
-its tables on every call, HMM training and row normalization on numpy
+tokens x spans alignment scan and the span sweep that replaced it, the
+normalizing pass that ran every step on every value, the Viterbi
+decoder that took the logs of its tables on every call, HMM training and row normalization on numpy
 arrays, the renderer that made the plain and the
 annotated string in two separate passes (parsing and formatting each
 author list once per string), the CSV export through `csv.writer`,
@@ -56,6 +57,7 @@ from citeforge.bibtex import (
 )
 from citeforge.dataset import BuildStats, DatasetRecord, build_dataset, dataset_stats, export
 from citeforge.evaluate import (
+    _CONTROL,
     EvalPolicy,
     EvalReport,
     ExtractedField,
@@ -72,6 +74,7 @@ from citeforge.hmm import (
     MIN_SURFACE_FREQ,
     HmmModel,
     LabelSequence,
+    _columns,
     _symbol_column,
     align_training,
     decode_batch,
@@ -812,6 +815,63 @@ def test_normalize_reaches_fixpoint_where_one_pass_does_not():
     assert normalize("pp. 1-\\-2") == "pp. 1-2"
 
 
+_OLD_DASHES = re.compile(r"[-‐‑‒–—―−]+")
+_OLD_LEAD_PUNCT = re.compile(r"[^\w]*")
+
+
+def reference_normalize_pass(value):
+    """The pass that ran the dash pattern and the control-character table
+    on every value."""
+    value = value.lower()
+    value = _OLD_DASHES.sub("-", value)
+    value = value.translate(_CONTROL)
+    value = " ".join(value.split())
+    value = value.replace(" & ", " and ")
+    value = value[_OLD_LEAD_PUNCT.match(value).end() :]
+    end = len(value)
+    while end and not (value[end - 1].isalnum() or value[end - 1] == "_"):
+        end -= 1
+    return value[:end]
+
+
+def reference_pass_normalize(value):
+    value = reference_normalize_pass(value)
+    while " & " in value or "--" in value:
+        value = reference_normalize_pass(value)
+    return value
+
+
+# ASCII text, where the fast paths apply, mixed with what turns them off:
+# a backslash, C0 controls and DEL, each dash, `&` runs and non-ASCII.
+_ASCII_TEXT = st.lists(
+    st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.sampled_from(["\\", "-", "--", "&", " & ", "& &", "&&", "\x00", "\x1f", "\x7f",
+                         "\t", "\n"]),
+    ),
+    max_size=30,
+).map("".join)
+_DASH_TEXT = st.lists(
+    st.one_of(st.sampled_from(list("-‐‑‒–—―−") + ["\\", " & ", "é", "\x85"]),
+              st.characters(max_codepoint=0x7F)),
+    max_size=20,
+).map("".join)
+
+
+@PROPERTY
+@given(st.one_of(_TEXT, _ASCII_TEXT, _DASH_TEXT))
+@example("a-b")
+@example("a--\\-b")
+@example("x\\y")
+@example("A\tB\x7fC")
+@example("Ab \x00 & & c")
+@example("TOP-DOWN")
+@example("Über-\u2013x")
+@example("")
+def test_normalize_matches_the_pass_without_fast_paths(value):
+    assert normalize(value) == reference_pass_normalize(value)
+
+
 @PROPERTY
 @given(_TEXT)
 def test_normalize_is_idempotent(value):
@@ -961,6 +1021,29 @@ def test_tokenize_is_str_split_and_each_token_its_own_surface(text):
     for tok in tokens:
         assert tok.surface == tok
         assert tok.features == (tok.lower(), backoff_symbol(tok))
+
+
+@PROPERTY
+@given(st.one_of(_SPLIT_TEXT, st.text(), _TEXT))
+@example("ΑΣ Σ AΣ.B ΑΣ\u2028Σ")
+@example("İ I\u0130\u2028\u0130")
+@example("ǅ\x85ǅ\u3000ﬁ")
+def test_lowercasing_never_moves_a_token_boundary(text):
+    assert [w.lower() for w in text.split()] == text.lower().split()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(_UNICODE_SURFACE, st.booleans(), st.sampled_from(_WHITESPACE)),
+                min_size=1, max_size=10))
+@example([("ΑΣ", True, " "), ("Σ", False, "\u2028"), ("İ", True, " "), ("ǅ", False, "\x85")])
+def test_tag_columns_are_the_symbol_column_of_each_token(surfaces):
+    kept = sorted({s.lower() for s, in_vocab, _ in surfaces if in_vocab})
+    sym_index = {sym: i for i, sym in enumerate(kept + list(BACKOFF_CLASSES))}
+    reference = "".join(space + s for s, _, space in surfaces)
+    words = reference.split()
+    assert _columns(sym_index, reference, words) == [
+        _symbol_column(sym_index, w) for w in words
+    ]
 
 
 @cache
@@ -1124,6 +1207,89 @@ def assert_aligned_as_reference(anno):
     assert seq.labels == reference_align(anno)
     assert seq.tokens == strip_tags(anno).split()
     assert all(type(tok) is str for tok in seq.tokens)
+
+
+def reference_sweep_align(anno_ref):
+    """The aligner that swept every token of the plain text across the
+    spans that overlap it."""
+    plain, spans = parse_annotation(anno_ref)
+    tokens, labels = [], []
+    first = 0
+    for m in re.finditer(r"\S+", plain):
+        tok_start, tok_end = m.span()
+        while first < len(spans) and spans[first][2] <= tok_start:
+            first += 1
+        best, best_cover = "other", 0
+        for label, start, end in spans[first:]:
+            if start >= tok_end:
+                break
+            cover = min(tok_end, end) - max(tok_start, start)
+            if cover > best_cover:
+                best, best_cover = label, cover
+        tokens.append(m[0])
+        labels.append(best)
+    return tokens, labels
+
+
+def assert_aligned_as_sweep(anno):
+    seq = align_training(anno)
+    assert (seq.tokens, seq.labels) == reference_sweep_align(anno)
+    assert all(type(tok) is str for tok in seq.tokens)
+
+
+# Span text: whitespace of several kinds, punctuation, the three escaped
+# characters (so `&amp;`, `&lt;` and `&gt;` in the markup) and non-ASCII.
+_SPAN_TEXT = st.text(alphabet=" \t\x1c\u2028.,;()-aB1&<>é", max_size=6)
+
+
+@st.composite
+def _annotation(draw):
+    """Markup of gaps and top-level spans in any order: empty, adjacent and
+    whitespace-only spans, tokens running across two or more of them, and
+    author spans holding name parts."""
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        label = draw(st.sampled_from((None,) + CANONICAL_LABELS[:-1]))
+        if label is None:
+            parts.append(escape(draw(_SPAN_TEXT)))
+        elif label == "author":
+            names = draw(st.lists(
+                st.tuples(st.sampled_from((None,) + NAME_PART_TAGS), _SPAN_TEXT), max_size=4))
+            inner = "".join(
+                escape(text) if tag is None else f"<{tag}>{escape(text)}</{tag}>"
+                for tag, text in names
+            )
+            parts.append(f"<author>{inner}</author>")
+        else:
+            parts.append(f"<{label}>{escape(draw(_SPAN_TEXT))}</{label}>")
+    return "".join(parts)
+
+
+@PROPERTY
+@given(_annotation())
+@example("")
+@example("<title></title>")
+@example("x<title></title>y")
+@example("<title>ab</title><volume>c</volume><page>de</page>")  # a tie: the first wins
+@example("<title>a</title><volume>bc</volume><page>d</page>.")
+@example("(<issued>2002</issued>). <title>T</title>")
+@example("<author><surname>Sm</surname>ith, <firstname>J.</firstname></author>,x")
+@example("&amp;<title>&lt;a&gt;</title>b &amp; <note>&amp;</note>")
+@example(" <title> a </title> ")
+def test_segment_aligner_matches_the_span_sweep(anno):
+    assert_aligned_as_sweep(anno)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_segment_aligner_matches_the_span_sweep_on_synthetic_corpus(seed):
+    for entry in random_corpus(random.Random(seed), 3):
+        for style in STYLES:
+            try:
+                anno = annotate(entry, style).anno_ref
+            except MissingVariable:
+                continue
+            assert_aligned_as_sweep(anno)
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -388,6 +389,24 @@ def test_model_save_load_round_trip(tmp_path):
     # save -> load -> save writes the same bytes
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("dense", ["ndarray", "list"])
+def test_save_refuses_a_model_of_dense_weights(tmp_path, dense):
+    model = random_model(random.Random(1), 2, 3)
+    if dense == "list":
+        model = HmmModel(model.states, model.vocab, model.initial.tolist(),
+                         model.transition.tolist(), model.emission.tolist(), 0.0)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="save writes only a model of counts"):
+        model.save(path)
+    assert not path.exists()
+
+
+def test_save_returns_the_sha256_of_the_file(tmp_path):
+    model = loadable_model(random.Random(3), 3, 5)
+    path = tmp_path / "model.json"
+    assert model.save(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_model_file_holds_only_the_non_zero_emission_counts(tmp_path):

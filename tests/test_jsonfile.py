@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import stat
@@ -72,28 +73,34 @@ def test_a_byte_order_mark_is_read_past_at_the_start_only(tmp_path):
 # --- the way out ----------------------------------------------------------
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_write_json_indents_escapes_and_ends_with_a_newline(tmp_path):
     path = tmp_path / "doc.json"
-    write_json(path, {"name": "Müller", "ids": [1, 2]})
+    digest = write_json(path, {"name": "Müller", "ids": [1, 2]})
     assert path.read_bytes() == (
         b'{\n  "name": "M\\u00fcller",\n  "ids": [\n    1,\n    2\n  ]\n}\n'
     )
+    assert digest == sha256_of(path)
 
 
 def test_write_json_lines_keeps_text_and_counts_rows(tmp_path):
     path = tmp_path / "rows.jsonl"
     rows = [{"a": "Müller"}, {"b": "x\ny"}, {"c": 1.5}]
-    assert write_json_lines(path, iter(rows)) == 3
+    digest = write_json_lines(path, iter(rows))
     assert path.read_bytes() == (
         '{"a": "Müller"}\n{"b": "x\\ny"}\n{"c": 1.5}\n'.encode("utf-8")
     )
+    assert digest == sha256_of(path)
     assert list(read_json_lines(path, lambda row: row)) == rows
 
 
 def test_write_json_lines_escapes_the_line_breaks_json_keeps_raw(tmp_path):
     path = tmp_path / "rows.jsonl"
     rows = [{"reference": "a\x85b\u2028c\u2029d é"}, {"reference": "e"}]
-    assert write_json_lines(path, rows) == 2
+    assert write_json_lines(path, rows) == sha256_of(path)
     assert path.read_text(encoding="utf-8").splitlines() == [
         '{"reference": "a\\u0085b\\u2028c\\u2029d é"}',
         '{"reference": "e"}',
@@ -104,7 +111,7 @@ def test_write_json_lines_escapes_the_line_breaks_json_keeps_raw(tmp_path):
 def test_write_json_lines_of_no_rows_is_an_empty_file(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text("old\n")
-    assert write_json_lines(path, []) == 0
+    assert write_json_lines(path, []) == hashlib.sha256(b"").hexdigest()
     assert path.read_bytes() == b""
 
 
