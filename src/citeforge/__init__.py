@@ -4,6 +4,9 @@ learn from it, and a field-level evaluation harness.
 The names below load on first access (PEP 562): `citeforge.parse_bibtex`,
 or `from citeforge import parse_bibtex`, imports only the submodule that
 defines the name, so `import citeforge` alone compiles none of them.
+`_EXPORTS` is also the CLI's table: a stage binds the names of the
+modules it runs from it (`cli._load`), so every name a stage calls is
+one the package exports.
 """
 
 import importlib
@@ -15,8 +18,8 @@ _EXPORTS = {
     "annotation": ("MalformedAnnotation", "parse_annotation", "strip_tags"),
     "bibtex": (
         "BibEntry", "CleanPolicy", "CleanStats", "IssueKind", "ValidationIssue",
-        "clean_corpus", "field_histogram", "parse_bibtex", "serialize",
-        "type_histogram", "validate_entry",
+        "clean_corpus", "field_histogram", "histogram_table", "parse_bibtex",
+        "serialize", "type_histogram", "validate_entry",
     ),
     "dataset": (
         "BuildStats", "DatasetRecord", "SplitManifest", "build_dataset",
@@ -25,21 +28,22 @@ _EXPORTS = {
     "evaluate": (
         "EvalPolicy", "EvalReport", "MatchClass", "classify_match",
         "evaluate_dataset", "format_report", "ground_truth_fields", "levenshtein",
-        "normalize", "score",
+        "normalize", "score", "write_report",
     ),
     "harvest": (
         "Checkpoint", "HarvestConfig", "HarvestStats", "efficiency_series",
-        "harvest", "resume",
+        "harvest", "resume", "write_efficiency_csv",
     ),
     "hmm": (
-        "HmmModel", "LabelSequence", "align_training", "tag_reference",
-        "tag_references", "train_hmm", "viterbi",
+        "EmptyInput", "HmmModel", "LabelSequence", "align_training",
+        "tag_reference", "tag_references", "train_hmm", "viterbi",
     ),
     "labels": ("ExtractedField",),
     "refsection": ("NoReferenceSection", "ReferenceBlock", "extract_references"),
     "styles": (
         "MissingVariable", "RenderedReference", "Segment", "StyleTemplate",
-        "annotate", "load_builtin_styles", "load_styles", "render",
+        "annotate", "builtin_styles_dir", "load_builtin_styles", "load_styles",
+        "render",
     ),
     "tokens": ("FeatureVector", "Token", "tokenize"),
 }

@@ -209,9 +209,9 @@ def _parse_fields(body: str) -> dict[str, str]:
             i = m.end()
         if _CONCATENATION.match(body, i):
             raise _EntrySyntaxError(f"string concatenation in field {name}")
-        # Collapse the line-wrapping whitespace exports insert inside values.
-        value = _WHITESPACE.sub(" ", value).strip()
-        fields.setdefault(name, value)  # first occurrence wins, as in BibTeX
+        # Collapse the line-wrapping whitespace exports insert inside values;
+        # the first occurrence of a field wins, as in BibTeX.
+        fields.setdefault(name, " ".join(value.split()))
     return fields
 
 
@@ -322,7 +322,7 @@ def validate_entry(entry: BibEntry) -> list[ValidationIssue]:
     if entry.entry_type not in ENTRY_TYPES:
         issues.append(
             ValidationIssue(
-                entry.key, IssueKind.UNKNOWN_TYPE, f"unknown type {entry.entry_type}"
+                entry.key, IssueKind.UNKNOWN_TYPE, f"unknown entry type @{entry.entry_type}"
             )
         )
         return issues

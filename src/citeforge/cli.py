@@ -12,11 +12,13 @@ that no source gives exits 2 before the stage reads any input.
 
 Every stage is a fresh interpreter, so each imports only the library
 modules it runs: at load time this module imports `jsonfile` alone, and a
-handler loads its modules on first use (`LIBRARY`, `_load`).  `parse` thus
-compiles `bibtex` and `jsonfile`, and `split` `dataset` and `jsonfile`.
+handler binds the names its modules export, from the package's own
+`_EXPORTS`, on first use (`_load`).  `parse` thus compiles `bibtex` and
+`jsonfile`, and `split` `dataset` and `jsonfile`.
 
 `tag` checks each dataset row as it reads it: a bibRef with no token
-exits 1, naming the row's id and style, before anything is decoded.
+(empty, or `str.isspace`) exits 1, naming the row's id and style, before
+anything is decoded.
 `tag --split` selects dataset rows; with a text input it exits 1.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -44,7 +46,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from .jsonfile import (
     is_json_lines,
     read_json,
@@ -55,50 +57,26 @@ from .jsonfile import (
     write_text,
 )
 
-# The library names the handlers call, by the module that defines them.  A
-# handler binds its modules' names here with `_load` before it calls them,
-# so a stage imports only the modules it runs.  Handlers call each name
-# through this module's namespace, where `getattr` also finds one not yet
-# bound (`__getattr__`) and `setattr` can replace one: the benchmark's
-# traced pass wraps them here.
-LIBRARY = {
-    "annotation": ("MalformedAnnotation",),
-    "bibtex": (
-        "CleanPolicy", "clean_corpus", "histogram_table", "parse_bibtex",
-        "serialize", "validate_entry",
-    ),
-    "dataset": (
-        "BuildStats", "SplitManifest", "build_dataset", "dataset_stats", "export",
-        "load_jsonl", "split_dataset",
-    ),
-    "evaluate": ("EvalPolicy", "evaluate_dataset", "format_report", "write_report"),
-    "harvest": (
-        "HarvestConfig", "efficiency_series", "harvest", "resume", "write_efficiency_csv",
-    ),
-    "hmm": (
-        "EmptyInput", "HmmModel", "align_training", "tag_reference", "tag_references",
-        "train_hmm",
-    ),
-    "styles": ("builtin_styles_dir", "load_styles"),
-    "tokens": ("WORD",),
-}
-
-
+# A handler binds the names its modules export (the package's `_EXPORTS`)
+# here with `_load` before it calls them, so a stage imports only the
+# modules it runs.  Handlers call each name through this module's
+# namespace, where `getattr` also finds one not yet bound (`__getattr__`)
+# and `setattr` can replace one: the benchmark's traced pass wraps them here.
 def _load(*modules: str) -> None:
-    """Bind the LIBRARY names of `modules` here; a name already bound keeps
-    its value."""
+    """Bind the exported names of `modules` here; a name already bound
+    keeps its value."""
     for module in modules:
         library = importlib.import_module(f"{__package__}.{module}")
-        for name in LIBRARY[module]:
+        for name in _EXPORTS[module]:
             globals().setdefault(name, getattr(library, name))
 
 
 def __getattr__(name: str):
-    for module, names in LIBRARY.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
 
 
 # Every domain error class of the package subclasses ValueError.
@@ -481,18 +459,20 @@ def _references(run: Run, in_path: Path):
     dataset, on the --split eval side when a split is given, or each
     non-blank line of a text file, where LF, CR LF and a lone CR end a line
     and FF, VT, U+0085 and U+2028 do not.
-    A dataset row whose bibRef has no token is an EmptyInput naming it."""
+    A dataset row whose bibRef has no token, empty or `str.isspace` (the
+    whitespace `str.split` splits on), is an EmptyInput naming it."""
     if is_json_lines(in_path):
         keep = _split_ids(run, "eval")
         for record in load_jsonl(in_path):
             if keep is None or record.id in keep:
                 for cit in record.citations:
-                    if not WORD.search(cit["bibRef"]):
+                    ref = cit["bibRef"]
+                    if not ref or ref.isspace():
                         raise EmptyInput(
                             f"{_row_name(in_path, record.id, cit['style'])} "
                             "has a bibRef with no tokens to decode"
                         )
-                    yield {"id": record.id, "style": cit["style"]}, cit["bibRef"]
+                    yield {"id": record.id, "style": cit["style"]}, ref
     elif run.get("split"):
         raise ValueError(f"--split selects dataset rows, but {in_path} is a text input")
     else:
@@ -507,7 +487,7 @@ TAG_BATCH = 64
 
 
 def cmd_tag(run: Run) -> None:
-    _load("dataset", "hmm", "tokens")
+    _load("dataset", "hmm")
     model = HmmModel.load(run.read(run.get("model")))
     in_path = run.read(run.get("in"))
 

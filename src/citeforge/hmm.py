@@ -39,10 +39,10 @@ for the whole batch, and `viterbi`, `tag_reference` and `tag_references`
 are all calls of it.  `tag_references` splits each reference once, maps
 its lowercased tokens to their columns in one pass and takes a backoff
 symbol only for a token the vocabulary lacks.  It refuses a batch holding
-a reference with no token (EmptyInput); the CLI's `tag` checks each
-dataset row against `tokens.WORD`, the same split, as it reads it, so it
-names the row before the batch reaches the decoder.  Each Viterbi step
-reads its maxima at the argmax, by flat index.
+a reference with no token (EmptyInput); the CLI's `tag` refuses each
+dataset row whose bibRef is empty or `str.isspace` (the same whitespace)
+as it reads it, so it names the row before the batch reaches the decoder.
+Each Viterbi step reads its maxima at the argmax, by flat index.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def _columns(sym_index: dict[str, int], reference: str, words: list[str]) -> lis
     columns = list(map(sym_index.get, reference.lower().split()))
     if None in columns:
         columns = [
-            sym_index[backoff_symbol(word)] if col is None else col
+            _symbol_column(sym_index, word) if col is None else col
             for word, col in zip(words, columns)
         ]
     return columns
@@ -355,21 +355,18 @@ def train_hmm(corpus: Iterable[LabelSequence], alpha: float = 0.1) -> HmmModel:
     for (_, surface), count in emits.items():
         surface_freq[surface.lower()] += count
     kept = sorted(s for s, n in surface_freq.items() if n >= MIN_SURFACE_FREQ)
-    vocab = kept + list(BACKOFF_CLASSES)
-    sym_index = {sym: i for i, sym in enumerate(vocab)}
-    state_index = {s: i for i, s in enumerate(states)}
-
-    emission = [Counter() for _ in states]
-    for (label, surface), count in emits.items():
-        emission[state_index[label]][_symbol_column(sym_index, surface)] += count
-    return HmmModel(
+    model = HmmModel(
         states=states,
-        vocab=vocab,
+        vocab=kept + list(BACKOFF_CLASSES),
         initial=[starts[s] for s in states],
         transition=[[steps[prev, cur] for cur in states] for prev in states],
-        emission=emission,
+        emission=[Counter() for _ in states],
         smoothing_alpha=alpha,
     )
+    state_index = {s: i for i, s in enumerate(states)}
+    for (label, surface), count in emits.items():
+        model.emission[state_index[label]][_symbol_column(model._sym_index, surface)] += count
+    return model
 
 
 def decode_batch(

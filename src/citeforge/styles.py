@@ -150,17 +150,11 @@ def render(entry: BibEntry, style: StyleTemplate) -> str:
     return annotate(entry, style).bib_ref
 
 
-def annotate(
-    entry: BibEntry, style: StyleTemplate, values: dict | None = None
-) -> RenderedReference:
+def annotate(entry: BibEntry, style: StyleTemplate) -> RenderedReference:
     """Reference string plus its tagged twin, written in one walk over the
-    segments.  `values` memoises each formatted value as `(plain value,
-    tagged inner)`, or None if the entry has none, keyed by variable (names
-    by `(variable, name_format, name_delimiter)`, with the entry's parsed
-    names and their formats per `name_format` kept beside them): an entry's
-    styles share one, else each call fills a fresh one.  A missing value
-    drops an omittable segment, else MissingVariable."""
-    return renderer(style)(entry, {} if values is None else values)
+    segments.  A missing value drops an omittable segment, else
+    MissingVariable."""
+    return renderer(style)(entry, {})
 
 
 def _value(
@@ -207,7 +201,12 @@ def _value(
 
 def renderer(style: StyleTemplate):
     """`annotate` of one style, called as `fn(entry, values)`: each
-    segment's memo key and tag texts are prepared once, here."""
+    segment's memo key and tag texts are prepared once, here.  `values`
+    memoises each formatted value as `(plain value, tagged inner)`, or None
+    if the entry has none, keyed by variable (names by `(variable,
+    name_format, name_delimiter)`, with the entry's parsed names and their
+    formats per `name_format` kept beside them), so an entry's styles can
+    share one."""
     steps = [
         (
             seg.variable,

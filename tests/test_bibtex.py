@@ -214,6 +214,14 @@ def test_validate_unknown_field_is_informational():
     assert issues[0].detail == "doi"
 
 
+def test_validate_names_an_unknown_type_as_the_parser_does():
+    entry = BibEntry("webpage", "w", {"title": "T"})
+    _, parsed = parse_bibtex("@webpage{w, title={T}}")
+    assert validate_entry(entry) == parsed == [
+        ValidationIssue("w", IssueKind.UNKNOWN_TYPE, "unknown entry type @webpage")
+    ]
+
+
 def test_validate_minimal_entries_for_every_type():
     # an entry synthesized from the required-field table never has issues
     for entry_type in sorted(ENTRY_TYPES):

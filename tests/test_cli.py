@@ -146,6 +146,16 @@ def test_render_and_annotate(tmp_path, corpus_file):
     assert set(rows[0]) == {"id", "style", "bibRef", "annoRef"}
 
 
+def test_build_refuses_a_style_not_in_its_style_set(tmp_path, corpus_file, capsys):
+    out = tmp_path / "ds.jsonl"
+    capsys.readouterr()
+    assert run("build", "--in", corpus_file, "--out", out, "--style", "nosuch") == 1
+    captured = capsys.readouterr()
+    styles_dir = citeforge.builtin_styles_dir()
+    assert captured.err == f"error: style 'nosuch' not found under {styles_dir}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_render_writes_the_bib_refs_and_skips_of_annotate(tmp_path, corpus_file, capsys):
     refs, annos = tmp_path / "refs.txt", tmp_path / "annos.jsonl"
     capsys.readouterr()
@@ -1285,7 +1295,8 @@ def test_each_stage_imports_only_its_modules(tmp_path, corpus_file, chain_files,
     assert loaded == STAGE_MODULES
 
 
-# Every name the package exported when its __init__ imported them all.
+# Every name the package exports: those it exported when its __init__
+# imported them all, then five more that the CLI calls.
 PACKAGE_EXPORTS = (
     "BibEntry", "BuildStats", "Checkpoint", "CleanPolicy", "CleanStats", "DatasetRecord",
     "EvalPolicy", "EvalReport", "ExtractedField", "FeatureVector", "HarvestConfig",
@@ -1299,6 +1310,8 @@ PACKAGE_EXPORTS = (
     "normalize", "parse_annotation", "parse_bibtex", "render", "resume", "score",
     "serialize", "split_dataset", "strip_tags", "tag_reference", "tag_references",
     "tokenize", "train_hmm", "type_histogram", "validate_entry", "viterbi",
+    "EmptyInput", "builtin_styles_dir", "histogram_table", "write_efficiency_csv",
+    "write_report",
 )
 EXPORTS_PROBE = """
 import json, sys, types

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from citeforge.dataset import (
     BuildStats,
     DatasetRecord,
     NoStyles,
+    SplitManifest,
     TooSmall,
     build_dataset,
     dataset_stats,
@@ -261,3 +263,44 @@ def test_record_equality_ignores_entry_type_and_source_tag():
         ("a", {"title": "T"}, cits),
     ):
         assert record != other
+
+
+CITATION = {"style": "s", "bibRef": "r", "annoRef": "r"}
+ROW = {"id": "a", "bib_fields": {"title": "T"}, "citations": [CITATION]}
+CITATION_MESSAGE = "citation {} must be an object whose style, bibRef and annoRef are strings"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"id": 7}, "id must be a string"),
+        ({"bib_fields": {"title": 1}}, "bib_fields must be an object of strings"),
+        ({"bib_fields": ["title"]}, "bib_fields must be an object of strings"),
+        ({"citations": CITATION}, "citations must be a list"),
+        ({"citations": ["r"]}, CITATION_MESSAGE.format(0)),
+        ({"citations": [CITATION, dict(CITATION, bibRef=None)]}, CITATION_MESSAGE.format(1)),
+        ({"citations": [dict(CITATION, annoRef=[])]}, CITATION_MESSAGE.format(0)),
+    ],
+    ids=["id", "bib-field", "bib-fields-list", "citations", "citation-0", "citation-1-bibref",
+         "citation-0-annoref"],
+)
+def test_record_from_json_names_what_has_the_wrong_type(change, message):
+    assert DatasetRecord.from_json_dict(ROW) == DatasetRecord("a", {"title": "T"}, [CITATION])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DatasetRecord.from_json_dict(dict(ROW, **change))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"eval_ids": ["c", "b"]}, "id 'b' is in both train_ids and eval_ids"),
+    ],
+    ids=["seed-str", "seed-bool", "id-on-both-sides"],
+)
+def test_split_manifest_from_json_names_what_it_refuses(change, message):
+    manifest = {"seed": 7, "train_ids": ["a", "b"], "eval_ids": ["c"]}
+    assert SplitManifest.from_json_dict(manifest) == SplitManifest(7, ("a", "b"), ("c",))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SplitManifest.from_json_dict(dict(manifest, **change))

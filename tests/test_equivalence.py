@@ -102,6 +102,7 @@ from citeforge.styles import (
 from citeforge.synth import random_bibtex_file, random_corpus
 from citeforge.tokens import (
     BACKOFF_CLASSES,
+    WORD,
     _case_class,
     _last_char_class,
     _punct_class,
@@ -1015,12 +1016,29 @@ _SPLIT_TEXT = st.text(
 @PROPERTY
 @given(_SPLIT_TEXT)
 @example("a\x85b\u2028c\x1cd\x1fe\xa0f\u200bg")
+@example("\x1c\x85\u2028\u3000")
+@example("\u200b")
 def test_tokenize_is_str_split_and_each_token_its_own_surface(text):
     tokens = tokenize(text)
     assert tokens == text.split()
     for tok in tokens:
         assert tok.surface == tok
         assert tok.features == (tok.lower(), backoff_symbol(tok))
+    # `tag` refuses a bibRef with no token by this rule, not by `WORD`.
+    assert (not text or text.isspace()) == (WORD.search(text) is None) == (not tokens)
+
+
+def test_every_whitespace_rule_takes_the_same_code_points():
+    """`str.isspace` (`tag`'s refusal of a blank bibRef), the regex `\\s`
+    (the BibTeX scanner's old collapse, `re.sub(r"\\s+", " ", v).strip()`),
+    `str.split` (tokens, and the collapse `" ".join(v.split())`) and
+    `WORD` all take the same whitespace, over every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = {c for c in every if c.isspace()}
+    assert set(re.findall(r"\s", every)) == spaces
+    assert set(every) - set("".join(every.split())) == spaces
+    assert set(every) - set("".join(WORD.findall(every))) == spaces
+    assert {c for c in every if not c.strip()} == spaces
 
 
 @PROPERTY

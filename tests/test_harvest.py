@@ -134,6 +134,13 @@ def test_validate_names_a_bad_count_or_delay(tmp_path, change, message):
         HarvestConfig(**dict(fields, **change)).validate()
 
 
+def test_validate_needs_a_user_agent(tmp_path):
+    cfg = HarvestConfig("http://localhost/{id}", 1, 2, output_path=tmp_path / "o",
+                        user_agents=())
+    with pytest.raises(ConfigError, match="^at least one user agent is required$"):
+        cfg.validate()
+
+
 @pytest.mark.parametrize(
     "change",
     [{"td_millis": 0, "rid_millis": 0, "max_retries": 10**9},
@@ -551,10 +558,23 @@ def test_resume_after_crash_before_checkpoint_keeps_no_duplicate(
 def test_resume_refuses_output_shorter_than_checkpoint(server, tmp_path):
     cfg = make_config(server, tmp_path, id_end=3)
     harvest(cfg, random.Random(15))
+    recorded = cfg.output_path.stat().st_size
     cfg.output_path.write_text("")
     cfg.id_end = 5
-    with pytest.raises(CorruptCheckpoint):
+    message = f"{cfg.output_path} holds 0 bytes, fewer than the {recorded} the checkpoint recorded"
+    with pytest.raises(CorruptCheckpoint, match=f"^{re.escape(message)}$"):
         resume(cfg)
+
+
+@pytest.mark.parametrize("last_id", [-1, 6], ids=["before-start", "past-end"])
+def test_resume_refuses_a_checkpoint_id_out_of_range(tmp_path, last_id):
+    cfg = HarvestConfig("http://localhost/{id}", 1, 5, output_path=tmp_path / "o",
+                        checkpoint_path=tmp_path / "cp.json")
+    Checkpoint(last_id, 0, 0, 0).write(cfg.checkpoint_path)
+    message = f"checkpoint id {last_id} outside range 1..5"
+    with pytest.raises(CorruptCheckpoint, match=f"^{re.escape(message)}$"):
+        resume(cfg)
+    assert not cfg.output_path.exists()
 
 
 @pytest.mark.parametrize(

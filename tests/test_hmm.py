@@ -196,6 +196,11 @@ def test_train_empty_corpus_raises():
             train_hmm(corpus, alpha=float("nan"))
 
 
+def test_label_sequence_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="^tokens and labels differ in length$"):
+        LabelSequence(["Smith", "J."], ["author"])
+
+
 def test_train_corpus_of_empty_references_raises():
     empties = [LabelSequence([], []), LabelSequence([], [])]
     for corpus in (empties, iter(empties)):
