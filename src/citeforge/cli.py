@@ -439,18 +439,25 @@ def cmd_train(run: Run) -> None:
     )
 
 
+_FIELDS_SHAPE = "fields must be a list of objects whose label and value are strings"
+
+
 def _tagged_row(row: dict) -> dict:
     """A tagged.jsonl row as `evaluate` reads it.  `id` and `style`, when
     present, are strings; rows without them (plain-text `tag`) count as
     missing ground truth."""
-    if not all(isinstance(row.get(key, ""), str) for key in ("id", "style")):
+    if not (isinstance(row.get("id", ""), str) and isinstance(row.get("style", ""), str)):
         raise ValueError("id and style must be strings")
     fields = row.get("fields", [])
-    if not isinstance(fields, list) or not all(
-        isinstance(f, dict) and all(isinstance(f.get(k), str) for k in ("label", "value"))
-        for f in fields
-    ):
-        raise ValueError("fields must be a list of objects whose label and value are strings")
+    if not isinstance(fields, list):
+        raise ValueError(_FIELDS_SHAPE)
+    for f in fields:
+        if not (
+            isinstance(f, dict)
+            and isinstance(f.get("label"), str)
+            and isinstance(f.get("value"), str)
+        ):
+            raise ValueError(_FIELDS_SHAPE)
     return row
 
 
@@ -480,9 +487,11 @@ def _references(run: Run, in_path: Path):
         yield from (({}, line) for line in stripped if line)
 
 
-# References `tag` decodes per `tag_references` call: enough to amortize
-# numpy's per-step overhead, few enough that the batch's rows and back
-# pointers stay small next to the model.
+# References `tag` decodes per `tag_references` call.  A larger batch buys
+# little time and costs memory: decoding the 2,000 references of
+# tag_stream seed 1 took a median 41/37/35/48 ms in batches of
+# 64/128/256/2,000 (2 shared vCPUs, sizes interleaved), while the `tag`
+# process's peak RSS (VmHWM) was 34.3/35.1/36.5 MB at 64/128/256.
 TAG_BATCH = 64
 
 

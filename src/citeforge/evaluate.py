@@ -10,6 +10,12 @@ Near means an edit distance within `tau` of the longer length.  No edit
 sequence is shorter than the length gap |len(a) - len(b)|, so a pair
 whose gap already exceeds that share is a miss without computing the
 distance; the shortcut never changes a class (see `classify_match`).
+A prediction equal to an open truth of its label takes the first such
+truth without walking the pool: recognized ranks above every other class
+and equal ranks keep the first truth, so the walk would take the same
+one in the same class.  Only the other predictions walk the pool, and a
+walk stops at the first superstring: no truth left equals the
+prediction, so none after it can rank higher.
 Each distinct raw value is normalized, and each distinct raw label
 resolved to its canonical label, once per scoring call.  Normalizing an
 ASCII value skips the dash pattern when it holds no "-", the one ASCII
@@ -121,6 +127,11 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+# The classes in precedence order: a lower rank is a better match.
+_CLASSES = tuple(MatchClass)
+_RECOGNIZED, _SUPERSTRING, _SUBSTRING, _NEAR, _MISS = range(len(_CLASSES))
+
+
 def classify_match(pred: str, truth: str, tau: float = EvalPolicy.tau) -> MatchClass:
     """One class per pair, by precedence: equality, containment either way,
     then edit distance within `tau` of the longer length.
@@ -131,23 +142,24 @@ def classify_match(pred: str, truth: str, tau: float = EvalPolicy.tau) -> MatchC
     distance is computed only for pairs within the length bound.  A NaN
     `tau` fails both tests, as it always did.
     """
+    return _CLASSES[_match_rank(pred, truth, tau)]
+
+
+def _match_rank(pred: str, truth: str, tau: float) -> int:
+    """The rank of `classify_match(pred, truth, tau)`."""
     if pred == truth:
-        return MatchClass.RECOGNIZED
+        return _RECOGNIZED
     if truth and truth in pred:
-        return MatchClass.SUPERSTRING
+        return _SUPERSTRING
     if pred and pred in truth:
-        return MatchClass.SUBSTRING
+        return _SUBSTRING
     # Unequal, so at least one is non-empty and `longest` is positive.
     longest = max(len(pred), len(truth))
     if abs(len(pred) - len(truth)) / longest > tau:
-        return MatchClass.MISS
+        return _MISS
     if levenshtein(pred, truth) / longest <= tau:
-        return MatchClass.NEAR
-    return MatchClass.MISS
-
-
-# Precedence of the classes: a lower rank is a better match.
-_RANK = {cls: rank for rank, cls in enumerate(MatchClass)}
+        return _NEAR
+    return _MISS
 
 
 class LabelScore:
@@ -278,13 +290,22 @@ def _score_into(
             per_label[label] = LabelScore()
         stats = per_label[label]
         pool = open_truths.get(label, ())
-        best_class, best_at = MatchClass.MISS, None
+        if value in pool:
+            # The walk below would take this truth too: recognized ranks
+            # first, and of equal ranks the first in the pool is kept.
+            pool.remove(value)
+            stats.match_classes["recognized"] += 1
+            stats.tp += 1
+            continue
+        best, best_at = _MISS, None
         for i, t in enumerate(pool):
-            cls = classify_match(value, t, tau)
-            if _RANK[cls] < _RANK[best_class]:
-                best_class, best_at = cls, i
-        stats.match_classes[best_class.value] += 1
-        if best_class is MatchClass.RECOGNIZED or (near_ok and best_class is MatchClass.NEAR):
+            rank = _match_rank(value, t, tau)
+            if rank < best:
+                best, best_at = rank, i
+                if rank == _SUPERSTRING:
+                    break  # none equals the value, so none after ranks better
+        stats.match_classes[_CLASSES[best].value] += 1
+        if best == _NEAR and near_ok:
             pool.pop(best_at)
             stats.tp += 1
         else:
@@ -339,10 +360,11 @@ def evaluate_dataset(
             total.missing_ground_truth += 1
             continue
         try:
-            truth = ground_truth_fields(anno)
+            plain, spans = parse_annotation(anno)
         except MalformedAnnotation:
             total.missing_ground_truth += 1
             continue
+        truth = [(label, plain[start:end]) for label, start, end in spans]
         preds = [(f["label"], f["value"]) for f in row.get("fields", [])]
         _score_into(total, preds, truth, policy, labels, values)
     return total

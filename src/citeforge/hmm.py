@@ -36,12 +36,16 @@ versions.
 Decoding is batched: `decode_batch` runs the max-plus Viterbi recursion
 (Rabiner 1989) over many sequences at once, one numpy step per position
 for the whole batch, and `viterbi`, `tag_reference` and `tag_references`
-are all calls of it.  `tag_references` splits each reference once, maps
-its lowercased tokens to their columns in one pass and takes a backoff
-symbol only for a token the vocabulary lacks.  It refuses a batch holding
-a reference with no token (EmptyInput); the CLI's `tag` refuses each
-dataset row whose bibRef is empty or `str.isspace` (the same whitespace)
-as it reads it, so it names the row before the batch reaches the decoder.
+are all calls of it.  `tag_references` splits each reference, and its
+lowercased copy, once; maps the lowercased tokens to their columns in one
+pass and takes a backoff symbol only for a token the vocabulary lacks.
+It reads the label runs off the integer state path the decoder returns:
+one table per call names each state's field (None for `other`), a run
+starts where the path changes state, and each run's words are joined
+once.  It refuses a batch holding a reference with no token (EmptyInput);
+the CLI's `tag` refuses each dataset row whose bibRef is empty or
+`str.isspace` (the same whitespace) as it reads it, so it names the row
+before the batch reaches the decoder.
 Each Viterbi step reads its maxima at the argmax, by flat index.
 """
 
@@ -50,8 +54,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import cached_property
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain, compress, count, islice
+from operator import ne
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -291,11 +295,12 @@ def _columns(sym_index: dict[str, int], reference: str, words: list[str]) -> lis
     """`_symbol_column` of each of `words`, the tokens of `reference`.
     Lowercasing never moves a token boundary, so the lowercased reference
     splits into the tokens lowercased, which map to their columns in one
-    pass; only a token that misses takes its backoff symbol."""
+    pass; only a token whose lowercased form misses takes its backoff
+    symbol."""
     columns = list(map(sym_index.get, reference.lower().split()))
     if None in columns:
         columns = [
-            _symbol_column(sym_index, word) if col is None else col
+            sym_index[backoff_symbol(word)] if col is None else col
             for word, col in zip(words, columns)
         ]
     return columns
@@ -439,12 +444,24 @@ def fields_from_labels(tokens: list[str], labels: Iterable[str]) -> list[Extract
     """Concatenate maximal runs of one label into (field, value) pairs.
 
     `other` runs are dropped; tokens join with single spaces; labels map
-    to their BibTeX field names.
+    to their BibTeX field names.  As with `zip`, the runs stop at the
+    shorter of `tokens` and `labels`.
     """
+    labels = list(islice(labels, len(tokens)))
+    names = {label: None if label == "other" else field_for_label(label) for label in set(labels)}
+    return _label_runs(tokens, labels, names)
+
+
+def _label_runs(words: list[str], labels: list, names) -> list[ExtractedField]:
+    """A field of each maximal run of equal `labels` whose `names[label]`
+    is not None: that name and the run's `words` joined by single spaces.
+    A run starts at the first label and wherever a label differs from the
+    one before it."""
+    starts = list(compress(count(), map(ne, labels, chain((object(),), labels))))
     return [
-        ExtractedField(field_for_label(label), " ".join(tok for tok, _ in run))
-        for label, run in groupby(zip(tokens, labels), key=itemgetter(1))
-        if label != "other"
+        ExtractedField(name, " ".join(words[start:stop]))
+        for start, stop in zip(starts, [*starts[1:], len(labels)])
+        if (name := names[labels[start]]) is not None
     ]
 
 
@@ -455,8 +472,9 @@ def tag_references(
     the decode log-probability, in input order.
 
     Each reference splits once on whitespace, into the tokens `tokenize`
-    would give, and maps to its columns by `_columns`.  A reference with
-    no token raises EmptyInput.
+    would give, and maps to its columns by `_columns`; its fields are the
+    runs of its state path, by `_label_runs`.  A reference with no token
+    raises EmptyInput.
     """
     surfaces = [reference.split() for reference in references]
     if not all(surfaces):
@@ -465,8 +483,9 @@ def tag_references(
         _columns(dec.sym_index, reference, words)
         for reference, words in zip(references, surfaces)
     ]
+    names = [None if state == "other" else field_for_label(state) for state in dec.states]
     return [
-        (fields_from_labels(words, map(dec.states.__getitem__, path)), log_prob)
+        (_label_runs(words, path, names), log_prob)
         for words, (path, log_prob) in zip(surfaces, decode_batch(dec, columns))
     ]
 

@@ -1042,24 +1042,37 @@ def test_dataset_citation_of_the_wrong_shape(
     assert_domain_error(run(*argv), capsys, ds, "line 2", "citation 3", key)
 
 
+_BAD_FIELDS = "fields must be a list of objects whose label and value are strings"
+_BAD_KEYS = "id and style must be strings"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit,message",
     [
-        lambda row: row["fields"][0].pop("label"),
-        lambda row: row.update(fields=5),
-        lambda row: row["fields"][0].update(value=5),
-        lambda row: row.update(id=[1]),
+        (lambda row: row["fields"][0].pop("label"), _BAD_FIELDS),
+        (lambda row: row.update(fields=5), _BAD_FIELDS),
+        (lambda row: row["fields"][0].update(value=5), _BAD_FIELDS),
+        (lambda row: row.update(id=[1]), _BAD_KEYS),
+        (lambda row: row.update(fields=[5]), _BAD_FIELDS),
+        (lambda row: row["fields"][0].update(value=True), _BAD_FIELDS),
+        (lambda row: row["fields"][0].update(label=None), _BAD_FIELDS),
+        (lambda row: row.update(style=7), _BAD_KEYS),
     ],
-    ids=["field-without-label", "fields-not-a-list", "integer-value", "list-id"],
+    ids=[
+        "field-without-label", "fields-not-a-list", "integer-value", "list-id",
+        "field-not-an-object", "true-value", "null-label", "integer-style",
+    ],
 )
-def test_evaluate_names_a_tagged_row_of_the_wrong_shape(tmp_path, chain_files, capsys, edit):
+def test_evaluate_names_a_tagged_row_of_the_wrong_shape(
+    tmp_path, chain_files, capsys, edit, message
+):
     ds, _, model = chain_files
     tagged = tmp_path / "tagged.jsonl"
     assert run("tag", "--in", ds, "--model", model, "--out", tagged) == 0
     _edit_rows(tagged, lambda rows: edit(rows[2]))
     capsys.readouterr()
     code = run("evaluate", "--in", tagged, "--dataset", ds)
-    assert_domain_error(code, capsys, tagged, "line 3")
+    assert_domain_error(code, capsys, tagged, "line 3", message)
 
 
 def test_evaluate_keeps_rows_without_id_and_style(tmp_path, chain_files, capsys):

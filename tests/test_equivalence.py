@@ -1461,6 +1461,50 @@ def test_tag_references_match_per_reference_viterbi_on_trained_model():
         assert log_prob == ref_log_prob
 
 
+_FIELD_STATES = [label for label in CANONICAL_LABELS if label != "other"]
+
+
+@st.composite
+def _decoder_and_references(draw):
+    """A decoder over a few canonical labels, with `other` at any state
+    index or absent, and references of its words, backoff-only words and
+    varied whitespace."""
+    states = draw(st.lists(st.sampled_from(_FIELD_STATES), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        states.insert(draw(st.integers(0, len(states))), "other")
+    n, words = len(states), [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    vocab = words + list(BACKOFF_CLASSES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(r, c):
+        raw = rng.choice([0.0, 0.0, 1.0, 2.0, 0.5], size=(r, c))
+        raw[:, 0] += 1e-3  # no all-zero row
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    model = HmmModel(states, vocab, rows(1, n)[0], rows(n, n), rows(n, len(vocab)), 0.0)
+    token = st.sampled_from(words + ["W0", "Zq.", "1999,", "(x)"])
+    space = st.sampled_from([" ", "  ", "\t", "\n "])
+    reference = st.lists(st.tuples(space, token), min_size=1, max_size=10).map(
+        lambda parts: "".join(s + t for s, t in parts)
+    )
+    return model.decoder, draw(st.lists(reference, min_size=1, max_size=5))
+
+
+@PROPERTY
+@given(_decoder_and_references())
+def test_tag_references_fields_are_the_label_runs_of_the_state_path(case):
+    dec, references = case
+    tagged = tag_references(dec, references)
+    assert len(tagged) == len(references)
+    for reference, (fields, log_prob) in zip(references, tagged):
+        tokens = reference.split()
+        [(path, ref_log_prob)] = decode_batch(
+            dec, [[reference_symbol_column(dec.sym_index, tok) for tok in tokens]]
+        )
+        assert fields == reference_fields_from_labels(tokens, [dec.states[i] for i in path])
+        assert log_prob == ref_log_prob
+
+
 def test_viterbi_cached_tables_match_on_trained_model():
     rng = random.Random(5)
     corpus, refs = [], []
@@ -1849,8 +1893,24 @@ def _score_case(draw):
     return preds, truth, draw(_POLICY)
 
 
+def _titles(*values):
+    return [ExtractedField("title", value) for value in values]
+
+
 @PROPERTY
 @given(_score_case())
+# An equal truth comes after one the prediction is a superstring of, or
+# near: the equal one is taken, and the next prediction gets the other.
+@example((_titles("abc", "ab"), _titles("ab", "abc"), EvalPolicy()))
+@example((_titles("abcd", "abce"), _titles("abce", "abcd"), EvalPolicy(0.5, True)))
+@example((_titles("abcd", "abce"), _titles("abce", "abcd"), EvalPolicy(0.5, False)))
+# Two equal truths around another: the first is taken, so the near
+# prediction takes the middle one and the last prediction is recognized.
+@example((_titles("abcd", "abcf", "abcd"), _titles("abcd", "abce", "abcd"), EvalPolicy(0.5, True)))
+# Equal only once normalized: the first such truth is taken.
+@example((_titles("a-b"), _titles("A–B.", "a-b"), EvalPolicy()))
+# A substring comes before a superstring: the walk goes on to the better class.
+@example((_titles("abc"), _titles("abcdef", "ab"), EvalPolicy()))
 def test_score_matches_reference_scorer(case):
     preds, truth, policy = case
     assert_same_report(score(preds, truth, policy), reference_score(preds, truth, policy))
