@@ -573,8 +573,8 @@ def cmd_harvest(run: Run) -> None:
     run.wrote(config.checkpoint_path)
     csv_out = run.get("efficiency_csv")
     if csv_out:
-        series = efficiency_series(config.log_path)
-        write_efficiency_csv(series, run.wrote(csv_out))
+        digest = write_efficiency_csv(efficiency_series(config.log_path), csv_out)
+        run.wrote(csv_out, digest)
     print(
         json.dumps(
             {

@@ -16,11 +16,13 @@ and equal ranks keep the first truth, so the walk would take the same
 one in the same class.  Only the other predictions walk the pool, and a
 walk stops at the first superstring: no truth left equals the
 prediction, so none after it can rank higher.
-Each distinct raw value is normalized, and each distinct raw label
-resolved to its canonical label, once per scoring call.  Normalizing an
-ASCII value skips the dash pattern when it holds no "-", the one ASCII
-dash, and the control-character table when it is printable and holds no
-backslash: neither step could change such a value.
+A raw label, a field label or a BibTeX name in any case, reads as its
+field label in `labels.FIELD_LABELS`; one that names no field, `other`
+among them, is discarded.  Each distinct raw value is normalized once per
+scoring call.  Normalizing an ASCII value skips the dash pattern when it
+holds no "-", the one ASCII dash, and the control-character table when
+it is printable and holds no backslash: neither step could change such a
+value.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Iterable
 
 from .annotation import MalformedAnnotation, parse_annotation
 from .jsonfile import write_json
-from .labels import CONSISTENCY_MAP, ExtractedField, check_nonnegative, to_canonical
+from .labels import FIELD_LABELS, ExtractedField, check_nonnegative
 
 
 class MatchClass(Enum):
@@ -163,8 +165,11 @@ def _match_rank(pred: str, truth: str, tau: float) -> int:
 
 
 class LabelScore:
+    """One label's counts.  Each of its truths is taken by a prediction
+    (`tp`) or left unmatched (`fn`), so its support is `tp + fn`."""
+
     def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0):
-        self.tp, self.fp, self.fn, self.support = tp, fp, fn, 0
+        self.tp, self.fp, self.fn = tp, fp, fn
         self.match_classes: Counter = Counter()
 
     @property
@@ -204,7 +209,7 @@ class EvalReport:
                     "precision": s.precision,
                     "recall": s.recall,
                     "f1": s.f1,
-                    "support": s.support,
+                    "support": s.tp + s.fn,
                     "tp": s.tp,
                     "fp": s.fp,
                     "fn": s.fn,
@@ -219,22 +224,15 @@ class EvalReport:
         }
 
 
-def _field_label(name: str) -> str | None:
-    """The canonical label a raw label names, None if it names no field."""
-    label = to_canonical(name)
-    return label if label in CONSISTENCY_MAP else None
-
-
 def _resolve(
-    pairs: Iterable[tuple[str, str]], report: EvalReport, labels: Callable, values: Callable
+    pairs: Iterable[tuple[str, str]], report: EvalReport, values: Callable
 ) -> list[tuple[str, str]]:
-    """Canonical labels and normalized values of (label, value) pairs;
-    empties are discarded with a count, unresolvable labels likewise.
-    `labels` and `values` are `_field_label` and `normalize`, memoised
-    for one scoring call."""
+    """Field labels and normalized values of (label, value) pairs; empties
+    are discarded with a count, labels that name no field likewise.
+    `values` is `normalize`, memoised for one scoring call."""
     out = []
     for label, value in pairs:
-        label = labels(label)
+        label = FIELD_LABELS.get(label.lower())
         if label is None:
             report.discarded_empty += 1
             continue
@@ -260,9 +258,7 @@ def score(
     class it reached, for the diagnostics table.
     """
     report = EvalReport()
-    _score_into(
-        report, predictions, truth, policy or EvalPolicy(), cache(_field_label), cache(normalize)
-    )
+    _score_into(report, predictions, truth, policy or EvalPolicy(), cache(normalize))
     return report
 
 
@@ -271,21 +267,19 @@ def _score_into(
     predictions: list[tuple[str, str]],
     truth: list[tuple[str, str]],
     policy: EvalPolicy,
-    labels: Callable,
     values: Callable,
 ) -> None:
     """Add one reference's scores, as `score` defines them, to `report`."""
     report.references += 1
     per_label = report.per_label
     open_truths: dict[str, list[str]] = {}
-    for label, value in _resolve(truth, report, labels, values):
+    for label, value in _resolve(truth, report, values):
         open_truths.setdefault(label, []).append(value)
         if label not in per_label:
             per_label[label] = LabelScore()
-        per_label[label].support += 1
 
     tau, near_ok = policy.tau, policy.count_near_as_correct
-    for label, value in _resolve(predictions, report, labels, values):
+    for label, value in _resolve(predictions, report, values):
         if label not in per_label:
             per_label[label] = LabelScore()
         stats = per_label[label]
@@ -350,7 +344,7 @@ def evaluate_dataset(
 
     total = EvalReport()
     # A fresh memo per call: what it holds is freed with it.
-    labels, values = cache(_field_label), cache(normalize)
+    values = cache(normalize)
     for row in tagged:
         rid, style = row.get("id"), row.get("style")
         if eval_ids is not None and rid not in eval_ids:
@@ -366,7 +360,7 @@ def evaluate_dataset(
             continue
         truth = [(label, plain[start:end]) for label, start, end in spans]
         preds = [(f["label"], f["value"]) for f in row.get("fields", [])]
-        _score_into(total, preds, truth, policy, labels, values)
+        _score_into(total, preds, truth, policy, values)
     return total
 
 
@@ -390,7 +384,7 @@ def format_report(report: EvalReport) -> str:
 
         lines.append(
             f"{label:<16}{s.precision:>8.3f}{s.recall:>8.3f}{s.f1:>8.3f}"
-            f"{s.support:>9}{pct('recognized')}{pct('superstring')}"
+            f"{s.tp + s.fn:>9}{pct('recognized')}{pct('superstring')}"
             f"{pct('substring')}{pct('near')}"
         )
     p, r, f1 = report.micro

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .bibtex import parse_bibtex
-from .jsonfile import read_json, read_json_lines, replacing, write_text
+from .jsonfile import read_json, read_json_lines, write_chunks, write_text
 
 
 FETCH_TIMEOUT_S = 10.0
@@ -309,8 +309,8 @@ def _log_event(event: dict) -> tuple[float, int]:
     return ts, entries
 
 
-def write_efficiency_csv(series, path: str | Path) -> None:
-    with replacing(path) as fh:
-        fh.write("timestamp,entries,entries_per_id,normalized\n")
-        for ts, total, eff, norm in series:
-            fh.write(f"{ts},{total},{eff},{norm}\n")
+def write_efficiency_csv(series, path: str | Path) -> str:
+    """`efficiency_series` rows as CSV under a header, LF line ends;
+    returns the file's sha256."""
+    rows = (f"{ts},{total},{eff},{norm}\n" for ts, total, eff, norm in series)
+    return write_chunks(path, ["timestamp,entries,entries_per_id,normalized\n", *rows])

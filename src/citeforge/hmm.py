@@ -40,12 +40,12 @@ are all calls of it.  `tag_references` splits each reference, and its
 lowercased copy, once; maps the lowercased tokens to their columns in one
 pass and takes a backoff symbol only for a token the vocabulary lacks.
 It reads the label runs off the integer state path the decoder returns:
-one table per call names each state's field (None for `other`), a run
-starts where the path changes state, and each run's words are joined
-once.  It refuses a batch holding a reference with no token (EmptyInput);
-the CLI's `tag` refuses each dataset row whose bibRef is empty or
-`str.isspace` (the same whitespace) as it reads it, so it names the row
-before the batch reaches the decoder.
+one table per call names each state's field by `labels.field_name` (None
+for `other`), a run starts where the path changes state, and each run's
+words are joined once.  It refuses a batch holding a reference with no
+token (EmptyInput); the CLI's `tag` refuses each dataset row whose bibRef
+is empty or `str.isspace` (the same whitespace) as it reads it, so it
+names the row before the batch reaches the decoder.
 Each Viterbi step reads its maxima at the argmax, by flat index.
 """
 
@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .annotation import parse_annotation
 from .jsonfile import read_json, write_text
-from .labels import LABEL_SET, ExtractedField, check_nonnegative, field_for_label
+from .labels import LABEL_SET, ExtractedField, check_nonnegative, field_name
 from .tokens import BACKOFF_CLASSES, backoff_symbol
 
 if TYPE_CHECKING:
@@ -139,6 +139,9 @@ class HmmModel:
         )
 
     def symbol_index(self, token: str) -> int:
+        """The emission column of a token.  It stays only because the
+        benchmark harness (`perfbench/tracing.py`) and
+        `tests/test_perfbench.py` read it; it goes once they no longer do."""
         return _symbol_column(self._sym_index, token)
 
     def save(self, path: str | Path) -> str:
@@ -444,11 +447,11 @@ def fields_from_labels(tokens: list[str], labels: Iterable[str]) -> list[Extract
     """Concatenate maximal runs of one label into (field, value) pairs.
 
     `other` runs are dropped; tokens join with single spaces; labels map
-    to their BibTeX field names.  As with `zip`, the runs stop at the
-    shorter of `tokens` and `labels`.
+    to their BibTeX field names by `labels.field_name`.  As with `zip`,
+    the runs stop at the shorter of `tokens` and `labels`.
     """
     labels = list(islice(labels, len(tokens)))
-    names = {label: None if label == "other" else field_for_label(label) for label in set(labels)}
+    names = {label: field_name(label) for label in set(labels)}
     return _label_runs(tokens, labels, names)
 
 
@@ -483,7 +486,7 @@ def tag_references(
         _columns(dec.sym_index, reference, words)
         for reference, words in zip(references, surfaces)
     ]
-    names = [None if state == "other" else field_for_label(state) for state in dec.states]
+    names = [field_name(state) for state in dec.states]
     return [
         (_label_runs(words, path, names), log_prob)
         for words, (path, log_prob) in zip(surfaces, decode_batch(dec, columns))

@@ -22,7 +22,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 BAD_DOCUMENT = (ValueError, KeyError, TypeError, RecursionError)
 # The line breaks of `str.splitlines()` that JSON keeps raw inside a string
@@ -70,21 +70,21 @@ def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
 
 
 @contextmanager
-def replacing(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text file, line ends written as given (LF; CRLF in CSV rows),
-    at `<path>.tmp`, renamed onto `path` when the block ends; on an error
-    the temporary file is deleted and `path` keeps its old bytes, or stays
-    absent.  A symlink is written through to its target; a non-regular path
-    (a FIFO, a terminal) is written in place, as a rename would replace it."""
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file at `<path>.tmp`, renamed onto `path` when the block
+    ends; on an error the temporary file is deleted and `path` keeps its old
+    bytes, or stays absent.  A symlink is written through to its target; a
+    non-regular path (a FIFO, a terminal) is written in place, as a rename
+    would replace it."""
     target = Path(path)
     if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+        with open(target, "wb") as fh:
             yield fh
         return
     target = target.resolve()
     tmp = target.with_name(target.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -101,7 +101,7 @@ def write_chunks(path: str | Path, chunks: Iterable[str]) -> str:
         for chunk in chunks:
             data = chunk.encode()
             digest.update(data)
-            fh.buffer.write(data)
+            fh.write(data)
     return digest.hexdigest()
 
 

@@ -5,7 +5,11 @@ speak the same label vocabulary.  `CONSISTENCY_MAP` is its one table: its
 keys are the labels that name a field, in order, and the vocabulary is those
 keys plus `other`.  The mapping to BibTeX field names is kept explicit so a
 field never silently changes name between the source entry and the annotated
-output (the "Pages" vs "Locality" class of mismatch).
+output (the "Pages" vs "Locality" class of mismatch).  The tagger and the
+scorer read that mapping through two names here: `field_name`, the field a
+label writes, and `FIELD_LABELS`, the label that a field label or BibTeX
+name reads as.  `other` names no field: `field_name` gives None for it,
+and it is not a key of `FIELD_LABELS`.
 
 The tagger and the scorer share two more things from here, so that neither
 imports the other: `ExtractedField`, a label and its value, and
@@ -48,28 +52,21 @@ CANONICAL_LABELS = (*CONSISTENCY_MAP, "other")
 
 LABEL_SET = frozenset(CANONICAL_LABELS)
 
-# BibTeX field name -> canonical label (inverse of CONSISTENCY_MAP).
-_FIELD_TO_LABEL = {
-    field: label for label, fields in CONSISTENCY_MAP.items() for field in fields
+# Each field label, and each of its BibTeX field names, lowercase -> that
+# label (the inverse of CONSISTENCY_MAP); `other` names no field and is absent.
+FIELD_LABELS: dict[str, str] = {
+    name: label for label, fields in CONSISTENCY_MAP.items() for name in (label, *fields)
 }
 
 
-def field_for_label(label: str) -> str:
-    """Deterministic BibTeX field name for a canonical label.
+def field_name(label: str) -> str | None:
+    """The BibTeX field a label writes, None for `other`.
 
-    Ambiguous labels resolve to the first name on the priority list
-    (`container-title` -> `journal`).  Raises KeyError for `other`, which
-    maps to no field.
+    An ambiguous label writes the first name on its priority list
+    (`container-title` -> `journal`).  Raises KeyError for a string that is
+    not a label.
     """
-    return CONSISTENCY_MAP[label][0]
-
-
-def to_canonical(name: str) -> str | None:
-    """Resolve a label given either canonically or as a BibTeX field name."""
-    low = name.lower()
-    if low in LABEL_SET:
-        return low
-    return _FIELD_TO_LABEL.get(low)
+    return None if label == "other" else CONSISTENCY_MAP[label][0]
 
 
 def entry_value(fields: dict[str, str], label: str) -> str | None:

@@ -158,13 +158,9 @@ def backoff_symbol(surface: str) -> str:
     return _shape_symbol(surface.translate(_SHAPES))
 
 
-# A token: a maximal run of non-whitespace.
-WORD = re.compile(r"\S+")
-
-
 def tokenize(reference: str) -> list[Token]:
-    """Split a reference on whitespace into tokens, as `str.split` does.
+    """Split a reference on whitespace into tokens: `str.split`.
 
     Punctuation stays attached; the backoff classes deal with it.
     """
-    return list(map(Token, WORD.findall(reference)))
+    return list(map(Token, reference.split()))

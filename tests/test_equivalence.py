@@ -85,11 +85,10 @@ from citeforge.hmm import (
 )
 from citeforge.labels import (
     CANONICAL_LABELS,
+    CONSISTENCY_MAP,
     LABEL_SET,
     NAME_PART_TAGS,
     entry_value,
-    field_for_label,
-    to_canonical,
 )
 from citeforge.refsection import ReferenceBlock, _find_label, extract_references
 from citeforge.styles import (
@@ -102,7 +101,6 @@ from citeforge.styles import (
 from citeforge.synth import random_bibtex_file, random_corpus
 from citeforge.tokens import (
     BACKOFF_CLASSES,
-    WORD,
     _case_class,
     _last_char_class,
     _punct_class,
@@ -633,18 +631,19 @@ def reference_dataset_stats(records):
 
 
 def reference_fields_from_labels(tokens, labels):
-    """Label runs to fields, the last run flushed after the loop."""
+    """Label runs to fields, the last run flushed after the loop; a label
+    writes the first BibTeX name CONSISTENCY_MAP lists for it."""
     fields = []
     run_label = None
     run_surfaces = []
     for tok, label in zip(tokens, labels):
         if label != run_label:
             if run_label is not None and run_label != "other":
-                fields.append(ExtractedField(field_for_label(run_label), " ".join(run_surfaces)))
+                fields.append(ExtractedField(CONSISTENCY_MAP[run_label][0], " ".join(run_surfaces)))
             run_label, run_surfaces = label, []
         run_surfaces.append(tok)
     if run_label is not None and run_label != "other":
-        fields.append(ExtractedField(field_for_label(run_label), " ".join(run_surfaces)))
+        fields.append(ExtractedField(CONSISTENCY_MAP[run_label][0], " ".join(run_surfaces)))
     return fields
 
 
@@ -662,11 +661,17 @@ def reference_classify_match(pred, truth, tau=EvalPolicy.tau):
 
 
 def reference_resolve(fields, report):
+    # A field label, or one of its BibTeX names, in any case; `other` and
+    # any other name resolve to None.
+    reads_as = {}
+    for canonical, names in CONSISTENCY_MAP.items():
+        for name in (canonical, *names):
+            reads_as[name] = canonical
     out = []
     for f in fields:
-        label = to_canonical(f.label)
+        label = reads_as.get(f.label.lower())
         value = normalize(f.value)
-        if label is None or label == "other" or not value:
+        if label is None or not value:
             report.discarded_empty += 1
             continue
         out.append(ExtractedField(label, value))
@@ -687,7 +692,7 @@ def reference_score_into(report, predictions, truth, policy):
     open_truths = {}
     for t in truths:
         open_truths.setdefault(t.label, []).append(t)
-        report.per_label.setdefault(t.label, LabelScore()).support += 1
+        report.per_label.setdefault(t.label, LabelScore())
 
     precedence = list(MatchClass)
     for pred in preds:
@@ -1024,20 +1029,19 @@ def test_tokenize_is_str_split_and_each_token_its_own_surface(text):
     for tok in tokens:
         assert tok.surface == tok
         assert tok.features == (tok.lower(), backoff_symbol(tok))
-    # `tag` refuses a bibRef with no token by this rule, not by `WORD`.
-    assert (not text or text.isspace()) == (WORD.search(text) is None) == (not tokens)
+    # `tag` refuses a bibRef with no token by this rule.
+    assert (not text or text.isspace()) == (not tokens)
 
 
 def test_every_whitespace_rule_takes_the_same_code_points():
     """`str.isspace` (`tag`'s refusal of a blank bibRef), the regex `\\s`
-    (the BibTeX scanner's old collapse, `re.sub(r"\\s+", " ", v).strip()`),
-    `str.split` (tokens, and the collapse `" ".join(v.split())`) and
-    `WORD` all take the same whitespace, over every code point."""
+    (the BibTeX scanner's old collapse, `re.sub(r"\\s+", " ", v).strip()`)
+    and `str.split` (tokens, and the collapse `" ".join(v.split())`) all
+    take the same whitespace, over every code point."""
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     spaces = {c for c in every if c.isspace()}
     assert set(re.findall(r"\s", every)) == spaces
     assert set(every) - set("".join(every.split())) == spaces
-    assert set(every) - set("".join(WORD.findall(every))) == spaces
     assert {c for c in every if not c.strip()} == spaces
 
 

@@ -259,17 +259,23 @@ def test_score_counts_identities():
 
 def brute_force_score(preds, truths, tau=0.15, near_ok=False):
     """Independent scorer: plain dict/list bookkeeping, no shared helpers."""
-    from citeforge.labels import to_canonical
+    from citeforge.labels import CONSISTENCY_MAP
 
+    # A field label, or one of its BibTeX names, in any case; `other` and
+    # any other name resolve to nothing.
+    reads_as = {}
+    for label, names in CONSISTENCY_MAP.items():
+        for name in (label, *names):
+            reads_as[name] = label
     clean_preds = []
     for p in preds:
-        lab, val = to_canonical(p.label), normalize(p.value)
-        if lab and lab != "other" and val:
+        lab, val = reads_as.get(p.label.lower()), normalize(p.value)
+        if lab and val:
             clean_preds.append((lab, val))
     clean_truths = []
     for t in truths:
-        lab, val = to_canonical(t.label), normalize(t.value)
-        if lab and lab != "other" and val:
+        lab, val = reads_as.get(t.label.lower()), normalize(t.value)
+        if lab and val:
             clean_truths.append((lab, val))
 
     used = [False] * len(clean_truths)

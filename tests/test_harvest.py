@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -723,6 +724,17 @@ def test_efficiency_csv_has_one_row_per_id_however_many_requests(tmp_path):
     assert [row.split(",")[1:] for row in rows] == [
         ["1", "1.0", "1.0"], ["2", "1.0", "1.0"], ["3", "1.0", "1.0"]
     ]
+
+
+def test_efficiency_csv_returns_the_sha256_of_the_bytes_it_wrote(tmp_path):
+    csv_path = tmp_path / "efficiency.csv"
+    digest = write_efficiency_csv([(1.5, 1, 1.0, 0.5), (2.0, 3, 2.0, 1.0)], csv_path)
+    assert csv_path.read_bytes() == (
+        b"timestamp,entries,entries_per_id,normalized\n"
+        b"1.5,1,1.0,0.5\n"
+        b"2.0,3,2.0,1.0\n"
+    )
+    assert digest == hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(
